@@ -21,14 +21,13 @@ from collections import defaultdict
 
 import click
 
-from . import __version__, jsonl
+from . import __version__, harness, jsonl
 from .corpus import (
     AugmentationPolicy,
     Category,
     MissingDiagram,
     RawPair,
     Reclassification,
-    TaskRecord,
     assemble_record,
     build_realspec,
     categorize as categorize_pair,
@@ -61,10 +60,10 @@ from .harness import (
     ToolchainMissing,
     aggregate_report,
     report_csv,
+    report_lines,
     report_rows,
     report_table,
     run_many,
-    run_sim,
 )
 from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
 from .rewards import (
@@ -105,6 +104,15 @@ def default_config() -> dict:
     }
 
 
+# config sections passed whole to a class as keyword arguments; any of its
+# fields may be set, not only those with a default in default_config()
+_SECTION_CLASSES = {
+    "degradation": DegradationPolicy,
+    "augmentation": AugmentationPolicy,
+    "schedule": WeightSchedule,
+}
+
+
 def load_config(path: str | None, seed: int | None) -> dict:
     cfg = default_config()
     if path is not None:
@@ -116,8 +124,12 @@ def load_config(path: str | None, seed: int | None) -> dict:
             if key not in cfg:
                 raise ConfigError(f"unknown config key: {key}")
             if isinstance(cfg[key], dict):
-                unknown = set(value) - set(cfg[key])
-                if unknown and key not in ("degradation", "augmentation", "schedule", "grpo"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config key {key} must be an object")
+                cls = _SECTION_CLASSES.get(key)
+                known = {f.name for f in dataclasses.fields(cls)} if cls else set(cfg[key])
+                unknown = set(value) - known
+                if unknown:
                     raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
                 cfg[key].update(value)
             else:
@@ -195,18 +207,39 @@ def _testbench_path(directory: str, task_id: str) -> str:
     return path
 
 
-def _reference_transcript(
-    reference_code: str, tb_source: str, task_id: str,
-    toolchain: ToolchainConfig, timeout_ms: int,
-) -> list[str]:
-    outcome = run_sim(SimJob(reference_code, tb_source, task_id, timeout_ms), toolchain)
-    if not outcome.ran_ok:
-        raise ConfigError(
-            f"reference design for task {task_id!r} failed its own testbench "
-            f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
-            f"{outcome.log.strip()[:300]}"
-        )
-    return list(outcome.stdout_lines)
+class _Simulator:
+    """Simulates a command's candidate designs against their tasks' testbenches.
+
+    Built once per command. The first batch of a task reads its testbench and
+    simulates its reference design; that transcript scores every batch of the
+    task's candidates. Each batch runs on one ``run_many`` pool of the
+    toolchain's ``workers``, and outcomes come back in candidate order.
+    """
+
+    def __init__(self, toolchain: ToolchainConfig, tb_dir: str, timeout_ms: int):
+        toolchain.check_available()
+        self.toolchain = toolchain
+        self.tb_dir = tb_dir
+        self.timeout_ms = timeout_ms
+        self._references: dict[str, tuple[str, list[str]]] = {}
+
+    def run(self, task_id: str, reference_code: str, codes: list[str]) -> list[SimOutcome]:
+        if task_id not in self._references:
+            with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
+                tb_source = f.read()
+            outcome = harness.run_sim(
+                SimJob(reference_code, tb_source, task_id, self.timeout_ms), self.toolchain
+            )
+            if not outcome.ran_ok:
+                raise ConfigError(
+                    f"reference design for task {task_id!r} failed its own testbench "
+                    f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
+                    f"{outcome.log.strip()[:300]}"
+                )
+            self._references[task_id] = (tb_source, list(outcome.stdout_lines))
+        tb_source, reference = self._references[task_id]
+        jobs = [SimJob(code, tb_source, task_id, self.timeout_ms) for code in codes]
+        return run_many(jobs, self.toolchain, [reference] * len(jobs))
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
@@ -281,28 +314,18 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
         if live:
             if tb_dir is None:
                 raise ConfigError("--live categorization needs --testbenches")
-            toolchain = _toolchain(toolchain_path)
-            toolchain.check_available()
+            sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
             gateway = Gateway(_provider(provider_path, mock_script))
             verdicts = {}
             for pair in pairs:
-                tb_source = open(_testbench_path(tb_dir, pair.id), encoding="utf-8").read()
-                reference = _reference_transcript(
-                    pair.reference_code, tb_source, pair.id, toolchain, cfg["timeout_ms"]
-                )
                 req = GenRequest(pair.description, n=cfg["probe_n"],
                                  seed=derive_seed(cfg["seed"], pair.id, "probe"))
-                fractions = []
-                for text in gateway.generate(req):
-                    code = extract_verilog(text)
-                    if code is None:
-                        fractions.append(0.0)
-                        continue
-                    outcome = run_sim(
-                        SimJob(code, tb_source, pair.id, cfg["timeout_ms"]),
-                        toolchain, reference,
-                    )
-                    fractions.append(code_reward(outcome))
+                codes = [extract_verilog(text) for text in gateway.generate(req)]
+                # a completion with no Verilog scores 0 without a sim
+                outcomes = iter(sims.run(
+                    pair.id, pair.reference_code, [c for c in codes if c is not None]
+                ))
+                fractions = [0.0 if c is None else code_reward(next(outcomes)) for c in codes]
                 verdicts[pair.id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
         else:
             if verdicts_path is None:
@@ -508,9 +531,9 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         toolchain = _toolchain(toolchain_path)
         if keep_artifacts:
             toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
-        toolchain.check_available()
+        sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
         tasks = {r["id"]: r for r in _load_pairs(tasks_path)}
-        cand_rows = list(jsonl.read_rows(_require_file(candidates_path, "candidates file")))
+        cand_rows = jsonl.read_rows(_require_file(candidates_path, "candidates file"))
         ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
         thr = cfg["threshold"] if threshold is None else threshold
         os.makedirs(output_dir, exist_ok=True)
@@ -520,18 +543,15 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
             task_id = row["task_id"]
             if task_id not in tasks:
                 raise ConfigError(f"candidates reference unknown task {task_id!r}")
-            tb_source = open(_testbench_path(tb_dir, task_id), encoding="utf-8").read()
-            reference = _reference_transcript(
-                tasks[task_id]["reference_code"], tb_source, task_id,
-                toolchain, cfg["timeout_ms"],
+            outcomes = sims.run(
+                task_id, tasks[task_id]["reference_code"], row.get("candidates", [])
             )
-            codes = row.get("candidates", [])
-            jobs = [SimJob(c, tb_source, task_id, cfg["timeout_ms"]) for c in codes]
-            outcomes = run_many(jobs, toolchain, [reference] * len(jobs))
-            samples[task_id] = outcomes
+            # rows repeating a task add samples to it, numbered on from its last
+            task_samples = samples.setdefault(task_id, [])
             outcome_rows.extend(
-                _outcome_row(task_id, i, o) for i, o in enumerate(outcomes)
+                _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
             )
+            task_samples.extend(outcomes)
         report = aggregate_report(samples, thr, ks)
         meta = meta_for(cfg, k_values=list(ks), threshold=thr)
         jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
@@ -569,15 +589,13 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
     cfg = ctx.obj["config"]
 
     def run():
-        toolchain = _toolchain(toolchain_path)
-        toolchain.check_available()
+        sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
         tasks = {r["id"]: r for r in _load_pairs(tasks_path)}
         schedule = WeightSchedule(**cfg["schedule"])
         gateway = Gateway(_provider(provider_path, mock_script))
         epsilon = cfg["grpo"]["epsilon"]
         beta = cfg["grpo"]["beta"]
         eps_std = cfg["grpo"]["eps_std"]
-        ref_cache: dict[str, tuple] = {}
         out_rows = []
         step_mix: dict[int, list[float]] = defaultdict(list)
         for row in jsonl.read_rows(_require_file(groups_path, "groups file")):
@@ -586,28 +604,17 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
                 raise ConfigError(f"groups reference unknown task {task_id!r}")
             task = tasks[task_id]
             step = int(row.get("step", global_step))
-            if task_id not in ref_cache:
-                tb_source = open(_testbench_path(tb_dir, task_id), encoding="utf-8").read()
-                reference_iface = parse_module_header(task["reference_code"])
-                reference_lines = _reference_transcript(
-                    task["reference_code"], tb_source, task_id, toolchain, cfg["timeout_ms"]
-                )
-                ref_cache[task_id] = (tb_source, reference_iface, reference_lines)
-            tb_source, reference_iface, reference_lines = ref_cache[task_id]
+            reference_iface = parse_module_header(task["reference_code"])
+            codes = [r["code_text"] for r in row["rollouts"]]
+            codes = [(extract_verilog(c) or c) if "```" in c else c for c in codes]
+            outcomes = sims.run(task_id, task["reference_code"], codes)
             realspec = task.get("realspec") or task.get("description") or ""
             rollouts = []
             reward_rows = []
             mixed = []
-            for r in row["rollouts"]:
+            for r, code_text, outcome in zip(row["rollouts"], codes, outcomes):
                 crux_text = r["crux_text"]
-                code_text = r["code_text"]
-                if "```" in code_text:
-                    code_text = extract_verilog(code_text) or code_text
                 fmt = format_reward(crux_text, reference_iface)
-                outcome = run_sim(
-                    SimJob(code_text, tb_source, task_id, cfg["timeout_ms"]),
-                    toolchain, reference_lines,
-                )
                 diagnostics = []
                 if "crux_score" in r:
                     score_seq = _seq_from_payload(r["crux_score"])
@@ -650,7 +657,6 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
                             if "logprobs_ref" in r
                             else None
                         ),
-                        reward=vec,
                     )
                 )
             advantages = group_advantages(mixed, eps_std)
@@ -761,14 +767,13 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
             rows = list(jsonl.read_rows(_require_file(per_task, "per-task report")))
             if not rows:
                 raise ConfigError(f"no rows in {per_task}")
-            ks = [key.split("@")[1] for key in rows[0] if key.startswith("pass@")]
-            lines = ["task\tn\tc" + "".join(f"\tpass@{k}" for k in ks)]
-            for row in rows:
-                cells = [str(row["task_id"]), str(row["n"]), str(row["c"])]
-                for k in ks:
-                    est = row[f"pass@{k}"]
-                    cells.append("-" if est is None else f"{est:.4f}")
-                lines.append("\t".join(cells))
+            # rows are written with sorted keys (pass@10 before pass@5); the
+            # meta row keeps the k order of evaluate's own tables
+            meta = jsonl.read_meta(per_task) or {}
+            ks = meta.get("k_values") or sorted(
+                int(key.split("@")[1]) for key in rows[0] if key.startswith("pass@")
+            )
+            lines = report_lines(rows, ks)
             with open(os.path.join(output_dir, "evaluation.txt"), "w") as f:
                 f.write("\n".join(lines) + "\n")
             click.echo("\n".join(lines))

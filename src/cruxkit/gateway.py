@@ -31,10 +31,6 @@ class ProviderUnreachable(GatewayError):
     """Connection or server failure persisting through all retries."""
 
 
-class RateLimited(GatewayError):
-    """HTTP 429 persisting through all retries."""
-
-
 class TruncatedResponse(GatewayError):
     """The server returned fewer completions than requested, or cut one off."""
 
@@ -88,7 +84,6 @@ class ProviderConfig:
     timeout_s: float = 60.0
     max_retries: int = 3
     backoff_s: float = 0.5
-    max_in_flight: int = 8
     audit_path: str | None = None
     mock: dict = field(default_factory=dict)
 
@@ -303,7 +298,7 @@ class Gateway:
             with open(self.config.audit_path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def _with_retries(self, fn, transient_error: type[GatewayError]):
+    def _with_retries(self, fn):
         last: Exception | None = None
         for attempt in range(1, self.config.max_retries + 1):
             try:
@@ -312,7 +307,7 @@ class Gateway:
                 last = exc
                 if attempt < self.config.max_retries:
                     self._sleep(self.config.backoff_s * (2 ** (attempt - 1)))
-        raise transient_error(str(last)) from last
+        raise ProviderUnreachable(str(last)) from last
 
     def generate(self, req: GenRequest) -> list[str]:
         digest = hashlib.sha256(
@@ -324,9 +319,7 @@ class Gateway:
                 sort_keys=True,
             ).encode()
         ).hexdigest()
-        texts, attempts = self._with_retries(
-            lambda: self.backend.generate(req), ProviderUnreachable
-        )
+        texts, attempts = self._with_retries(lambda: self.backend.generate(req))
         if len(texts) != req.n:
             raise TruncatedResponse(f"asked for {req.n} completions, got {len(texts)}")
         self._audit("generate", digest, attempts, {"n": req.n})
@@ -338,8 +331,6 @@ class Gateway:
                 {"prompt": req.prompt, "continuation": req.continuation}, sort_keys=True
             ).encode()
         ).hexdigest()
-        seq, attempts = self._with_retries(
-            lambda: self.backend.score(req), ProviderUnreachable
-        )
+        seq, attempts = self._with_retries(lambda: self.backend.score(req))
         self._audit("score", digest, attempts, {"tokens": len(seq)})
         return seq

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rewards import RewardVector, TokenLogProbSeq
+from .rewards import TokenLogProbSeq
 
 
 class GroupTooSmall(ValueError):
@@ -39,7 +39,6 @@ class Rollout:
     token_logprobs_new: TokenLogProbSeq
     token_logprobs_old: TokenLogProbSeq
     token_logprobs_ref: TokenLogProbSeq | None = None
-    reward: RewardVector | None = None
 
     def __post_init__(self) -> None:
         if len(self.token_logprobs_new) == 0:

@@ -34,9 +34,6 @@ class EmptyInput(ValueError):
     """An aggregate was requested over no samples."""
 
 
-_PLACEHOLDERS = ("{design}", "{tb}", "{out}")
-
-
 @dataclass(frozen=True)
 class ToolchainConfig:
     """External simulator invocation templates.
@@ -375,16 +372,30 @@ def report_rows(report: PassAtKReport) -> list[dict]:
     return rows
 
 
+def report_lines(
+    rows: list[dict], k_values: list[int] | tuple[int, ...], csv: bool = False
+) -> list[str]:
+    """Header and one line per ``report_rows`` row: tab-separated with
+    4-decimal estimates and ``-`` for a skipped k, or CSV with exact
+    (``repr``) estimates and an empty cell."""
+    sep = "," if csv else "\t"
+    header = ["task_id" if csv else "task", "n", "c"] + [f"pass@{k}" for k in k_values]
+    lines = [sep.join(header)]
+    for row in rows:
+        cells = [str(row["task_id"]), str(row["n"]), str(row["c"])]
+        for k in k_values:
+            est = row[f"pass@{k}"]
+            if est is None:
+                cells.append("" if csv else "-")
+            else:
+                cells.append(repr(est) if csv else f"{est:.4f}")
+        lines.append(sep.join(cells))
+    return lines
+
+
 def report_table(report: PassAtKReport) -> str:
     """Plain-text summary table."""
-    header = ["task", "n", "c"] + [f"pass@{k}" for k in report.k_values]
-    lines = ["\t".join(header)]
-    for row in report_rows(report):
-        cells = [str(row["task_id"]), str(row["n"]), str(row["c"])]
-        for k in report.k_values:
-            est = row[f"pass@{k}"]
-            cells.append("-" if est is None else f"{est:.4f}")
-        lines.append("\t".join(cells))
+    lines = report_lines(report_rows(report), report.k_values)
     agg_cells = ["aggregate", "", ""]
     for k in report.k_values:
         agg_cells.append(f"{report.aggregate[k]:.4f}")
@@ -395,12 +406,4 @@ def report_table(report: PassAtKReport) -> str:
 
 
 def report_csv(report: PassAtKReport) -> str:
-    header = ["task_id", "n", "c"] + [f"pass@{k}" for k in report.k_values]
-    lines = [",".join(header)]
-    for row in report_rows(report):
-        cells = [str(row["task_id"]), str(row["n"]), str(row["c"])]
-        for k in report.k_values:
-            est = row[f"pass@{k}"]
-            cells.append("" if est is None else repr(est))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(report_lines(report_rows(report), report.k_values, csv=True)) + "\n"

@@ -86,6 +86,61 @@ class TestCategorize:
         assert outs[0] == outs[1]
 
 
+class TestCategorizeLive:
+    @pytest.fixture()
+    def probe_mock(self, tmp_path):
+        """Answers each offline-passed pair with its reference in a verilog
+        fence, and every other pair with text holding no Verilog."""
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        _, verdicts = read_jsonl(TOY / "verdicts.jsonl")
+        passed = {v["id"] for v in verdicts if v["passed"]}
+        rules = [
+            {"match": p["description"], "texts": [f"```verilog\n{p['reference_code']}\n```"]}
+            for p in pairs if p["id"] in passed
+        ]
+        path = tmp_path / "probe_mock.json"
+        path.write_text(json.dumps(
+            {"completions": rules, "default_completions": ["I cannot write this module."]}
+        ))
+        return path
+
+    def test_matches_offline_verdicts_and_reruns_identical(
+        self, tmp_path, probe_mock, echo_toolchain_file, monkeypatch
+    ):
+        import cruxkit.harness as harness
+
+        real_run_sim = harness.run_sim
+        sims = []
+
+        def counting_run_sim(job, toolchain, reference_lines=None):
+            sims.append((job.top_module, reference_lines is None))
+            return real_run_sim(job, toolchain, reference_lines)
+
+        monkeypatch.setattr(harness, "run_sim", counting_run_sim)
+        offline = tmp_path / "offline.jsonl"
+        run_cli("categorize", "--input", TOY / "pairs.jsonl",
+                "--verdicts", TOY / "verdicts.jsonl", "--output", offline)
+        blobs = []
+        for name in ("live1.jsonl", "live2.jsonl"):
+            out = tmp_path / name
+            result = run_cli(
+                "categorize",
+                "--input", TOY / "pairs.jsonl",
+                "--live",
+                "--mock-provider", probe_mock,
+                "--toolchain", echo_toolchain_file,
+                "--testbenches", TOY / "testbenches",
+                "--output", out,
+            )
+            assert result.exit_code == 0, result.output
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == offline.read_bytes()
+        # each run simulates every pair's reference once and only the two fenced answers
+        candidates = sorted(task for task, is_ref in sims if not is_ref)
+        assert candidates == ["clkgenerator", "clkgenerator", "mux2to1", "mux2to1"]
+        assert sum(is_ref for _, is_ref in sims) == 10
+
+
 @pytest.fixture()
 def categorized_toy(tmp_path):
     out = tmp_path / "categorized.jsonl"
@@ -239,6 +294,32 @@ class TestEvaluate:
         assert (outdir / "summary.txt").exists()
         assert (outdir / "summary.csv").exists()
 
+    def test_repeated_task_rows_merge(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        reference = next(p["reference_code"] for p in pairs if p["id"] == "dff8p")
+        broken = reference.replace("endmodule", "SYNTAX_ERROR\nendmodule")
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(
+            json.dumps({"task_id": "dff8p", "candidates": [reference] * 2}) + "\n"
+            + json.dumps({"task_id": "dff8p", "candidates": [broken] * 3}) + "\n"
+        )
+        outdir = tmp_path / "eval"
+        result = run_cli(
+            "evaluate",
+            "--tasks", TOY / "pairs.jsonl",
+            "--candidates", candidates,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output-dir", outdir,
+            "-k", 1,
+        )
+        assert result.exit_code == 0, result.output
+        _, per_task = read_jsonl(outdir / "per_task.jsonl")
+        assert [(r["task_id"], r["n"], r["c"]) for r in per_task] == [("dff8p", 5, 2)]
+        _, outcomes = read_jsonl(outdir / "outcomes.jsonl")
+        assert [o["index"] for o in outcomes] == [0, 1, 2, 3, 4]
+        assert [o["compile_ok"] for o in outcomes] == [True, True, False, False, False]
+
     def test_unknown_task_in_candidates(self, tmp_path, echo_toolchain_file):
         candidates = tmp_path / "c.jsonl"
         candidates.write_text(json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n")
@@ -327,16 +408,23 @@ class TestReward:
     def test_scores_and_objective(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         groups = write_groups(tmp_path, pairs[:2], step=0)
-        out = tmp_path / "rewarded.jsonl"
-        result = run_cli(
-            "reward",
-            "--groups", groups,
-            "--tasks", TOY / "pairs.jsonl",
-            "--testbenches", TOY / "testbenches",
-            "--toolchain", echo_toolchain_file,
-            "--output", out,
-        )
-        assert result.exit_code == 0, result.output
+        echo = json.loads(echo_toolchain_file.read_text())
+        blobs = {}
+        for workers in (1, 4):
+            toolchain = tmp_path / f"toolchain{workers}.json"
+            toolchain.write_text(json.dumps({**echo, "workers": workers}))
+            out = tmp_path / f"rewarded{workers}.jsonl"
+            result = run_cli(
+                "reward",
+                "--groups", groups,
+                "--tasks", TOY / "pairs.jsonl",
+                "--testbenches", TOY / "testbenches",
+                "--toolchain", toolchain,
+                "--output", out,
+            )
+            assert result.exit_code == 0, result.output
+            blobs[workers] = out.read_bytes()
+        assert blobs[1] == blobs[4]
         _, rows = read_jsonl(out)
         assert len(rows) == 2
         for row in rows:
@@ -391,6 +479,27 @@ class TestReward:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
+def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchain_file, command):
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    dff8p = next(p for p in pairs if p["id"] == "dff8p")
+    tasks = tmp_path / "tasks.jsonl"
+    broken = dff8p["reference_code"].replace("endmodule", "SYNTAX_ERROR\nendmodule")
+    tasks.write_text(json.dumps({**dff8p, "reference_code": broken}) + "\n")
+    common = ["--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file]
+    if command == "evaluate":
+        args = ["evaluate", "--tasks", tasks, "--candidates", write_candidates(tmp_path, [dff8p]),
+                "--output-dir", tmp_path / "eval"]
+    elif command == "reward":
+        args = ["reward", "--tasks", tasks, "--groups", write_groups(tmp_path, [dff8p], step=0),
+                "--output", tmp_path / "rewarded.jsonl"]
+    else:
+        args = ["categorize", "--live", "--input", tasks, "--output", tmp_path / "cat.jsonl"]
+    result = run_cli(*args, *common)
+    assert result.exit_code == 2
+    assert "failed its own testbench" in result.stderr
+
+
 class TestReport:
     def test_reward_summary(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
@@ -414,6 +523,26 @@ class TestReport:
         assert int(count) == 4
         assert 0.0 <= float(mean) <= 14.0
 
+    def test_evaluate_dir_matches_summary_table(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        evaldir = tmp_path / "eval"
+        result = run_cli(
+            "evaluate",
+            "--tasks", TOY / "pairs.jsonl",
+            "--candidates", write_candidates(tmp_path, pairs),
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output-dir", evaldir,
+        )
+        assert result.exit_code == 0, result.output
+        outdir = tmp_path / "rep"
+        result = run_cli("report", "--evaluate-dir", evaldir, "--output-dir", outdir)
+        assert result.exit_code == 0, result.output
+        # header plus one line per task; the aggregate and warning lines follow
+        summary = (evaldir / "summary.txt").read_bytes().split(b"\n")
+        expected = b"\n".join(summary[: 1 + len(pairs)]) + b"\n"
+        assert (outdir / "evaluation.txt").read_bytes() == expected
+
     def test_needs_an_input(self, tmp_path):
         result = run_cli("report", "--output-dir", tmp_path / "rep")
         assert result.exit_code == 2
@@ -436,6 +565,39 @@ class TestConfig:
         cfg.write_text(json.dumps({"not_a_key": 1}))
         result = run_cli("--config", cfg, "grpo-check", "--instances", 1)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("section, keys", [
+        ({"grpo": {"bta": 0.04}}, "grpo"),
+        ({"degradation": {"p_keep": 0.3}}, "degradation"),
+        ({"augmentation": {"p_middle": 0.1}}, "augmentation"),
+        ({"schedule": {"switch": 0.5}}, "schedule"),
+    ])
+    def test_unknown_nested_key_rejected(self, tmp_path, section, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        result = run_cli("--config", cfg, "grpo-check", "--instances", 1)
+        assert result.exit_code == 2
+        assert f"unknown {keys} keys" in result.stderr
+
+    def test_nested_class_field_accepted(self, tmp_path, echo_toolchain_file):
+        # switch_fraction has no entry in the default config but is a
+        # WeightSchedule field: step 52 of 520 stays early when the switch is at half
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": {"switch_fraction": 0.5}}))
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli(
+            "--config", cfg,
+            "reward",
+            "--groups", write_groups(tmp_path, pairs[:1], step=52),
+            "--tasks", TOY / "pairs.jsonl",
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output", out,
+        )
+        assert result.exit_code == 0, result.output
+        _, rows = read_jsonl(out)
+        assert rows[0]["rewards"][0]["weights_phase"] == "early"
 
     def test_config_changes_hash(self, tmp_path, categorized_toy):
         cfg = tmp_path / "cfg.json"
