@@ -207,13 +207,18 @@ def _testbench_path(directory: str, task_id: str) -> str:
     return path
 
 
+_EMPTY_DESIGN = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
+
+
 class _Simulator:
     """Simulates a command's candidate designs against their tasks' testbenches.
 
     Built once per command. The first batch of a task reads its testbench and
     simulates its reference design; that transcript scores every batch of the
-    task's candidates. Each batch runs on one ``run_many`` pool of the
-    toolchain's ``workers``, and outcomes come back in candidate order.
+    task's candidates. Each batch simulates its distinct designs once, on one
+    ``run_many`` pool of the toolchain's ``workers``, and outcomes come back
+    in candidate order, one per candidate. A candidate equal to the reference
+    reuses the reference's outcome, and a blank one is a compile failure.
     """
 
     def __init__(self, toolchain: ToolchainConfig, tb_dir: str, timeout_ms: int):
@@ -221,7 +226,7 @@ class _Simulator:
         self.toolchain = toolchain
         self.tb_dir = tb_dir
         self.timeout_ms = timeout_ms
-        self._references: dict[str, tuple[str, list[str]]] = {}
+        self._references: dict[str, tuple[str, SimOutcome]] = {}
 
     def run(self, task_id: str, reference_code: str, codes: list[str]) -> list[SimOutcome]:
         if task_id not in self._references:
@@ -236,10 +241,16 @@ class _Simulator:
                     f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
                     f"{outcome.log.strip()[:300]}"
                 )
-            self._references[task_id] = (tb_source, list(outcome.stdout_lines))
+            self._references[task_id] = (tb_source, outcome)
         tb_source, reference = self._references[task_id]
-        jobs = [SimJob(code, tb_source, task_id, self.timeout_ms) for code in codes]
-        return run_many(jobs, self.toolchain, [reference] * len(jobs))
+        # within a batch the testbench, timeout and toolchain are fixed, so the
+        # design text alone keys a sim; the reference matches itself exactly
+        known = {reference_code: reference}
+        distinct = [c for c in dict.fromkeys(codes) if c not in known and c.strip()]
+        jobs = [SimJob(code, tb_source, task_id, self.timeout_ms) for code in distinct]
+        lines = list(reference.stdout_lines)
+        known.update(zip(distinct, run_many(jobs, self.toolchain, [lines] * len(jobs))))
+        return [known.get(code, _EMPTY_DESIGN) for code in codes]
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:

@@ -14,6 +14,7 @@ import math
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -159,6 +160,28 @@ def _render_cmd(template: str, design: str, tb: str, out: str) -> list[str]:
     return [tok.format(design=design, tb=tb, out=out) for tok in shlex.split(template)]
 
 
+def _run_child(
+    cmd: list[str], cwd: str, env: dict[str, str], timeout_ms: int
+) -> subprocess.CompletedProcess:
+    """Run one toolchain step in a session of its own and capture its output.
+
+    On timeout the step's whole process group is killed before the
+    ``TimeoutExpired`` propagates, so processes the step left running in the
+    background die with it.
+    """
+    with subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout_ms / 1000.0)
+        except subprocess.TimeoutExpired:
+            # the unreaped child still holds its pid, so the group id is ours
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def run_sim(
     job: SimJob,
     toolchain: ToolchainConfig = ToolchainConfig(),
@@ -193,13 +216,9 @@ def run_sim(
 
     try:
         try:
-            compiled = subprocess.run(
+            compiled = _run_child(
                 _render_cmd(toolchain.compile_cmd, design_path, tb_path, out_path),
-                cwd=scratch,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=toolchain.compile_timeout_ms / 1000.0,
+                scratch, env, toolchain.compile_timeout_ms,
             )
         except subprocess.TimeoutExpired:
             return _finish(
@@ -218,13 +237,9 @@ def run_sim(
                 )
             )
         try:
-            ran = subprocess.run(
+            ran = _run_child(
                 _render_cmd(toolchain.run_cmd, design_path, tb_path, out_path),
-                cwd=scratch,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=job.timeout_ms / 1000.0,
+                scratch, env, job.timeout_ms,
             )
         except subprocess.TimeoutExpired:
             return _finish(

@@ -33,6 +33,27 @@ def echo_toolchain_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def sim_log(monkeypatch):
+    """Records (task id, is a reference sim) for every ``harness.run_sim`` call."""
+    import cruxkit.harness as harness
+
+    real_run_sim = harness.run_sim
+    sims = []
+
+    def counting_run_sim(job, toolchain, reference_lines=None):
+        sims.append((job.top_module, reference_lines is None))
+        return real_run_sim(job, toolchain, reference_lines)
+
+    monkeypatch.setattr(harness, "run_sim", counting_run_sim)
+    return sims
+
+
+def toy_reference(task_id):
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    return next(p["reference_code"] for p in pairs if p["id"] == task_id)
+
+
 class TestCategorize:
     def test_golden_twelve(self, tmp_path):
         out = tmp_path / "cat.jsonl"
@@ -105,18 +126,8 @@ class TestCategorizeLive:
         return path
 
     def test_matches_offline_verdicts_and_reruns_identical(
-        self, tmp_path, probe_mock, echo_toolchain_file, monkeypatch
+        self, tmp_path, probe_mock, echo_toolchain_file, sim_log
     ):
-        import cruxkit.harness as harness
-
-        real_run_sim = harness.run_sim
-        sims = []
-
-        def counting_run_sim(job, toolchain, reference_lines=None):
-            sims.append((job.top_module, reference_lines is None))
-            return real_run_sim(job, toolchain, reference_lines)
-
-        monkeypatch.setattr(harness, "run_sim", counting_run_sim)
         offline = tmp_path / "offline.jsonl"
         run_cli("categorize", "--input", TOY / "pairs.jsonl",
                 "--verdicts", TOY / "verdicts.jsonl", "--output", offline)
@@ -136,9 +147,9 @@ class TestCategorizeLive:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == offline.read_bytes()
         # each run simulates every pair's reference once and only the two fenced answers
-        candidates = sorted(task for task, is_ref in sims if not is_ref)
+        candidates = sorted(task for task, is_ref in sim_log if not is_ref)
         assert candidates == ["clkgenerator", "clkgenerator", "mux2to1", "mux2to1"]
-        assert sum(is_ref for _, is_ref in sims) == 10
+        assert sum(is_ref for _, is_ref in sim_log) == 10
 
 
 @pytest.fixture()
@@ -320,6 +331,53 @@ class TestEvaluate:
         assert [o["index"] for o in outcomes] == [0, 1, 2, 3, 4]
         assert [o["compile_ok"] for o in outcomes] == [True, True, False, False, False]
 
+    def _evaluate_row(self, tmp_path, toolchain, task_id, codes):
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(json.dumps({"task_id": task_id, "candidates": codes}) + "\n")
+        outdir = tmp_path / "eval"
+        result = run_cli(
+            "evaluate",
+            "--tasks", TOY / "pairs.jsonl",
+            "--candidates", candidates,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", toolchain,
+            "--output-dir", outdir,
+            "-k", 1,
+        )
+        assert result.exit_code == 0, result.output
+        _, per_task = read_jsonl(outdir / "per_task.jsonl")
+        _, outcomes = read_jsonl(outdir / "outcomes.jsonl")
+        return per_task, outcomes
+
+    def test_duplicate_candidates_are_samples_simulated_once(
+        self, tmp_path, echo_toolchain_file, sim_log
+    ):
+        reference = toy_reference("dff8p")
+        broken = reference.replace("endmodule", "SYNTAX_ERROR\nendmodule")
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, echo_toolchain_file, "dff8p",
+            [reference, broken, reference, broken, broken],
+        )
+        assert [(r["n"], r["c"]) for r in per_task] == [(5, 2)]
+        assert [o["index"] for o in outcomes] == [0, 1, 2, 3, 4]
+        assert [o["compile_ok"] for o in outcomes] == [True, False, True, False, False]
+        # the reference once, then the one failing design; its copies reuse the reference run
+        assert sim_log == [("dff8p", True), ("dff8p", False)]
+
+    def test_empty_candidate_is_a_compile_failure(self, tmp_path, echo_toolchain_file, sim_log):
+        reference = toy_reference("mux2to1")
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, echo_toolchain_file, "mux2to1",
+            ["", reference, "module m; endmodule", " \n\t"],
+        )
+        assert [(r["n"], r["c"]) for r in per_task] == [(4, 1)]
+        assert [o["compile_ok"] for o in outcomes] == [False, True, True, False]
+        for blank in (outcomes[0], outcomes[3]):
+            assert (blank["ran_ok"], blank["returncode"], blank["match_fraction"]) == (
+                False, None, None
+            )
+        assert sim_log == [("mux2to1", True), ("mux2to1", False)]
+
     def test_unknown_task_in_candidates(self, tmp_path, echo_toolchain_file):
         candidates = tmp_path / "c.jsonl"
         candidates.write_text(json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n")
@@ -477,6 +535,63 @@ class TestReward:
             "--output", tmp_path / "out.jsonl",
         )
         assert result.exit_code == 2
+
+    def _reward_group(self, tmp_path, toolchain, codes, name):
+        """Scores one mux2to1 group of ``codes``; returns the rewards file."""
+        ln_half = math.log(0.5)
+        rollouts = [
+            {
+                "crux_text": "## Module Interface\n", "code_text": code,
+                "logprobs_new": payload([-0.1 * (i + 1)]), "logprobs_old": payload([-0.2]),
+                "crux_score": payload([ln_half]),
+            }
+            for i, code in enumerate(codes)
+        ]
+        groups = tmp_path / f"{name}.groups.jsonl"
+        groups.write_text(json.dumps({"task_id": "mux2to1", "step": 0, "rollouts": rollouts}) + "\n")
+        out = tmp_path / f"{name}.rewarded.jsonl"
+        result = run_cli(
+            "reward",
+            "--groups", groups,
+            "--tasks", TOY / "pairs.jsonl",
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", toolchain,
+            "--output", out,
+        )
+        assert result.exit_code == 0, result.output
+        return out
+
+    def test_repeated_rollouts_score_as_unique_ones(self, tmp_path, echo_toolchain_file, sim_log):
+        reference = toy_reference("mux2to1")
+        broken = reference.replace("endmodule", "SYNTAX_ERROR\nendmodule")
+        mismatch = reference.replace("sel1 b", "sel1 a")
+        designs = [reference, broken, reference, mismatch, broken, reference, mismatch, broken]
+        fenced = 5
+
+        def codes(tag):
+            out = [design + tag(i) for i, design in enumerate(designs)]
+            out[fenced] = f"```verilog\n{out[fenced]}```"
+            return out
+
+        repeated = self._reward_group(tmp_path, echo_toolchain_file, codes(lambda i: ""), "repeated")
+        # the fenced copy extracts stripped, so it differs from the reference text
+        assert sorted(sim_log) == [("mux2to1", False)] * 3 + [("mux2to1", True)]
+        sim_log.clear()
+        # echosim ignores plain comments, so each tagged rollout behaves as before
+        unique = self._reward_group(
+            tmp_path, echo_toolchain_file, codes(lambda i: f"// {i}\n"), "unique"
+        )
+        assert sorted(sim_log) == [("mux2to1", False)] * len(designs) + [("mux2to1", True)]
+        assert repeated.read_bytes() == unique.read_bytes()
+        _, rows = read_jsonl(repeated)
+        assert [r["code_r"] for r in rows[0]["rewards"]] == [1.0, 0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 0.0]
+
+    def test_empty_rollout_scores_zero_compile_and_code(self, tmp_path, echo_toolchain_file):
+        reference = toy_reference("mux2to1")
+        out = self._reward_group(tmp_path, echo_toolchain_file, ["", reference, "\n  "], "empty")
+        _, rows = read_jsonl(out)
+        parts = [(r["compile_r"], r["code_r"]) for r in rows[0]["rewards"]]
+        assert parts == [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])

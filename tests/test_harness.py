@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,6 +47,20 @@ endmodule
 def outcome_for(design, tb=GOOD_TB, reference=None, toolchain=None, timeout_ms=10_000):
     toolchain = toolchain or ToolchainConfig.echo()
     return run_sim(SimJob(design, tb, "m", timeout_ms), toolchain, reference)
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a killed orphan left as a zombie for an init
+    that does not reap counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:  # gone since os.kill, or no /proc to ask
+        return not os.path.isdir("/proc")
 
 
 class TestEchoLane:
@@ -92,6 +107,20 @@ class TestEchoLane:
         assert not out.ran_ok
         assert out.timed_out
         assert out.match_fraction is None
+
+    def test_timeout_kills_background_children(self, tmp_path):
+        pidfile = tmp_path / "pidfile"
+        tc = ToolchainConfig(
+            compile_cmd="true {out}",
+            run_cmd=f'sh -c "sleep 7 & echo $! > {shlex.quote(str(pidfile))}; wait" {{out}}',
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc, timeout_ms=300)
+        assert out.timed_out and not out.ran_ok
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 1.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _alive(pid), f"background sleep {pid} outlived the timed-out run"
 
     def test_missing_binary_raises(self):
         tc = ToolchainConfig(
