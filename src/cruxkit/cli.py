@@ -48,6 +48,7 @@ from .grpo import (
     GroupTooSmall,
     Rollout,
     RolloutGroup,
+    check_coefficients,
     clipped_objective,
     group_advantages,
     objective_gradient_check,
@@ -136,7 +137,15 @@ def load_config(path: str | None, seed: int | None) -> dict:
                 cfg[key] = value
     if seed is not None:
         cfg["seed"] = seed
+    _check_grpo(cfg["grpo"]["epsilon"], cfg["grpo"]["beta"])
     return cfg
+
+
+def _check_grpo(epsilon: float, beta: float) -> None:
+    try:
+        check_coefficients(epsilon, beta)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad grpo settings: {exc}") from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -701,12 +710,12 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
 
 @main.command("grpo-check")
-@click.option("--instances", type=int, default=200)
+@click.option("--instances", type=click.IntRange(min=1), default=200)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--beta", type=float, default=None)
-@click.option("--group-size", type=int, default=4)
-@click.option("--max-tokens", type=int, default=8)
-@click.option("--vocab", type=int, default=11)
+@click.option("--group-size", type=click.IntRange(min=2), default=4)
+@click.option("--max-tokens", type=click.IntRange(min=1), default=8)
+@click.option("--vocab", type=click.IntRange(min=1), default=11)
 @click.pass_context
 def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
     """Finite-difference check of the objective gradient on toy policies."""
@@ -715,6 +724,7 @@ def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
     def run():
         eps = cfg["grpo"]["epsilon"] if epsilon is None else epsilon
         b = cfg["grpo"]["beta"] if beta is None else beta
+        _check_grpo(eps, b)
         worst_rel = 0.0
         checked = skipped = 0
         failures = 0

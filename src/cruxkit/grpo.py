@@ -83,13 +83,12 @@ def group_advantages(rewards: list[float], eps_std: float = EPS_STD_DEFAULT) -> 
     return AdvantageSet(tuple(float(a) for a in adv), degenerate=False)
 
 
-def importance_ratios(
-    new: TokenLogProbSeq, old: TokenLogProbSeq
-) -> np.ndarray:
-    """Per-token exp(new - old); identical policies give exact 1.0 ratios."""
-    if new.tokens != old.tokens:
-        raise LengthMismatch("new and old sequences must cover identical tokens")
-    return np.exp(np.asarray(new.logprobs) - np.asarray(old.logprobs))
+def check_coefficients(epsilon: float, beta: float) -> None:
+    """Reject a clip range or KL weight the objective is not defined for."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,26 @@ class ObjectiveBreakdown:
     kl_term: float
     total: float
     clip_fraction: float
-    per_token_terms: tuple[tuple[float, ...], ...] | None = None
 
 
-def _clipped_token_scores(
-    ratios: np.ndarray, advantage: float, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token min(r*A, clip(r)*A) with A factored out, plus a mask of
-    tokens where the clip actually binds the min.
+def _rollout_terms(
+    new: np.ndarray,
+    old: np.ndarray,
+    ref: np.ndarray | None,
+    advantage: float,
+    epsilon: float,
+) -> tuple:
+    """One rollout's token-mean clipped surrogate A * mean(min(r, clip(r)))
+    (max for A < 0) and its k3 KL term mean(exp(d) - d - 1) on d = ref - new,
+    the gradients of both with respect to ``new``, and the mask of tokens
+    where the clip binds. The KL term and its gradient are 0 without ``ref``.
 
+    Tokens lie on the last axis, so ``new`` may carry leading batch axes.
     Factoring A out of the token mean keeps the r == 1 identity exact in
     floating point: the mean of all-ones is exactly 1.0.
     """
+    n_tokens = new.shape[-1]
+    ratios = np.exp(new - old)
     clipped = np.clip(ratios, 1.0 - epsilon, 1.0 + epsilon)
     if advantage > 0:
         scores = np.minimum(ratios, clipped)
@@ -120,7 +127,14 @@ def _clipped_token_scores(
     else:
         scores = ratios
         active = np.zeros_like(ratios, dtype=bool)
-    return scores, active
+    surrogate = advantage * np.mean(scores, axis=-1)
+    # gradient flows only through the unclipped branch
+    surrogate_grad = np.where(active, 0.0, advantage * ratios / n_tokens)
+    if ref is None:
+        return surrogate, 0.0, surrogate_grad, 0.0, active
+    d = ref - new
+    kl = np.mean(np.exp(d) - d - 1.0, axis=-1)
+    return surrogate, kl, surrogate_grad, (1.0 - np.exp(d)) / n_tokens, active
 
 
 def clipped_objective(
@@ -128,7 +142,6 @@ def clipped_objective(
     advantages: AdvantageSet,
     epsilon: float = 0.2,
     beta: float = 0.0,
-    keep_per_token: bool = False,
 ) -> ObjectiveBreakdown:
     """The group objective: mean over rollouts of the token-mean clipped
     surrogate, minus beta times the k3 KL penalty when beta > 0.
@@ -137,10 +150,7 @@ def clipped_objective(
     """
     if len(advantages.per_rollout) != len(group.rollouts):
         raise LengthMismatch("one advantage per rollout required")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    check_coefficients(epsilon, beta)
     if beta > 0 and any(r.token_logprobs_ref is None for r in group.rollouts):
         raise MissingRefLogprobs("beta > 0 requires ref logprobs on every rollout")
 
@@ -148,20 +158,16 @@ def clipped_objective(
     kl_terms = np.zeros(len(group.rollouts))
     clipped_tokens = 0
     total_tokens = 0
-    per_token: list[tuple[float, ...]] = []
     for idx, (rollout, advantage) in enumerate(zip(group.rollouts, advantages.per_rollout)):
-        ratios = importance_ratios(rollout.token_logprobs_new, rollout.token_logprobs_old)
-        scores, active = _clipped_token_scores(ratios, advantage, epsilon)
-        rollout_terms[idx] = advantage * float(np.mean(scores))
+        new = np.asarray(rollout.token_logprobs_new.logprobs)
+        ref = np.asarray(rollout.token_logprobs_ref.logprobs) if beta > 0 else None
+        surrogate, kl, _, _, active = _rollout_terms(
+            new, np.asarray(rollout.token_logprobs_old.logprobs), ref, advantage, epsilon
+        )
+        rollout_terms[idx] = surrogate
+        kl_terms[idx] = kl
         clipped_tokens += int(np.count_nonzero(active))
-        total_tokens += len(ratios)
-        if keep_per_token:
-            per_token.append(tuple(float(advantage * s) for s in scores))
-        if beta > 0:
-            new = np.asarray(rollout.token_logprobs_new.logprobs)
-            ref = np.asarray(rollout.token_logprobs_ref.logprobs)
-            d = ref - new
-            kl_terms[idx] = float(np.mean(np.exp(d) - d - 1.0))
+        total_tokens += len(new)
     surrogate = float(np.mean(rollout_terms))
     kl_term = float(np.mean(kl_terms)) if beta > 0 else 0.0
     return ObjectiveBreakdown(
@@ -169,7 +175,6 @@ def clipped_objective(
         kl_term=kl_term,
         total=surrogate - beta * kl_term,
         clip_fraction=clipped_tokens / total_tokens,
-        per_token_terms=tuple(per_token) if keep_per_token else None,
     )
 
 
@@ -195,9 +200,10 @@ class ToyGroupInstance:
 
 
 def _logprobs_from_logits(logits: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return logits[np.arange(len(token_ids)), token_ids] - logz
+    """Log-softmax over the last axis, read at ``token_ids`` (one id per row)."""
+    top = logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(logits - top).sum(axis=-1)) + top[..., 0]
+    return np.take_along_axis(logits, token_ids[..., None], axis=-1)[..., 0] - logz
 
 
 def random_toy_instance(
@@ -224,30 +230,10 @@ def random_toy_instance(
     return ToyGroupInstance(rollouts, rewards)
 
 
-def _toy_objective(
-    instance: ToyGroupInstance,
-    advantages: tuple[float, ...],
-    epsilon: float,
-    beta: float,
-) -> float:
-    terms = []
-    for rollout, advantage in zip(instance.rollouts, advantages):
-        new = _logprobs_from_logits(rollout.logits, rollout.token_ids)
-        ratios = np.exp(new - rollout.old_logprobs)
-        scores, _ = _clipped_token_scores(ratios, advantage, epsilon)
-        term = advantage * float(np.mean(scores))
-        if beta > 0:
-            d = rollout.ref_logprobs - new
-            term -= beta * float(np.mean(np.exp(d) - d - 1.0))
-        terms.append(term)
-    return float(np.mean(terms))
-
-
 @dataclass
 class GradientCheckReport:
     checked_positions: int
     skipped_near_kink: int
-    max_abs_error: float
     max_rel_error: float
     passed: bool
 
@@ -262,72 +248,66 @@ def objective_gradient_check(
     """Compare the analytic objective gradient (w.r.t. every toy logit)
     against central finite differences.
 
-    Token positions whose log-ratio lies within 10*h of a clip kink are
-    excluded: the objective is not differentiable there. The relative error
-    is |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
+    Rollout j's logits enter only rollout j's term of the group mean, so each
+    difference re-scores that one term, a token row at a time: the 2V copies
+    of row t bumped by +-h on each logit are scored as one batch. Token
+    positions whose log-ratio lies within 10*h of a clip kink are excluded:
+    the objective is not differentiable there. The relative error is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     """
+    check_coefficients(epsilon, beta)
     if beta > 0 and any(r.ref_logprobs is None for r in instance.rollouts):
         raise MissingRefLogprobs("beta > 0 requires ref logprobs on every rollout")
     advantages = group_advantages(instance.rewards, instance.eps_std).per_rollout
     group_size = len(instance.rollouts)
-    kink_logs = (np.log(1.0 - epsilon), np.log(1.0 + epsilon))
 
     checked = 0
     skipped = 0
-    max_abs = 0.0
     max_rel = 0.0
     for rollout, advantage in zip(instance.rollouts, advantages):
         n_tokens, vocab = rollout.logits.shape
-        new = _logprobs_from_logits(rollout.logits, rollout.token_ids)
-        probs = np.exp(
-            rollout.logits
-            - rollout.logits.max(axis=1, keepdims=True)
-        )
-        probs /= probs.sum(axis=1, keepdims=True)
-        ratios = np.exp(new - rollout.old_logprobs)
+        ref = rollout.ref_logprobs if beta > 0 else None
 
-        # surrogate coefficient: gradient flows only through the unclipped branch
-        coeff = advantage * ratios / (group_size * n_tokens)
-        if advantage > 0:
-            coeff[ratios > 1.0 + epsilon] = 0.0
-        elif advantage < 0:
-            coeff[ratios < 1.0 - epsilon] = 0.0
-        else:
-            coeff[:] = 0.0
-        if beta > 0:
-            d = rollout.ref_logprobs - new
-            coeff = coeff - beta * (1.0 - np.exp(d)) / (group_size * n_tokens)
+        def term(new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """This rollout's share of the group objective and its gradient."""
+            surrogate, kl, surrogate_grad, kl_grad, _ = _rollout_terms(
+                new, rollout.old_logprobs, ref, advantage, epsilon
+            )
+            return (
+                (surrogate - beta * kl) / group_size,
+                (surrogate_grad - beta * kl_grad) / group_size,
+            )
+
+        new = _logprobs_from_logits(rollout.logits, rollout.token_ids)
+        _, coeff = term(new)
+        probs = np.exp(rollout.logits - rollout.logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        # d new[t] / d logits[t, v] = [v == token t] - probs[t, v]
+        analytic = coeff[:, None] * (np.eye(vocab)[rollout.token_ids] - probs)
 
         log_ratio = new - rollout.old_logprobs
-        near_kink = np.minimum(
-            np.abs(log_ratio - kink_logs[0]), np.abs(log_ratio - kink_logs[1])
-        ) < 10.0 * h
+        near_kink = np.abs(log_ratio - np.log(1.0 + epsilon)) < 10.0 * h
+        if epsilon < 1.0:
+            near_kink |= np.abs(log_ratio - np.log(1.0 - epsilon)) < 10.0 * h
 
+        bump = np.stack([h * np.eye(vocab), -h * np.eye(vocab)])  # (2, V, V)
         for t in range(n_tokens):
             if near_kink[t]:
                 skipped += vocab
                 continue
-            onehot = np.zeros(vocab)
-            onehot[rollout.token_ids[t]] = 1.0
-            analytic_row = coeff[t] * (onehot - probs[t])
-            for v in range(vocab):
-                orig = rollout.logits[t, v]
-                rollout.logits[t, v] = orig + h
-                up = _toy_objective(instance, advantages, epsilon, beta)
-                rollout.logits[t, v] = orig - h
-                down = _toy_objective(instance, advantages, epsilon, beta)
-                rollout.logits[t, v] = orig
-                numeric = (up - down) / (2.0 * h)
-                analytic = analytic_row[v]
-                abs_err = abs(analytic - numeric)
-                rel_err = abs_err / max(abs(analytic), abs(numeric), 1e-4)
-                max_abs = max(max_abs, abs_err)
-                max_rel = max(max_rel, rel_err)
-                checked += 1
+            bumped_new = np.broadcast_to(new, (2, vocab, n_tokens)).copy()
+            bumped_new[..., t] = _logprobs_from_logits(
+                rollout.logits[t] + bump, np.full((2, vocab), rollout.token_ids[t])
+            )
+            (up, down), _ = term(bumped_new)
+            numeric = (up - down) / (2.0 * h)
+            abs_err = np.abs(analytic[t] - numeric)
+            rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic[t]), np.abs(numeric)), 1e-4)
+            max_rel = max(max_rel, float(rel_err.max()))
+            checked += vocab
     return GradientCheckReport(
         checked_positions=checked,
         skipped_near_kink=skipped,
-        max_abs_error=max_abs,
         max_rel_error=max_rel,
         passed=max_rel < rel_tol,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -165,21 +166,30 @@ def _run_child(
 ) -> subprocess.CompletedProcess:
     """Run one toolchain step in a session of its own and capture its output.
 
-    On timeout the step's whole process group is killed before the
-    ``TimeoutExpired`` propagates, so processes the step left running in the
-    background die with it.
+    Output goes to unnamed temporary files, so the step never stalls on a
+    full pipe and only its leader is waited for. When the leader exits, or
+    at the timeout, the step's whole process group is killed before the
+    leader is reaped: the unreaped leader still holds the group id, so the
+    signal reaches only processes the step started. On timeout
+    ``TimeoutExpired`` propagates.
     """
-    with subprocess.Popen(
-        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True,
-    ) as proc:
-        try:
-            stdout, stderr = proc.communicate(timeout=timeout_ms / 1000.0)
-        except subprocess.TimeoutExpired:
-            # the unreaped child still holds its pid, so the group id is ours
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        with subprocess.Popen(
+            cmd, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True
+        ) as proc:
+            pidfd = os.pidfd_open(proc.pid)
+            try:
+                poller = select.poll()
+                poller.register(pidfd, select.POLLIN)
+                exited = poller.poll(timeout_ms)
+            finally:
+                os.close(pidfd)
             os.killpg(proc.pid, signal.SIGKILL)
-            raise
-    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+        if not exited:
+            raise subprocess.TimeoutExpired(cmd, timeout_ms / 1000.0)
+        out.seek(0)
+        err.seek(0)
+        return subprocess.CompletedProcess(cmd, proc.returncode, out.read(), err.read())
 
 
 def run_sim(

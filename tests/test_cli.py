@@ -673,6 +673,39 @@ class TestGrpoCheckCommand:
         result = run_cli("grpo-check", "--instances", 3, "--beta", 0.04)
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("config, args", [
+        (None, ["grpo-check", "--epsilon", 0]),
+        (None, ["grpo-check", "--epsilon", -0.5]),
+        (None, ["grpo-check", "--beta", -1]),
+        ({"grpo": {"epsilon": 0}}, ["grpo-check"]),
+        ({"grpo": {"beta": -1}}, ["grpo-check"]),
+        ({"grpo": {"epsilon": 0}}, ["reward", "--groups", "{groups}",
+                                    "--tasks", TOY / "pairs.jsonl",
+                                    "--testbenches", TOY / "testbenches",
+                                    "--toolchain", "{toolchain}", "--output", "{out}"]),
+        (None, ["grpo-check", "--instances", 0]),
+        (None, ["grpo-check", "--group-size", 1]),
+        (None, ["grpo-check", "--max-tokens", 0]),
+        (None, ["grpo-check", "--vocab", 0]),
+    ])
+    def test_bad_settings_exit_2(self, tmp_path, echo_toolchain_file, config, args):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        paths = {
+            "groups": write_groups(tmp_path, pairs[:1], step=0),
+            "toolchain": echo_toolchain_file,
+            "out": tmp_path / "rewarded.jsonl",
+        }
+        args = [str(a).format(**paths) for a in args]
+        prefix = []
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            prefix = ["--config", path]
+        result = run_cli(*prefix, *args)
+        assert result.exit_code == 2, result.output
+        assert "gradient check passed" not in result.output
+        assert "internal error" not in result.output
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cruxkit import grpo
 from cruxkit.grpo import (
     AdvantageSet,
     GroupTooSmall,
@@ -15,7 +16,6 @@ from cruxkit.grpo import (
     RolloutGroup,
     clipped_objective,
     group_advantages,
-    importance_ratios,
     materialize_group,
     objective_gradient_check,
     random_toy_instance,
@@ -93,19 +93,6 @@ class TestAdvantages:
         else:
             assert abs(values.mean()) < 1e-9
             assert abs(values.std() - 1.0) < 1e-9
-
-
-class TestRatios:
-    def test_exponential_of_difference(self):
-        new, old = seq(-0.5, -1.0), seq(-1.0, -1.0)
-        ratios = importance_ratios(new, old)
-        assert ratios == pytest.approx([math.exp(0.5), 1.0])
-
-    def test_token_identity_checked(self):
-        new = TokenLogProbSeq((1, 2), (-0.5, -0.5))
-        old = TokenLogProbSeq((1, 3), (-0.5, -0.5))
-        with pytest.raises(LengthMismatch):
-            importance_ratios(new, old)
 
 
 class TestClippedObjective:
@@ -201,18 +188,14 @@ class TestClippedObjective:
             clipped_objective(group_of(rollout), AdvantageSet((1.0, 2.0), False), 0.2)
 
     def test_epsilon_validated(self):
-        rollout = one_token_rollout(0.1)
-        with pytest.raises(ValueError):
-            clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.0)
-
-    def test_per_token_terms_optional(self):
-        rollout = one_token_rollout(0.0)
-        out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2)
-        assert out.per_token_terms is None
-        out = clipped_objective(
-            group_of(rollout), AdvantageSet((1.0,), False), 0.2, keep_per_token=True
-        )
-        assert len(out.per_token_terms) == 1
+        rollout = one_token_rollout(0.1, ref_delta=0.0)
+        instance = random_toy_instance(0, with_ref=True)
+        for epsilon, beta in ((0.0, 0.0), (-0.5, 0.0), (0.2, -1.0)):
+            with pytest.raises(ValueError):
+                clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), epsilon, beta)
+            # the gradient checker applies the same check
+            with pytest.raises(ValueError):
+                objective_gradient_check(instance, epsilon, beta)
 
 
 class TestGroupModel:
@@ -225,12 +208,14 @@ class TestGroupModel:
             Rollout("c", "v", TokenLogProbSeq((), ()), TokenLogProbSeq((), ()))
 
     def test_old_must_cover_same_tokens(self):
-        with pytest.raises(LengthMismatch):
-            Rollout(
-                "c", "v",
-                TokenLogProbSeq((1, 2), (-0.5, -0.5)),
-                TokenLogProbSeq((1,), (-0.5,)),
-            )
+        # a shorter sequence, and one as long with a different token
+        for old_tokens in ((1,), (1, 3)):
+            with pytest.raises(LengthMismatch):
+                Rollout(
+                    "c", "v",
+                    TokenLogProbSeq((1, 2), (-0.5, -0.5)),
+                    TokenLogProbSeq(old_tokens, (-0.5,) * len(old_tokens)),
+                )
 
 
 class TestGradientCheck:
@@ -270,8 +255,28 @@ class TestGradientCheck:
         out = clipped_objective(group, adv, 0.2)
         assert math.isfinite(out.surrogate)
 
+    def test_fails_on_a_wrong_gradient(self, monkeypatch):
+        # the checker must see a 1% error in the analytic gradient
+        rollout_terms = grpo._rollout_terms
+
+        def scaled(*args):
+            surrogate, kl, surrogate_grad, kl_grad, active = rollout_terms(*args)
+            return surrogate, kl, 1.01 * surrogate_grad, 1.01 * kl_grad, active
+
+        monkeypatch.setattr(grpo, "_rollout_terms", scaled)
+        for beta in (0.0, 0.04):
+            inst = random_toy_instance(0, with_ref=beta > 0)
+            report = objective_gradient_check(inst, beta=beta)
+            assert not report.passed
+            assert report.max_rel_error > 5e-3
+
     @settings(max_examples=15)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_gradient_check_any_seed(self, seed):
-        report = objective_gradient_check(random_toy_instance(seed))
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.0, 0.04]),
+        st.integers(min_value=2, max_value=5),
+    )
+    def test_gradient_check_any_seed(self, seed, beta, group_size):
+        inst = random_toy_instance(seed, group_size=group_size, with_ref=beta > 0)
+        report = objective_gradient_check(inst, beta=beta)
         assert report.passed

@@ -122,6 +122,22 @@ class TestEchoLane:
             time.sleep(0.02)
         assert not _alive(pid), f"background sleep {pid} outlived the timed-out run"
 
+    def test_normal_exit_kills_background_children(self, tmp_path):
+        pidfile = tmp_path / "pidfile"
+        tc = ToolchainConfig(
+            compile_cmd="true {out}",
+            run_cmd=(
+                f'sh -c "sleep 4 >/dev/null 2>&1 & echo $! > {shlex.quote(str(pidfile))}" {{out}}'
+            ),
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.ran_ok, out.log
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 1.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _alive(pid), f"background sleep {pid} outlived the finished run"
+
     def test_missing_binary_raises(self):
         tc = ToolchainConfig(
             compile_cmd="definitely-not-a-simulator {out} {design} {tb}",
