@@ -1,0 +1,98 @@
+"""Golden outputs of the simulating commands, and the only way to regenerate them.
+
+Each case runs one command over the toy corpus on the echo toolchain and
+captures every output file, its stdout, its stderr and its exit code.
+``tests/test_golden.py`` reruns the cases and compares byte for byte against
+``tests/golden/<case>/``. After an intended output change, regenerate with
+
+    python tests/regen_golden.py
+
+and record the change and its reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from test_cli import TOY, read_jsonl, run_cli, write_candidates, write_groups  # noqa: E402
+
+from cruxkit.harness import ToolchainConfig  # noqa: E402
+
+
+def _toolchain_file(workdir: Path) -> Path:
+    echo = ToolchainConfig.echo()
+    path = workdir / "toolchain.json"
+    path.write_text(json.dumps({"compile_cmd": echo.compile_cmd, "run_cmd": echo.run_cmd}))
+    return path
+
+
+def _evaluate(workdir: Path) -> tuple[list, Path]:
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    outdir = workdir / "out"
+    args = [
+        "evaluate",
+        "--tasks", TOY / "pairs.jsonl",
+        "--candidates", write_candidates(workdir, pairs),
+        "--testbenches", TOY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output-dir", outdir,
+    ]
+    return args, outdir
+
+
+def _reward(workdir: Path) -> tuple[list, Path]:
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"grpo": {"beta": 0.04}}))
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "--config", config,
+        "reward",
+        "--groups", write_groups(workdir, pairs, step=0, with_ref=True),
+        "--tasks", TOY / "pairs.jsonl",
+        "--testbenches", TOY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output", outdir / "rewards.jsonl",
+    ]
+    return args, outdir
+
+
+CASES = {"evaluate": _evaluate, "reward": _reward}
+
+
+def run_case(name: str, workdir: Path) -> dict[str, bytes]:
+    """Run one case in ``workdir``; returns file name -> bytes, output files
+    plus ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``."""
+    args, outdir = CASES[name](workdir)
+    result = run_cli(*args)
+    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    files["stdout.txt"] = result.stdout_bytes
+    files["stderr.txt"] = result.stderr_bytes
+    files["exit_code.txt"] = f"{result.exit_code}\n".encode()
+    return files
+
+
+def main() -> None:
+    import shutil
+    import tempfile
+
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            files = run_case(name, Path(tmp))
+        target = GOLDEN / name
+        shutil.rmtree(target, ignore_errors=True)
+        target.mkdir(parents=True)
+        for file_name, blob in files.items():
+            (target / file_name).write_bytes(blob)
+        print(f"{target}: {', '.join(files)}")
+
+
+if __name__ == "__main__":
+    main()

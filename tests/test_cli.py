@@ -438,7 +438,7 @@ def payload(logprobs):
     return {"tokens": list(range(len(logprobs))), "logprobs": list(logprobs)}
 
 
-def write_groups(tmp_path, pairs, step):
+def write_groups(tmp_path, pairs, step, with_ref=False):
     path = tmp_path / "groups.jsonl"
     ln_half = math.log(0.5)
     with open(path, "w") as f:
@@ -458,6 +458,9 @@ def write_groups(tmp_path, pairs, step):
                     "crux_score": payload([ln_half]),
                 },
             ]
+            if with_ref:
+                rollouts[0]["logprobs_ref"] = payload([-0.3])
+                rollouts[1]["logprobs_ref"] = payload([-0.25, -0.15])
             f.write(json.dumps({"task_id": row["id"], "step": step, "rollouts": rollouts}) + "\n")
     return path
 
