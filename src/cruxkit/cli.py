@@ -263,7 +263,7 @@ class _Simulator:
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
-    # wall_ms and scratch paths stay out of files so reruns are byte-identical
+    # scratch paths stay out of files so reruns are byte-identical
     return {
         "task_id": task_id,
         "index": index,

@@ -294,7 +294,3 @@ def interface_mismatches(got: ModuleInterface, want: ModuleInterface) -> list[Mi
             out.append(Mismatch("width", name, str(w.width_bits), str(g.width_bits)))
     return out
 
-
-def validate_against_reference(doc: CruxDoc, reference: ModuleInterface) -> list[Mismatch]:
-    """Compare a document's interface against the reference header."""
-    return interface_mismatches(doc.interface, reference)

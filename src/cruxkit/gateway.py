@@ -188,28 +188,33 @@ class HttpProvider:
         self.config = config
 
     def _post(self, payload: dict) -> dict:
-        import requests
+        # imported here: it loads http.client and ssl, which only HTTP runs need
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        request = urllib.request.Request(
+            self.config.base_url.rstrip("/") + "/completions",
+            data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST",
+        )
         try:
-            resp = requests.post(
-                self.config.base_url.rstrip("/") + "/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.config.timeout_s,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, body = exc.code, exc.read()
+        except OSError as exc:  # URLError, or a bare TimeoutError on a read timeout
             raise TransientFailure(f"connection failure: {exc}") from exc
-        if resp.status_code == 429:
+        if status == 429:
             raise TransientFailure("rate limited")
-        if resp.status_code >= 500:
-            raise TransientFailure(f"server error {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderUnreachable(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        return resp.json()
+        if status >= 500:
+            raise TransientFailure(f"server error {status}")
+        if status != 200:
+            text = body.decode("utf-8", errors="replace")
+            raise ProviderUnreachable(f"HTTP {status}: {text[:200]}")
+        return json.loads(body)
 
     def generate(self, req: GenRequest) -> list[str]:
         payload = {

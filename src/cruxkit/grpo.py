@@ -312,27 +312,3 @@ def objective_gradient_check(
         passed=max_rel < rel_tol,
     )
 
-
-def materialize_group(instance: ToyGroupInstance, task_id: str = "toy") -> RolloutGroup:
-    """Lift a toy instance into a RolloutGroup (for objective evaluation)."""
-    def clamp(arr: np.ndarray) -> tuple[float, ...]:
-        return tuple(min(float(x), 0.0) for x in arr)
-
-    rollouts = []
-    for i, r in enumerate(instance.rollouts):
-        new = _logprobs_from_logits(r.logits, r.token_ids)
-        tokens = tuple(int(t) for t in r.token_ids)
-        rollouts.append(
-            Rollout(
-                crux_text=f"toy-{i}",
-                code_text=f"toy-{i}",
-                token_logprobs_new=TokenLogProbSeq(tokens, clamp(new)),
-                token_logprobs_old=TokenLogProbSeq(tokens, clamp(r.old_logprobs)),
-                token_logprobs_ref=(
-                    TokenLogProbSeq(tokens, clamp(r.ref_logprobs))
-                    if r.ref_logprobs is not None
-                    else None
-                ),
-            )
-        )
-    return RolloutGroup(task_id, tuple(rollouts))

@@ -5,6 +5,10 @@ external toolchain described by command templates. Correctness is judged by
 comparing the run's monitored-output transcript against the transcript the
 reference design produces under the same testbench: testbenches print one
 line per sampled cycle, so the two transcripts align by line index.
+
+Each toolchain step's stdout and stderr are read back once, as text with
+invalid bytes replaced (U+FFFD) and at most ``OUTPUT_LIMIT`` characters
+kept. A run whose stdout is longer than that fails as ``truncated``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+
+# characters kept of each step's stdout and stderr; a run with longer stdout fails
+OUTPUT_LIMIT = 4 * 1024 * 1024
 
 
 class ToolchainMissing(RuntimeError):
@@ -119,14 +126,15 @@ class SimJob:
 @dataclass(frozen=True)
 class SimOutcome:
     """Result of one compile+run. ``match_fraction`` is set iff the run
-    completed; a run scored without reference lines matches itself (1.0)."""
+    completed; a run scored without reference lines matches itself (1.0).
+    ``truncated`` marks a run whose stdout exceeded ``OUTPUT_LIMIT``."""
 
     compile_ok: bool
     ran_ok: bool
     stdout_lines: tuple[str, ...] = ()
     match_fraction: float | None = None
-    wall_ms: int = 0
     timed_out: bool = False
+    truncated: bool = False
     returncode: int | None = None
     log: str = ""
     scratch_dir: str = ""
@@ -161,19 +169,28 @@ def _render_cmd(template: str, design: str, tb: str, out: str) -> list[str]:
     return [tok.format(design=design, tb=tb, out=out) for tok in shlex.split(template)]
 
 
+def _read_capped(f) -> str:
+    """A step's captured output from the start, at most ``OUTPUT_LIMIT + 1``
+    characters of it; the read is sized by the file, so a quiet step
+    allocates nothing near the limit."""
+    f.seek(0)
+    return f.read(min(os.fstat(f.fileno()).st_size, OUTPUT_LIMIT + 1))
+
+
 def _run_child(
     cmd: list[str], cwd: str, env: dict[str, str], timeout_ms: int
-) -> subprocess.CompletedProcess:
-    """Run one toolchain step in a session of its own and capture its output.
+) -> tuple[int | None, str, str]:
+    """Run one toolchain step in a session of its own; returns its return
+    code (``None`` on timeout, with no output), stdout and stderr.
 
     Output goes to unnamed temporary files, so the step never stalls on a
     full pipe and only its leader is waited for. When the leader exits, or
     at the timeout, the step's whole process group is killed before the
     leader is reaped: the unreaped leader still holds the group id, so the
-    signal reaches only processes the step started. On timeout
-    ``TimeoutExpired`` propagates.
+    signal reaches only processes the step started.
     """
-    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+    with tempfile.TemporaryFile("w+", errors="replace") as out, \
+            tempfile.TemporaryFile("w+", errors="replace") as err:
         with subprocess.Popen(
             cmd, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True
         ) as proc:
@@ -186,10 +203,8 @@ def _run_child(
                 os.close(pidfd)
             os.killpg(proc.pid, signal.SIGKILL)
         if not exited:
-            raise subprocess.TimeoutExpired(cmd, timeout_ms / 1000.0)
-        out.seek(0)
-        err.seek(0)
-        return subprocess.CompletedProcess(cmd, proc.returncode, out.read(), err.read())
+            return None, "", ""
+        return proc.returncode, _read_capped(out), _read_capped(err)
 
 
 def run_sim(
@@ -201,85 +216,67 @@ def run_sim(
 
     When ``reference_lines`` is given, ``match_fraction`` scores the run's
     transcript against it; without it a completed run scores 1.0 (used when
-    producing the reference transcript itself). Compile failures, crashes and
-    timeouts are outcomes, not exceptions; only a missing toolchain raises.
+    producing the reference transcript itself). Compile failures, crashes,
+    timeouts and over-limit output are outcomes, not exceptions; only a
+    missing toolchain raises. The scratch directory is removed on every exit
+    unless ``keep_artifacts`` is set.
     """
-    toolchain.check_available()
     scratch = tempfile.mkdtemp(prefix="cruxsim-")
-    design_path = os.path.join(scratch, "design.v")
-    tb_path = os.path.join(scratch, "tb.v")
-    out_path = os.path.join(scratch, "sim.image")
-    with open(design_path, "w", encoding="utf-8") as f:
-        f.write(job.design_source)
-    with open(tb_path, "w", encoding="utf-8") as f:
-        f.write(job.testbench_source)
-    env = {**os.environ, **toolchain.env}
-    started = time.perf_counter()
-
-    def _elapsed_ms() -> int:
-        return int((time.perf_counter() - started) * 1000)
-
-    def _finish(outcome: SimOutcome) -> SimOutcome:
-        if not toolchain.keep_artifacts:
-            shutil.rmtree(scratch, ignore_errors=True)
-        return outcome
-
     try:
-        try:
-            compiled = _run_child(
-                _render_cmd(toolchain.compile_cmd, design_path, tb_path, out_path),
-                scratch, env, toolchain.compile_timeout_ms,
+        design_path = os.path.join(scratch, "design.v")
+        tb_path = os.path.join(scratch, "tb.v")
+        out_path = os.path.join(scratch, "sim.image")
+        with open(design_path, "w", encoding="utf-8") as f:
+            f.write(job.design_source)
+        with open(tb_path, "w", encoding="utf-8") as f:
+            f.write(job.testbench_source)
+        env = {**os.environ, **toolchain.env}
+        code, stdout, stderr = _run_child(
+            _render_cmd(toolchain.compile_cmd, design_path, tb_path, out_path),
+            scratch, env, toolchain.compile_timeout_ms,
+        )
+        if code is None:
+            return SimOutcome(
+                compile_ok=False, ran_ok=False, timed_out=True,
+                log="compile timed out", scratch_dir=scratch,
             )
-        except subprocess.TimeoutExpired:
-            return _finish(
-                SimOutcome(
-                    compile_ok=False, ran_ok=False, wall_ms=_elapsed_ms(),
-                    timed_out=True, log="compile timed out", scratch_dir=scratch,
-                )
+        if code != 0:
+            return SimOutcome(
+                compile_ok=False, ran_ok=False, returncode=code,
+                log=(stderr or stdout)[-4000:], scratch_dir=scratch,
             )
-        if compiled.returncode != 0:
-            return _finish(
-                SimOutcome(
-                    compile_ok=False, ran_ok=False, wall_ms=_elapsed_ms(),
-                    returncode=compiled.returncode,
-                    log=(compiled.stderr or compiled.stdout)[-4000:],
-                    scratch_dir=scratch,
-                )
+        code, stdout, stderr = _run_child(
+            _render_cmd(toolchain.run_cmd, design_path, tb_path, out_path),
+            scratch, env, job.timeout_ms,
+        )
+        if code is None:
+            return SimOutcome(
+                compile_ok=True, ran_ok=False, timed_out=True,
+                log="run timed out", scratch_dir=scratch,
             )
-        try:
-            ran = _run_child(
-                _render_cmd(toolchain.run_cmd, design_path, tb_path, out_path),
-                scratch, env, job.timeout_ms,
+        if len(stdout) > OUTPUT_LIMIT:
+            return SimOutcome(
+                compile_ok=True, ran_ok=False, truncated=True, returncode=code,
+                log=f"run output exceeded {OUTPUT_LIMIT} characters", scratch_dir=scratch,
             )
-        except subprocess.TimeoutExpired:
-            return _finish(
-                SimOutcome(
-                    compile_ok=True, ran_ok=False, wall_ms=_elapsed_ms(),
-                    timed_out=True, log="run timed out", scratch_dir=scratch,
-                )
-            )
-        lines = tuple(ran.stdout.splitlines())
-        if ran.returncode != 0:
-            return _finish(
-                SimOutcome(
-                    compile_ok=True, ran_ok=False, stdout_lines=lines,
-                    wall_ms=_elapsed_ms(), returncode=ran.returncode,
-                    log=ran.stderr[-4000:], scratch_dir=scratch,
-                )
+        lines = tuple(stdout.splitlines())
+        if code != 0:
+            return SimOutcome(
+                compile_ok=True, ran_ok=False, stdout_lines=lines, returncode=code,
+                log=stderr[-4000:], scratch_dir=scratch,
             )
         fraction = match_outputs(
             list(lines), reference_lines if reference_lines is not None else list(lines)
         )
-        return _finish(
-            SimOutcome(
-                compile_ok=True, ran_ok=True, stdout_lines=lines,
-                match_fraction=fraction, wall_ms=_elapsed_ms(),
-                returncode=0, scratch_dir=scratch,
-            )
+        return SimOutcome(
+            compile_ok=True, ran_ok=True, stdout_lines=lines,
+            match_fraction=fraction, returncode=0, scratch_dir=scratch,
         )
     except FileNotFoundError as exc:
-        shutil.rmtree(scratch, ignore_errors=True)
         raise ToolchainMissing(str(exc)) from exc
+    finally:
+        if not toolchain.keep_artifacts:
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 def run_many(

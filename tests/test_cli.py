@@ -378,6 +378,18 @@ class TestEvaluate:
             )
         assert sim_log == [("mux2to1", True), ("mux2to1", False)]
 
+    def test_run_output_that_is_not_text_is_scored(self, tmp_path):
+        toolchain = tmp_path / "tc.json"
+        toolchain.write_text(json.dumps({
+            "compile_cmd": "true {out}",
+            "run_cmd": """sh -c "printf 'ok\\377\\n'" {out}""",
+        }))
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, toolchain, "mux2to1", [toy_reference("mux2to1"), "module m; endmodule"]
+        )
+        assert [(r["n"], r["c"]) for r in per_task] == [(2, 2)]
+        assert [(o["ran_ok"], o["match_fraction"]) for o in outcomes] == [(True, 1.0)] * 2
+
     def test_unknown_task_in_candidates(self, tmp_path, echo_toolchain_file):
         candidates = tmp_path / "c.jsonl"
         candidates.write_text(json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n")

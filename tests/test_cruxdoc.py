@@ -15,7 +15,6 @@ from cruxkit.cruxdoc import (
     interface_mismatches,
     parse_crux,
     render_crux,
-    validate_against_reference,
 )
 from cruxkit.interface import parse_module_header
 
@@ -298,9 +297,9 @@ class TestMismatches:
         )
         assert interface_mismatches(plain, IFACE) == []
 
-    def test_validate_against_reference(self):
-        assert validate_against_reference(DOC, IFACE) == []
+    def test_document_interface_against_reference(self):
+        assert interface_mismatches(DOC.interface, IFACE) == []
         wrong = CruxDoc(
             parse_module_header("module Wrong(input clk);\nendmodule"), ("Thing",)
         )
-        assert validate_against_reference(wrong, IFACE)
+        assert interface_mismatches(wrong.interface, IFACE)

@@ -1,7 +1,10 @@
 """Provider gateway: mock determinism, retries, scoring, audit trail."""
 
+import http.server
 import json
 import math
+import threading
+import time
 
 import pytest
 
@@ -9,6 +12,7 @@ from cruxkit.gateway import (
     DEFAULT_MOCK_LOGPROB,
     Gateway,
     GenRequest,
+    HttpProvider,
     MockProvider,
     ProviderConfig,
     ProviderUnreachable,
@@ -233,3 +237,86 @@ class TestHttpScoreParsing:
         )
         with pytest.raises(TokenizationMismatch):
             gateway.score_continuation(ScoreRequest("ab", "cd"))
+
+
+class ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Records each POST and answers it with the server's ``reply``
+    (status, body); ``None`` stalls past any client timeout instead."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.path, dict(self.headers), json.loads(body)))
+        if self.server.reply is None:
+            time.sleep(0.5)
+            return
+        status, text = self.server.reply
+        data = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def loopback():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.requests, server.reply = [], (200, "{}")
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestHttpTransport:
+    @pytest.fixture()
+    def provider(self, loopback, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        host, port = loopback.server_address
+        return HttpProvider(ProviderConfig(
+            kind="http", base_url=f"http://{host}:{port}/v1/", model="m", timeout_s=0.2,
+        ))
+
+    def test_posts_json_with_bearer_key(self, provider, loopback, monkeypatch):
+        monkeypatch.setenv("CRUXKIT_API_KEY", "sekrit")
+        loopback.reply = (200, json.dumps({"choices": [{"text": "a"}, {"text": "b"}]}))
+        assert provider.generate(GenRequest("p", n=2, seed=7)) == ["a", "b"]
+        path, headers, payload = loopback.requests[0]
+        assert path == "/v1/completions"
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert headers["Content-Type"] == "application/json"
+        assert (payload["model"], payload["prompt"], payload["n"], payload["seed"]) == ("m", "p", 2, 7)
+
+    def test_no_key_no_authorization(self, provider, loopback, monkeypatch):
+        monkeypatch.delenv("CRUXKIT_API_KEY", raising=False)
+        provider._post({})
+        assert "Authorization" not in loopback.requests[0][1]
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_rate_limit_and_server_errors_are_transient(self, provider, loopback, status):
+        loopback.reply = (status, "busy")
+        with pytest.raises(TransientFailure):
+            provider._post({})
+
+    def test_other_status_is_unreachable_with_body_prefix(self, provider, loopback):
+        loopback.reply = (404, "x" * 300)
+        with pytest.raises(ProviderUnreachable) as err:
+            provider._post({})
+        assert str(err.value) == "HTTP 404: " + "x" * 200
+        assert not isinstance(err.value, TransientFailure)
+
+    def test_refused_connection_is_transient(self, provider, loopback):
+        loopback.shutdown()
+        loopback.server_close()  # shutdown alone leaves the port accepting
+        with pytest.raises(TransientFailure, match="connection failure"):
+            provider._post({})
+
+    def test_read_timeout_is_transient(self, provider, loopback):
+        loopback.reply = None
+        with pytest.raises(TransientFailure, match="connection failure"):
+            provider._post({})

@@ -16,7 +16,6 @@ from cruxkit.grpo import (
     RolloutGroup,
     clipped_objective,
     group_advantages,
-    materialize_group,
     objective_gradient_check,
     random_toy_instance,
 )
@@ -246,14 +245,6 @@ class TestGradientCheck:
         inst = random_toy_instance(1, with_ref=True)
         report = objective_gradient_check(inst, beta=0.04)
         assert report.passed
-
-    def test_materialize_round_trip(self):
-        inst = random_toy_instance(3)
-        group = materialize_group(inst)
-        assert len(group.rollouts) == len(inst.rollouts)
-        adv = group_advantages(list(inst.rewards))
-        out = clipped_objective(group, adv, 0.2)
-        assert math.isfinite(out.surrogate)
 
     def test_fails_on_a_wrong_gradient(self, monkeypatch):
         # the checker must see a 1% error in the analytic gradient

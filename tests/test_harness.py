@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from cruxkit import harness
 from cruxkit.harness import (
     DomainError,
     EmptyInput,
@@ -179,6 +181,56 @@ class TestEchoLane:
             shutil.rmtree(out.scratch_dir, ignore_errors=True)
 
 
+class TestUntrustedOutput:
+    """Toolchain steps that print bytes that are not text or too much of it
+    end as outcomes, and leave no scratch directory behind."""
+
+    @pytest.fixture(autouse=True)
+    def scratch_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def leftovers(self, scratch_root):
+        return list(scratch_root.glob("cruxsim-*"))
+
+    def test_invalid_byte_in_run_stdout_is_replaced(self, scratch_root):
+        tc = ToolchainConfig(compile_cmd="true {out}", run_cmd="""sh -c "printf 'ok\\377\\n'" {out}""")
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.ran_ok, out.log
+        assert out.stdout_lines == ("ok\ufffd",)
+        assert out.match_fraction == 1.0
+        assert self.leftovers(scratch_root) == []
+
+    def test_invalid_byte_in_compile_stderr_is_replaced(self, scratch_root):
+        tc = ToolchainConfig(
+            compile_cmd="""sh -c "printf 'bad\\377\\n' >&2; exit 1" {out}""", run_cmd="true {out}"
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert not out.compile_ok and not out.ran_ok
+        assert out.returncode == 1
+        assert "bad\ufffd" in out.log
+        assert self.leftovers(scratch_root) == []
+
+    @pytest.mark.parametrize("size, truncated", [(100, False), (101, True)])
+    def test_stdout_over_the_limit_fails_truncated(self, scratch_root, monkeypatch, size, truncated):
+        monkeypatch.setattr(harness, "OUTPUT_LIMIT", 100)
+        tc = ToolchainConfig(
+            compile_cmd="true {out}", run_cmd=f'sh -c "yes 0123456789 | head -c {size}" {{out}}'
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.compile_ok
+        assert out.truncated is truncated
+        assert out.ran_ok is not truncated
+        assert out.returncode == 0
+        assert self.leftovers(scratch_root) == []
+
+    def test_missing_toolchain_leaves_no_scratch(self, scratch_root):
+        tc = ToolchainConfig(compile_cmd="definitely-not-a-simulator {out}", run_cmd="true {out}")
+        with pytest.raises(ToolchainMissing):
+            outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert self.leftovers(scratch_root) == []
+
+
 class TestRunMany:
     def test_results_keep_order_and_isolation(self):
         # distinct outputs per job prove scratch dirs do not collide
@@ -204,26 +256,26 @@ class TestOutcomeInvariants:
         with pytest.raises(ValueError):
             SimOutcome(
                 compile_ok=False, ran_ok=True, stdout_lines=(), match_fraction=1.0,
-                wall_ms=1, timed_out=False, returncode=0, log="", scratch_dir="",
+                timed_out=False, returncode=0, log="", scratch_dir="",
             )
 
     def test_match_fraction_only_when_ran(self):
         with pytest.raises(ValueError):
             SimOutcome(
                 compile_ok=True, ran_ok=False, stdout_lines=(), match_fraction=0.5,
-                wall_ms=1, timed_out=False, returncode=1, log="", scratch_dir="",
+                timed_out=False, returncode=1, log="", scratch_dir="",
             )
         with pytest.raises(ValueError):
             SimOutcome(
                 compile_ok=True, ran_ok=True, stdout_lines=(), match_fraction=None,
-                wall_ms=1, timed_out=False, returncode=0, log="", scratch_dir="",
+                timed_out=False, returncode=0, log="", scratch_dir="",
             )
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             SimOutcome(
                 compile_ok=True, ran_ok=True, stdout_lines=(), match_fraction=1.5,
-                wall_ms=1, timed_out=False, returncode=0, log="", scratch_dir="",
+                timed_out=False, returncode=0, log="", scratch_dir="",
             )
 
 
@@ -330,7 +382,7 @@ def fake_outcome(match: float | None, compiled=True):
     ran = match is not None
     return SimOutcome(
         compile_ok=compiled or ran, ran_ok=ran, stdout_lines=(),
-        match_fraction=match, wall_ms=1, timed_out=False,
+        match_fraction=match, timed_out=False,
         returncode=0 if ran else 1, log="", scratch_dir="",
     )
 

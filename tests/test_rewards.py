@@ -34,7 +34,7 @@ def outcome(match=None, compiled=True):
     ran = match is not None
     return SimOutcome(
         compile_ok=compiled or ran, ran_ok=ran, stdout_lines=(),
-        match_fraction=match, wall_ms=1, timed_out=False,
+        match_fraction=match, timed_out=False,
         returncode=0 if ran else 1, log="", scratch_dir="",
     )
 
