@@ -20,7 +20,14 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from test_cli import TOY, read_jsonl, run_cli, write_candidates, write_groups  # noqa: E402
+from test_cli import (  # noqa: E402
+    TOY,
+    read_jsonl,
+    run_cli,
+    write_candidates,
+    write_groups,
+    write_probe_mock,
+)
 
 from cruxkit.harness import ToolchainConfig  # noqa: E402
 
@@ -64,7 +71,51 @@ def _reward(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
-CASES = {"evaluate": _evaluate, "reward": _reward}
+def _categorize_live(workdir: Path) -> tuple[list, Path]:
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "categorize",
+        "--input", TOY / "pairs.jsonl",
+        "--live",
+        "--mock-provider", write_probe_mock(workdir),
+        "--toolchain", _toolchain_file(workdir),
+        "--testbenches", TOY / "testbenches",
+        "--output", outdir / "categorized.jsonl",
+    ]
+    return args, outdir
+
+
+def _evaluate_error_order(workdir: Path) -> tuple[list, Path]:
+    """A valid row, then a row naming an unknown task, then a line that is
+    not JSON: the error reported is the second row's, the first in file order."""
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    mux = next(p for p in pairs if p["id"] == "mux2to1")
+    candidates = workdir / "candidates.jsonl"
+    candidates.write_text(
+        json.dumps({"task_id": "mux2to1", "candidates": [mux["reference_code"]]}) + "\n"
+        + json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n"
+        + '{"task_id": "count4", "candidates": [\n'
+    )
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "evaluate",
+        "--tasks", TOY / "pairs.jsonl",
+        "--candidates", candidates,
+        "--testbenches", TOY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output-dir", outdir,
+    ]
+    return args, outdir
+
+
+CASES = {
+    "evaluate": _evaluate,
+    "reward": _reward,
+    "categorize-live": _categorize_live,
+    "evaluate-error-order": _evaluate_error_order,
+}
 
 
 def run_case(name: str, workdir: Path) -> dict[str, bytes]:

@@ -107,23 +107,28 @@ class TestCategorize:
         assert outs[0] == outs[1]
 
 
+def write_probe_mock(tmp_path):
+    """A mock provider script that answers each offline-passed toy pair with
+    its reference in a verilog fence, and every other pair with text holding
+    no Verilog."""
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    _, verdicts = read_jsonl(TOY / "verdicts.jsonl")
+    passed = {v["id"] for v in verdicts if v["passed"]}
+    rules = [
+        {"match": p["description"], "texts": [f"```verilog\n{p['reference_code']}\n```"]}
+        for p in pairs if p["id"] in passed
+    ]
+    path = tmp_path / "probe_mock.json"
+    path.write_text(json.dumps(
+        {"completions": rules, "default_completions": ["I cannot write this module."]}
+    ))
+    return path
+
+
 class TestCategorizeLive:
     @pytest.fixture()
     def probe_mock(self, tmp_path):
-        """Answers each offline-passed pair with its reference in a verilog
-        fence, and every other pair with text holding no Verilog."""
-        _, pairs = read_jsonl(TOY / "pairs.jsonl")
-        _, verdicts = read_jsonl(TOY / "verdicts.jsonl")
-        passed = {v["id"] for v in verdicts if v["passed"]}
-        rules = [
-            {"match": p["description"], "texts": [f"```verilog\n{p['reference_code']}\n```"]}
-            for p in pairs if p["id"] in passed
-        ]
-        path = tmp_path / "probe_mock.json"
-        path.write_text(json.dumps(
-            {"completions": rules, "default_completions": ["I cannot write this module."]}
-        ))
-        return path
+        return write_probe_mock(tmp_path)
 
     def test_matches_offline_verdicts_and_reruns_identical(
         self, tmp_path, probe_mock, echo_toolchain_file, sim_log
