@@ -18,6 +18,8 @@ import json
 import os
 import sys
 from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import Future
 
 import click
 
@@ -46,6 +48,7 @@ from .gateway import (
 )
 from .grpo import (
     GroupTooSmall,
+    MissingRefLogprobs,
     Rollout,
     RolloutGroup,
     check_coefficients,
@@ -64,7 +67,6 @@ from .harness import (
     report_lines,
     report_rows,
     report_table,
-    run_many,
 )
 from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
 from .rewards import (
@@ -222,12 +224,19 @@ _EMPTY_DESIGN = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
 class _Simulator:
     """Simulates a command's candidate designs against their tasks' testbenches.
 
-    Built once per command. The first batch of a task reads its testbench and
-    simulates its reference design; that transcript scores every batch of the
-    task's candidates. Each batch simulates its distinct designs once, on one
-    ``run_many`` pool of the toolchain's ``workers``, and outcomes come back
-    in candidate order, one per candidate. A candidate equal to the reference
-    reuses the reference's outcome, and a blank one is a compile failure.
+    A context manager that owns one pool of the toolchain's ``workers``
+    threads for the whole command, so ``workers`` bounds every sim the
+    command runs. ``prefetch`` submits a task's first and only reference
+    job: it reads the task's testbench and simulates the reference design,
+    whose transcript scores every batch of the task's candidates. ``run``
+    waits for that job, then simulates the batch's distinct designs once on
+    the same pool, and outcomes come back in candidate order, one per
+    candidate. A candidate equal to the reference reuses the reference's
+    outcome, and a blank one is a compile failure. Errors of a reference job
+    (a missing testbench, a reference that fails its own testbench) are
+    raised by ``run``, in the turn of the batch that needs it. On exit,
+    queued jobs are cancelled and running ones waited for, so no thread or
+    child process outlives the command.
     """
 
     def __init__(self, toolchain: ToolchainConfig, tb_dir: str, timeout_ms: int):
@@ -235,31 +244,86 @@ class _Simulator:
         self.toolchain = toolchain
         self.tb_dir = tb_dir
         self.timeout_ms = timeout_ms
-        self._references: dict[str, tuple[str, SimOutcome]] = {}
+        self._references: dict[str, Future[tuple[str, SimOutcome]]] = {}
+
+    def __enter__(self) -> "_Simulator":
+        self._pool = harness.ThreadPoolExecutor(max_workers=self.toolchain.workers)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _reference(self, task_id: str, reference_code: str) -> tuple[str, SimOutcome]:
+        with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
+            tb_source = f.read()
+        outcome = harness.run_sim(
+            SimJob(reference_code, tb_source, task_id, self.timeout_ms), self.toolchain
+        )
+        if not outcome.ran_ok:
+            raise ConfigError(
+                f"reference design for task {task_id!r} failed its own testbench "
+                f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
+                f"{outcome.log.strip()[:300]}"
+            )
+        return tb_source, outcome
+
+    def prefetch(self, task_id: str, reference_code: str) -> None:
+        """Starts the task's reference job unless it has one; never raises."""
+        if task_id not in self._references:
+            self._references[task_id] = self._pool.submit(
+                self._reference, task_id, reference_code
+            )
 
     def run(self, task_id: str, reference_code: str, codes: list[str]) -> list[SimOutcome]:
-        if task_id not in self._references:
-            with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
-                tb_source = f.read()
-            outcome = harness.run_sim(
-                SimJob(reference_code, tb_source, task_id, self.timeout_ms), self.toolchain
-            )
-            if not outcome.ran_ok:
-                raise ConfigError(
-                    f"reference design for task {task_id!r} failed its own testbench "
-                    f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
-                    f"{outcome.log.strip()[:300]}"
-                )
-            self._references[task_id] = (tb_source, outcome)
-        tb_source, reference = self._references[task_id]
+        self.prefetch(task_id, reference_code)
+        tb_source, reference = self._references[task_id].result()
         # within a batch the testbench, timeout and toolchain are fixed, so the
         # design text alone keys a sim; the reference matches itself exactly
         known = {reference_code: reference}
         distinct = [c for c in dict.fromkeys(codes) if c not in known and c.strip()]
-        jobs = [SimJob(code, tb_source, task_id, self.timeout_ms) for code in distinct]
         lines = list(reference.stdout_lines)
-        known.update(zip(distinct, run_many(jobs, self.toolchain, [lines] * len(jobs))))
+        futures = [
+            self._pool.submit(
+                harness.run_sim, SimJob(code, tb_source, task_id, self.timeout_ms),
+                self.toolchain, lines,
+            )
+            for code in distinct
+        ]
+        known.update(zip(distinct, (f.result() for f in futures)))
         return [known.get(code, _EMPTY_DESIGN) for code in codes]
+
+
+_END = object()
+
+
+def _one_ahead(rows: Iterable, prefetch: Callable[[object], None]) -> Iterator:
+    """Yields ``rows`` in order, calling ``prefetch`` on each row before the
+    one ahead of it is yielded, so the next row's work starts while this one
+    is handled. Holds at most one row beyond the one yielded; an error
+    reading a row is raised in that row's turn, after the row before it."""
+    rows = iter(rows)
+    current = next(rows, _END)
+    if current is not _END:
+        prefetch(current)
+    while current is not _END:
+        try:
+            upcoming = next(rows, _END)
+        except Exception:
+            yield current
+            raise
+        if upcoming is not _END:
+            prefetch(upcoming)
+        yield current
+        current = upcoming
+
+
+def _prefetch_task_row(sims: _Simulator, tasks: dict[str, dict], row) -> None:
+    """Starts the reference job of the task a candidates or groups row names.
+    A row that names no known task is skipped; it fails in its own turn."""
+    try:
+        sims.prefetch(row["task_id"], tasks[row["task_id"]]["reference_code"])
+    except (KeyError, TypeError):
+        pass
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
@@ -275,7 +339,9 @@ def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
     }
 
 
-pass_exit_codes = {ConfigError: 2, ToolchainMissing: 2, GroupTooSmall: 2}
+pass_exit_codes = {
+    ConfigError: 2, ToolchainMissing: 2, GroupTooSmall: 2, MissingRefLogprobs: 2,
+}
 
 
 def _run_command(fn) -> None:
@@ -337,16 +403,17 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
             sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
             gateway = Gateway(_provider(provider_path, mock_script))
             verdicts = {}
-            for pair in pairs:
-                req = GenRequest(pair.description, n=cfg["probe_n"],
-                                 seed=derive_seed(cfg["seed"], pair.id, "probe"))
-                codes = [extract_verilog(text) for text in gateway.generate(req)]
-                # a completion with no Verilog scores 0 without a sim
-                outcomes = iter(sims.run(
-                    pair.id, pair.reference_code, [c for c in codes if c is not None]
-                ))
-                fractions = [0.0 if c is None else code_reward(next(outcomes)) for c in codes]
-                verdicts[pair.id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
+            with sims:
+                for pair in _one_ahead(pairs, lambda p: sims.prefetch(p.id, p.reference_code)):
+                    req = GenRequest(pair.description, n=cfg["probe_n"],
+                                     seed=derive_seed(cfg["seed"], pair.id, "probe"))
+                    codes = [extract_verilog(text) for text in gateway.generate(req)]
+                    # a completion with no Verilog scores 0 without a sim
+                    outcomes = iter(sims.run(
+                        pair.id, pair.reference_code, [c for c in codes if c is not None]
+                    ))
+                    fractions = [0.0 if c is None else code_reward(next(outcomes)) for c in codes]
+                    verdicts[pair.id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
         else:
             if verdicts_path is None:
                 raise ConfigError("need --verdicts or --live")
@@ -559,19 +626,20 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         os.makedirs(output_dir, exist_ok=True)
         samples: dict[str, list[SimOutcome]] = {}
         outcome_rows = []
-        for row in cand_rows:
-            task_id = row["task_id"]
-            if task_id not in tasks:
-                raise ConfigError(f"candidates reference unknown task {task_id!r}")
-            outcomes = sims.run(
-                task_id, tasks[task_id]["reference_code"], row.get("candidates", [])
-            )
-            # rows repeating a task add samples to it, numbered on from its last
-            task_samples = samples.setdefault(task_id, [])
-            outcome_rows.extend(
-                _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
-            )
-            task_samples.extend(outcomes)
+        with sims:
+            for row in _one_ahead(cand_rows, lambda r: _prefetch_task_row(sims, tasks, r)):
+                task_id = row["task_id"]
+                if task_id not in tasks:
+                    raise ConfigError(f"candidates reference unknown task {task_id!r}")
+                outcomes = sims.run(
+                    task_id, tasks[task_id]["reference_code"], row.get("candidates", [])
+                )
+                # rows repeating a task add samples to it, numbered on from its last
+                task_samples = samples.setdefault(task_id, [])
+                outcome_rows.extend(
+                    _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
+                )
+                task_samples.extend(outcomes)
         report = aggregate_report(samples, thr, ks)
         meta = meta_for(cfg, k_values=list(ks), threshold=thr)
         jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
@@ -618,86 +686,88 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
         eps_std = cfg["grpo"]["eps_std"]
         out_rows = []
         step_mix: dict[int, list[float]] = defaultdict(list)
-        for row in jsonl.read_rows(_require_file(groups_path, "groups file")):
-            task_id = row["task_id"]
-            if task_id not in tasks:
-                raise ConfigError(f"groups reference unknown task {task_id!r}")
-            task = tasks[task_id]
-            step = int(row.get("step", global_step))
-            reference_iface = parse_module_header(task["reference_code"])
-            codes = [r["code_text"] for r in row["rollouts"]]
-            codes = [(extract_verilog(c) or c) if "```" in c else c for c in codes]
-            outcomes = sims.run(task_id, task["reference_code"], codes)
-            realspec = task.get("realspec") or task.get("description") or ""
-            rollouts = []
-            reward_rows = []
-            mixed = []
-            for r, code_text, outcome in zip(row["rollouts"], codes, outcomes):
-                crux_text = r["crux_text"]
-                fmt = format_reward(crux_text, reference_iface)
-                diagnostics = []
-                if "crux_score" in r:
-                    score_seq = _seq_from_payload(r["crux_score"])
-                else:
-                    prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
-                    try:
-                        score_seq = gateway.score_continuation(
-                            ScoreRequest(prompt, task["reference_code"])
+        group_rows = jsonl.read_rows(_require_file(groups_path, "groups file"))
+        with sims:
+            for row in _one_ahead(group_rows, lambda r: _prefetch_task_row(sims, tasks, r)):
+                task_id = row["task_id"]
+                if task_id not in tasks:
+                    raise ConfigError(f"groups reference unknown task {task_id!r}")
+                task = tasks[task_id]
+                step = int(row.get("step", global_step))
+                reference_iface = parse_module_header(task["reference_code"])
+                codes = [r["code_text"] for r in row["rollouts"]]
+                codes = [(extract_verilog(c) or c) if "```" in c else c for c in codes]
+                outcomes = sims.run(task_id, task["reference_code"], codes)
+                realspec = task.get("realspec") or task.get("description") or ""
+                rollouts = []
+                reward_rows = []
+                mixed = []
+                for r, code_text, outcome in zip(row["rollouts"], codes, outcomes):
+                    crux_text = r["crux_text"]
+                    fmt = format_reward(crux_text, reference_iface)
+                    diagnostics = []
+                    if "crux_score" in r:
+                        score_seq = _seq_from_payload(r["crux_score"])
+                    else:
+                        prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
+                        try:
+                            score_seq = gateway.score_continuation(
+                                ScoreRequest(prompt, task["reference_code"])
+                            )
+                        except GatewayError as exc:
+                            score_seq = None
+                            diagnostics.append(f"scoring failed: {exc}")
+                    parts = (
+                        fmt,
+                        compile_reward(outcome),
+                        crux_reward(score_seq),
+                        code_reward(outcome),
+                    )
+                    vec = reward_vector(parts, schedule, step)
+                    mixed.append(vec.mixed)
+                    reward_rows.append(
+                        {
+                            "format_r": vec.format_r,
+                            "compile_r": vec.compile_r,
+                            "crux_r": vec.crux_r,
+                            "code_r": vec.code_r,
+                            "mixed": vec.mixed,
+                            "weights_phase": vec.weights_phase,
+                            "diagnostics": diagnostics,
+                        }
+                    )
+                    rollouts.append(
+                        Rollout(
+                            crux_text=crux_text,
+                            code_text=code_text,
+                            token_logprobs_new=_seq_from_payload(r["logprobs_new"]),
+                            token_logprobs_old=_seq_from_payload(r["logprobs_old"]),
+                            token_logprobs_ref=(
+                                _seq_from_payload(r["logprobs_ref"])
+                                if "logprobs_ref" in r
+                                else None
+                            ),
                         )
-                    except GatewayError as exc:
-                        score_seq = None
-                        diagnostics.append(f"scoring failed: {exc}")
-                parts = (
-                    fmt,
-                    compile_reward(outcome),
-                    crux_reward(score_seq),
-                    code_reward(outcome),
-                )
-                vec = reward_vector(parts, schedule, step)
-                mixed.append(vec.mixed)
-                reward_rows.append(
+                    )
+                advantages = group_advantages(mixed, eps_std)
+                group = RolloutGroup(task_id, tuple(rollouts))
+                breakdown = clipped_objective(group, advantages, epsilon, beta)
+                step_mix[step].extend(mixed)
+                out_rows.append(
                     {
-                        "format_r": vec.format_r,
-                        "compile_r": vec.compile_r,
-                        "crux_r": vec.crux_r,
-                        "code_r": vec.code_r,
-                        "mixed": vec.mixed,
-                        "weights_phase": vec.weights_phase,
-                        "diagnostics": diagnostics,
+                        "task_id": task_id,
+                        "step": step,
+                        "rewards": reward_rows,
+                        "advantages": list(advantages.per_rollout),
+                        "degenerate": advantages.degenerate,
+                        "objective": {
+                            "surrogate": breakdown.surrogate,
+                            "kl_term": breakdown.kl_term,
+                            "total": breakdown.total,
+                            "clip_fraction": breakdown.clip_fraction,
+                        },
                     }
                 )
-                rollouts.append(
-                    Rollout(
-                        crux_text=crux_text,
-                        code_text=code_text,
-                        token_logprobs_new=_seq_from_payload(r["logprobs_new"]),
-                        token_logprobs_old=_seq_from_payload(r["logprobs_old"]),
-                        token_logprobs_ref=(
-                            _seq_from_payload(r["logprobs_ref"])
-                            if "logprobs_ref" in r
-                            else None
-                        ),
-                    )
-                )
-            advantages = group_advantages(mixed, eps_std)
-            group = RolloutGroup(task_id, tuple(rollouts))
-            breakdown = clipped_objective(group, advantages, epsilon, beta)
-            step_mix[step].extend(mixed)
-            out_rows.append(
-                {
-                    "task_id": task_id,
-                    "step": step,
-                    "rewards": reward_rows,
-                    "advantages": list(advantages.per_rollout),
-                    "degenerate": advantages.degenerate,
-                    "objective": {
-                        "surrogate": breakdown.surrogate,
-                        "kl_term": breakdown.kl_term,
-                        "total": breakdown.total,
-                        "clip_fraction": breakdown.clip_fraction,
-                    },
-                }
-            )
         jsonl.write_rows(
             output_path, out_rows,
             meta=meta_for(cfg, global_step=global_step, epsilon=epsilon, beta=beta),

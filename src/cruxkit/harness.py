@@ -23,7 +23,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # the sim pool's class; see cli._Simulator
 from dataclasses import dataclass, field
 
 
@@ -277,22 +277,6 @@ def run_sim(
     finally:
         if not toolchain.keep_artifacts:
             shutil.rmtree(scratch, ignore_errors=True)
-
-
-def run_many(
-    jobs: list[SimJob],
-    toolchain: ToolchainConfig = ToolchainConfig(),
-    reference_lines: list[list[str] | None] | None = None,
-) -> list[SimOutcome]:
-    """Run jobs on a bounded worker pool, preserving order."""
-    refs = reference_lines if reference_lines is not None else [None] * len(jobs)
-    if len(refs) != len(jobs):
-        raise ValueError("reference_lines length must match jobs")
-    with ThreadPoolExecutor(max_workers=toolchain.workers) as pool:
-        futures = [
-            pool.submit(run_sim, job, toolchain, ref) for job, ref in zip(jobs, refs)
-        ]
-        return [f.result() for f in futures]
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:

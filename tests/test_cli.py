@@ -2,12 +2,15 @@
 
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from cruxkit.cli import main
+from cruxkit.harness import SimOutcome
 
 TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_corpus"
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
@@ -556,6 +559,24 @@ class TestReward:
         )
         assert result.exit_code == 2
 
+    def test_kl_without_ref_logprobs_is_usage_error(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grpo": {"beta": 0.04}}))
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli(
+            "--config", config,
+            "reward",
+            "--groups", write_groups(tmp_path, pairs[:2], step=0),
+            "--tasks", TOY / "pairs.jsonl",
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output", out,
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: beta > 0 requires ref logprobs")
+        assert not out.exists()
+
     def _reward_group(self, tmp_path, toolchain, codes, name):
         """Scores one mux2to1 group of ``codes``; returns the rewards file."""
         ln_half = math.log(0.5)
@@ -633,6 +654,172 @@ def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchai
     result = run_cli(*args, *common)
     assert result.exit_code == 2
     assert "failed its own testbench" in result.stderr
+
+
+class FakeSims:
+    """Stands in for ``harness.run_sim``: every design runs and matches its
+    reference, after ``hook(task_id, is_reference)`` and ``seconds`` of
+    sleep. Records the sims running at once, and fails the reference of each
+    task in ``failing``."""
+
+    def __init__(self, seconds=0.02, failing=(), hook=lambda task_id, is_ref: None):
+        self.seconds = seconds
+        self.failing = set(failing)
+        self.hook = hook
+        self.lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+        self.started = []  # (task id, is a reference sim), in start order
+
+    def __call__(self, job, toolchain, reference_lines=None):
+        is_ref = reference_lines is None
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+            self.started.append((job.top_module, is_ref))
+        try:
+            self.hook(job.top_module, is_ref)
+            time.sleep(self.seconds)
+        finally:
+            with self.lock:
+                self.running -= 1
+        if is_ref and job.top_module in self.failing:
+            return SimOutcome(compile_ok=False, ran_ok=False, returncode=1, log="fake failure")
+        return SimOutcome(compile_ok=True, ran_ok=True, stdout_lines=("ok",),
+                          match_fraction=1.0, returncode=0)
+
+
+def _workers_toolchain(tmp_path, workers):
+    from cruxkit.harness import ToolchainConfig
+
+    echo = ToolchainConfig.echo()
+    path = tmp_path / f"toolchain{workers}.json"
+    path.write_text(json.dumps(
+        {"compile_cmd": echo.compile_cmd, "run_cmd": echo.run_cmd, "workers": workers}
+    ))
+    return path
+
+
+def _tasks_file(tmp_path, task_ids):
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    by_id = {p["id"]: p for p in pairs}
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("".join(json.dumps(by_id[t]) + "\n" for t in task_ids))
+    return path, [by_id[t] for t in task_ids]
+
+
+def _command_args(tmp_path, command, toolchain, task_ids):
+    """Arguments that run ``command`` over ``task_ids`` of the toy corpus."""
+    tasks, pairs = _tasks_file(tmp_path, task_ids)
+    common = ["--testbenches", TOY / "testbenches", "--toolchain", toolchain]
+    if command == "evaluate":
+        return ["evaluate", "--tasks", tasks, "--candidates", write_candidates(tmp_path, pairs),
+                "--output-dir", tmp_path / "eval", *common]
+    if command == "reward":
+        return ["reward", "--tasks", tasks, "--groups", write_groups(tmp_path, pairs, step=0),
+                "--output", tmp_path / "rewarded.jsonl", *common]
+    return ["categorize", "--live", "--input", tasks, "--mock-provider",
+            write_probe_mock(tmp_path), "--output", tmp_path / "cat.jsonl", *common]
+
+
+class TestSimulator:
+    """One pool per command: the next row's reference starts early, ``workers``
+    bounds every sim, and no thread outlives the command."""
+
+    def test_next_reference_overlaps_candidates(self, tmp_path, monkeypatch):
+        import cruxkit.harness as harness
+
+        b_reference_started = threading.Event()
+        overlapped = []
+
+        def hook(task_id, is_ref):
+            if task_id == "mux2to1" and is_ref:
+                b_reference_started.set()
+            elif task_id == "dff8p" and not is_ref:
+                overlapped.append(b_reference_started.wait(timeout=3))
+
+        monkeypatch.setattr(harness, "run_sim", FakeSims(seconds=0, hook=hook))
+        # dff8p's one distinct candidate leaves a worker free for mux2to1's reference
+        tasks, _ = _tasks_file(tmp_path, ["dff8p", "mux2to1"])
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(
+            json.dumps({"task_id": "dff8p", "candidates": ["module a; endmodule"]}) + "\n"
+            + json.dumps({"task_id": "mux2to1", "candidates": ["module b; endmodule"]}) + "\n"
+        )
+        result = run_cli(
+            "evaluate", "--tasks", tasks, "--candidates", candidates,
+            "--testbenches", TOY / "testbenches", "--toolchain", _workers_toolchain(tmp_path, 2),
+            "--output-dir", tmp_path / "eval",
+        )
+        assert result.exit_code == 0, result.output
+        assert overlapped == [True]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
+    def test_workers_bound_sims_across_the_command(self, tmp_path, monkeypatch, workers, command):
+        import cruxkit.harness as harness
+
+        fake = FakeSims()
+        monkeypatch.setattr(harness, "run_sim", fake)
+        args = _command_args(tmp_path, command, _workers_toolchain(tmp_path, workers),
+                             ["dff8p", "mux2to1", "count4", "clkgenerator"])
+        result = run_cli(*args)
+        assert result.exit_code == 0, result.output
+        assert sum(is_ref for _, is_ref in fake.started) == 4
+        assert fake.peak <= workers
+
+    @pytest.mark.parametrize("failing", [(), ("mux2to1",)])
+    @pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
+    def test_no_thread_outlives_the_command(self, tmp_path, monkeypatch, command, failing):
+        import cruxkit.harness as harness
+
+        monkeypatch.setattr(harness, "run_sim", FakeSims(failing=failing))
+        baseline = set(threading.enumerate())
+        # the failing task comes first, so the next task's reference is in flight
+        args = _command_args(tmp_path, command, _workers_toolchain(tmp_path, 2),
+                             ["mux2to1", "dff8p", "count4"])
+        result = run_cli(*args)
+        if failing:
+            assert result.exit_code == 2
+            assert "failed its own testbench" in result.stderr
+        else:
+            assert result.exit_code == 0, result.output
+        assert set(threading.enumerate()) <= baseline
+
+    def test_one_ahead_prefetches_the_next_row_and_raises_in_order(self):
+        from cruxkit.cli import _one_ahead
+
+        events = []
+
+        def rows():
+            yield from ("a", "b")
+            raise ValueError("row c is unreadable")
+
+        it = _one_ahead(rows(), lambda row: events.append(f"prefetch {row}"))
+        for row in it:
+            events.append(f"handle {row}")
+            if row == "b":
+                break
+        assert events == ["prefetch a", "prefetch b", "handle a", "handle b"]
+        # the read error of the third row comes only when it is asked for
+        with pytest.raises(ValueError, match="row c"):
+            next(it)
+        assert list(_one_ahead([], events.append)) == []
+
+    def test_outcomes_keep_candidate_order(self, tmp_path):
+        # distinct outputs per design prove scratch dirs do not collide
+        from cruxkit.cli import _Simulator
+        from cruxkit.harness import ToolchainConfig
+
+        (tmp_path / "m_tb.v").write_text("// EMIT: gamma 3\nmodule tb;\nendmodule\n")
+        reference = "// EMIT: job ref\nmodule m(input clk);\nendmodule\n"
+        codes = [f"// EMIT: job {i}\nmodule m(input clk);\nendmodule\n" for i in range(32)]
+        with _Simulator(ToolchainConfig.echo(), str(tmp_path), 10_000) as sims:
+            outs = sims.run("m", reference, codes)
+        assert len(outs) == 32
+        for i, out in enumerate(outs):
+            assert out.stdout_lines == (f"job {i}", "gamma 3")
+            assert out.match_fraction == 0.5
 
 
 class TestReport:

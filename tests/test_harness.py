@@ -28,7 +28,6 @@ from cruxkit.harness import (
     report_csv,
     report_rows,
     report_table,
-    run_many,
     run_sim,
 )
 
@@ -229,26 +228,6 @@ class TestUntrustedOutput:
         with pytest.raises(ToolchainMissing):
             outcome_for(GOOD_DESIGN, toolchain=tc)
         assert self.leftovers(scratch_root) == []
-
-
-class TestRunMany:
-    def test_results_keep_order_and_isolation(self):
-        # distinct outputs per job prove scratch dirs do not collide
-        jobs, refs = [], []
-        for i in range(32):
-            design = f"// EMIT: job {i}\nmodule m(input clk);\nendmodule\n"
-            jobs.append(SimJob(design, GOOD_TB, "m"))
-            refs.append([f"job {i}", "gamma 3"])
-        outs = run_many(jobs, ToolchainConfig.echo(), refs)
-        assert len(outs) == 32
-        for i, out in enumerate(outs):
-            assert out.stdout_lines[0] == f"job {i}"
-            assert out.match_fraction == 1.0
-
-    def test_reference_list_length_checked(self):
-        jobs = [SimJob(GOOD_DESIGN, GOOD_TB, "m")]
-        with pytest.raises(ValueError):
-            run_many(jobs, ToolchainConfig.echo(), [["a"], ["b"]])
 
 
 class TestOutcomeInvariants:
