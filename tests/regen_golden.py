@@ -1,7 +1,8 @@
-"""Golden outputs of the simulating commands, and the only way to regenerate them.
+"""Golden outputs of the commands, and the only way to regenerate them.
 
-Each case runs one command over the toy corpus on the echo toolchain and
-captures every output file, its stdout, its stderr and its exit code.
+Each case runs one command over the toy corpus (the simulating ones on the
+echo toolchain) and captures every output file, its stdout, its stderr and
+its exit code.
 ``tests/test_golden.py`` reruns the cases and compares byte for byte against
 ``tests/golden/<case>/``. After an intended output change, regenerate with
 
@@ -110,11 +111,53 @@ def _evaluate_error_order(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
+def _categorize(workdir: Path) -> tuple[list, Path]:
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "categorize",
+        "--input", TOY / "pairs.jsonl",
+        "--verdicts", TOY / "verdicts.jsonl",
+        "--output", outdir / "categorized.jsonl",
+    ]
+    return args, outdir
+
+
+def _build_dataset(workdir: Path) -> tuple[list, Path]:
+    categorized = workdir / "categorized.jsonl"
+    setup = run_cli(
+        "categorize",
+        "--input", TOY / "pairs.jsonl",
+        "--verdicts", TOY / "verdicts.jsonl",
+        "--output", categorized,
+    )
+    assert setup.exit_code == 0, setup.output
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "build-dataset",
+        "--input", categorized,
+        "--transcripts", TOY / "transcripts.jsonl",
+        "--output", outdir / "records.jsonl",
+        "--reclassified", outdir / "reclassified.jsonl",
+    ]
+    return args, outdir
+
+
+def _grpo_check(workdir: Path) -> tuple[list, Path]:
+    outdir = workdir / "out"
+    outdir.mkdir()
+    return ["--seed", 7, "grpo-check", "--instances", 20, "--beta", 0.04], outdir
+
+
 CASES = {
     "evaluate": _evaluate,
     "reward": _reward,
     "categorize-live": _categorize_live,
     "evaluate-error-order": _evaluate_error_order,
+    "categorize": _categorize,
+    "build-dataset": _build_dataset,
+    "grpo-check": _grpo_check,
 }
 
 
