@@ -13,8 +13,8 @@ Compilation fails (exit 1) when either file contains the bare token
 SYNTAX_ERROR outside a // comment, standing in for a parse error.
 
 Usage (run by path, as ``ToolchainConfig.echo()`` does; standard library only):
-    python /abs/path/to/cruxkit/echosim.py compile <out> <design> <tb>
-    python /abs/path/to/cruxkit/echosim.py run <out>
+    python -I -S /abs/path/to/cruxkit/echosim.py compile <out> <design> <tb>
+    python -I -S /abs/path/to/cruxkit/echosim.py run <out>
 """
 
 from __future__ import annotations

@@ -4,13 +4,14 @@ Rewards are standardized within each rollout group to form advantages; the
 objective averages a clipped importance-weighted surrogate per token, per
 rollout, then across the group, optionally minus a KL penalty against a
 reference policy (the exp(d) - d - 1 estimator on d = ref - new).
+
+numpy is imported inside the numeric functions, not at module level, so
+commands that only validate coefficients or build rollouts never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .rewards import TokenLogProbSeq
 
@@ -71,6 +72,8 @@ class AdvantageSet:
 
 def group_advantages(rewards: list[float], eps_std: float = EPS_STD_DEFAULT) -> AdvantageSet:
     """Standardize rewards within a group: (r - mean) / population std."""
+    import numpy as np
+
     if len(rewards) < 2:
         raise GroupTooSmall(f"need at least 2 rollouts, got {len(rewards)}")
     arr = np.asarray(rewards, dtype=np.float64)
@@ -115,6 +118,8 @@ def _rollout_terms(
     Factoring A out of the token mean keeps the r == 1 identity exact in
     floating point: the mean of all-ones is exactly 1.0.
     """
+    import numpy as np
+
     n_tokens = new.shape[-1]
     ratios = np.exp(new - old)
     clipped = np.clip(ratios, 1.0 - epsilon, 1.0 + epsilon)
@@ -148,6 +153,8 @@ def clipped_objective(
 
     Each rollout's advantage is broadcast to all of its tokens.
     """
+    import numpy as np
+
     if len(advantages.per_rollout) != len(group.rollouts):
         raise LengthMismatch("one advantage per rollout required")
     check_coefficients(epsilon, beta)
@@ -201,6 +208,8 @@ class ToyGroupInstance:
 
 def _logprobs_from_logits(logits: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis, read at ``token_ids`` (one id per row)."""
+    import numpy as np
+
     top = logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(logits - top).sum(axis=-1)) + top[..., 0]
     return np.take_along_axis(logits, token_ids[..., None], axis=-1)[..., 0] - logz
@@ -215,6 +224,8 @@ def random_toy_instance(
 ) -> ToyGroupInstance:
     """A random small instance; old/ref policies are noisy copies of the new
     logits so importance ratios straddle the clip boundaries."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rollouts = []
     for _ in range(group_size):
@@ -255,6 +266,8 @@ def objective_gradient_check(
     the objective is not differentiable there. The relative error is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     """
+    import numpy as np
+
     check_coefficients(epsilon, beta)
     if beta > 0 and any(r.ref_logprobs is None for r in instance.rollouts):
         raise MissingRefLogprobs("beta > 0 requires ref logprobs on every rollout")

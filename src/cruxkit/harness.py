@@ -8,7 +8,9 @@ line per sampled cycle, so the two transcripts align by line index.
 
 Each toolchain step's stdout and stderr are read back once, as text with
 invalid bytes replaced (U+FFFD) and at most ``OUTPUT_LIMIT`` characters
-kept. A run whose stdout is longer than that fails as ``truncated``.
+kept. A run whose stdout is longer than that fails as ``truncated``; a step
+whose capture file grows past what that many characters can take is
+stopped, so a flood is bounded on disk as well as in memory.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor  # the sim pool's class; see cli._Simulator
 from dataclasses import dataclass, field
 
 
 # characters kept of each step's stdout and stderr; a run with longer stdout fails
 OUTPUT_LIMIT = 4 * 1024 * 1024
+# how often a running step's capture files are checked against that limit
+_WAIT_SLICE_MS = 100
 
 
 class ToolchainMissing(RuntimeError):
@@ -86,14 +91,16 @@ class ToolchainConfig:
 
         The script is run by absolute path rather than with ``-m``: it needs
         only the standard library, so the child works from any scratch
-        directory whether or not ``cruxkit`` is importable there.
+        directory whether or not ``cruxkit`` is importable there. For the
+        same reason it runs under ``-I -S``, which skips ``site`` and the
+        environment and roughly halves each spawn.
         """
         py = shlex.quote(sys.executable)
         here = os.path.dirname(os.path.abspath(__file__))
         script = shlex.quote(os.path.join(here, "echosim.py"))
         return cls(
-            compile_cmd=f"{py} {script} compile {{out}} {{design}} {{tb}}",
-            run_cmd=f"{py} {script} run {{out}}",
+            compile_cmd=f"{py} -I -S {script} compile {{out}} {{design}} {{tb}}",
+            run_cmd=f"{py} -I -S {script} run {{out}}",
             **overrides,
         )
 
@@ -184,25 +191,36 @@ def _run_child(
     code (``None`` on timeout, with no output), stdout and stderr.
 
     Output goes to unnamed temporary files, so the step never stalls on a
-    full pipe and only its leader is waited for. When the leader exits, or
-    at the timeout, the step's whole process group is killed before the
-    leader is reaped: the unreaped leader still holds the group id, so the
-    signal reaches only processes the step started.
+    full pipe and only its leader is waited for, in slices of
+    ``_WAIT_SLICE_MS``. When the leader exits, at the timeout, or once a
+    capture file holds more bytes than ``OUTPUT_LIMIT`` characters can take,
+    the step's whole process group is killed before the leader is reaped:
+    the unreaped leader still holds the group id, so the signal reaches only
+    processes the step started. A step stopped for its output is reported
+    as one that exited, with the kill's return code (-9).
     """
     with tempfile.TemporaryFile("w+", errors="replace") as out, \
             tempfile.TemporaryFile("w+", errors="replace") as err:
         with subprocess.Popen(
             cmd, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True
         ) as proc:
+            # more bytes than this always decode to over OUTPUT_LIMIT characters
+            byte_cap = 4 * (OUTPUT_LIMIT + 1)
+            deadline = time.monotonic() + timeout_ms / 1000
+            finished = False
             pidfd = os.pidfd_open(proc.pid)
             try:
                 poller = select.poll()
                 poller.register(pidfd, select.POLLIN)
-                exited = poller.poll(timeout_ms)
+                while not finished and (left := deadline - time.monotonic()) > 0:
+                    exited = poller.poll(min(_WAIT_SLICE_MS, math.ceil(left * 1000)))
+                    finished = bool(exited) or any(
+                        os.fstat(f.fileno()).st_size > byte_cap for f in (out, err)
+                    )
             finally:
                 os.close(pidfd)
             os.killpg(proc.pid, signal.SIGKILL)
-        if not exited:
+        if not finished:
             return None, "", ""
         return proc.returncode, _read_capped(out), _read_capped(err)
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -973,3 +976,64 @@ class TestConfig:
                 "--transcripts", TOY / "transcripts.jsonl", "--output", out)
         meta, _ = read_jsonl(out)
         assert meta["seed"] == 9
+
+
+# Imports cruxkit.cli, loads argv[1] as the config, then runs each command of
+# argv[2] through cli.main; prints whether numpy was loaded after each step.
+_NUMPY_PROBE = """
+import json, sys
+import cruxkit.cli as cli
+loaded = {"import cruxkit.cli": "numpy" in sys.modules}
+cli.load_config(sys.argv[1], None)
+loaded["load_config"] = "numpy" in sys.modules
+for args in json.loads(sys.argv[2]):
+    cli.main(["--config", sys.argv[1], *args], standalone_mode=False)
+    loaded[args[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def numpy_loaded_after(tmp_path, commands):
+    """Runs ``_NUMPY_PROBE`` in a fresh interpreter (this one has numpy
+    loaded already) with a config that sets a grpo section."""
+    config = tmp_path / "probe_config.json"
+    config.write_text(json.dumps({"grpo": {"epsilon": 0.1, "beta": 0.04}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(config),
+         json.dumps([[str(a) for a in args] for args in commands])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestNumpyImportBoundary:
+    def test_commands_without_grpo_math_never_load_numpy(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        categorized = tmp_path / "categorized.jsonl"
+        loaded = numpy_loaded_after(tmp_path, [
+            ["categorize", "--input", TOY / "pairs.jsonl",
+             "--verdicts", TOY / "verdicts.jsonl", "--output", categorized],
+            ["derive-crux", "--input", categorized, "--emit", tmp_path / "bundles.jsonl"],
+            ["build-dataset", "--input", categorized,
+             "--transcripts", TOY / "transcripts.jsonl", "--output", tmp_path / "records.jsonl"],
+            ["evaluate", "--tasks", TOY / "pairs.jsonl",
+             "--candidates", write_candidates(tmp_path, pairs),
+             "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+             "--output-dir", tmp_path / "eval"],
+            ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
+        ])
+        assert loaded == {
+            step: False for step in ["import cruxkit.cli", "load_config", "categorize",
+                                     "derive-crux", "build-dataset", "evaluate", "report"]
+        }
+        _, records = read_jsonl(tmp_path / "records.jsonl")
+        assert len(records) == 5
+        assert (tmp_path / "eval" / "summary.txt").exists()
+        assert (tmp_path / "report" / "evaluation.txt").exists()
+
+    def test_grpo_check_loads_numpy(self, tmp_path):
+        loaded = numpy_loaded_after(tmp_path, [["grpo-check", "--instances", 1]])
+        assert loaded == {"import cruxkit.cli": False, "load_config": False, "grpo-check": True}

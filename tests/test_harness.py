@@ -163,7 +163,7 @@ class TestEchoLane:
         for cmd in (tc.compile_cmd, tc.run_cmd):
             argv = shlex.split(cmd)
             assert "-m" not in argv
-            script = argv[1]
+            [script] = [tok for tok in argv if tok.endswith("echosim.py")]
             assert os.path.isabs(script)
             assert os.path.basename(script) == "echosim.py"
             assert os.path.isfile(script)
@@ -221,6 +221,31 @@ class TestUntrustedOutput:
         assert out.truncated is truncated
         assert out.ran_ok is not truncated
         assert out.returncode == 0
+        assert self.leftovers(scratch_root) == []
+
+    def test_flood_is_stopped_once_its_capture_file_passes_the_byte_cap(
+        self, scratch_root, monkeypatch
+    ):
+        # a background loop that prints until killed, as a design without $finish does
+        monkeypatch.setattr(harness, "OUTPUT_LIMIT", 1000)
+        pidfile = scratch_root / "pidfile"
+        tc = ToolchainConfig(
+            compile_cmd="true {out}",
+            run_cmd=(
+                f'sh -c "(while :; do echo 0123456789; done) & '
+                f'echo $! > {shlex.quote(str(pidfile))}; wait" {{out}}'
+            ),
+        )
+        start = time.monotonic()
+        out = outcome_for(GOOD_DESIGN, toolchain=tc, timeout_ms=10_000)
+        assert time.monotonic() - start < 5.0
+        assert out.truncated and not out.timed_out
+        assert out.compile_ok and not out.ran_ok
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 1.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _alive(pid), f"flooding loop {pid} outlived the stopped run"
         assert self.leftovers(scratch_root) == []
 
     def test_missing_toolchain_leaves_no_scratch(self, scratch_root):
