@@ -1,8 +1,8 @@
 """Golden outputs of the commands, and the only way to regenerate them.
 
 Each case runs one command over the toy corpus (the simulating ones on the
-echo toolchain) and captures every output file, its stdout, its stderr and
-its exit code.
+echo toolchain) or over the committed ``fixtures/no-sim-tiny`` batch, and
+captures every output file, its stdout, its stderr and its exit code.
 ``tests/test_golden.py`` reruns the cases and compares byte for byte against
 ``tests/golden/<case>/``. After an intended output change, regenerate with
 
@@ -19,6 +19,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
+# A 60-pair no-sim batch of perfbench/gen.py (size tiny, seed 1, batch 0):
+# its inputs, config and mock provider rules, copied so that a change to the
+# benchmark generator cannot move this golden.
+NO_SIM_TINY = HERE / "fixtures" / "no-sim-tiny"
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from test_cli import (  # noqa: E402
@@ -123,7 +127,7 @@ def _categorize(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
-def _build_dataset(workdir: Path) -> tuple[list, Path]:
+def _categorized_toy(workdir: Path) -> Path:
     categorized = workdir / "categorized.jsonl"
     setup = run_cli(
         "categorize",
@@ -132,12 +136,65 @@ def _build_dataset(workdir: Path) -> tuple[list, Path]:
         "--output", categorized,
     )
     assert setup.exit_code == 0, setup.output
+    return categorized
+
+
+def _build_dataset(workdir: Path) -> tuple[list, Path]:
+    categorized = _categorized_toy(workdir)
     outdir = workdir / "out"
     outdir.mkdir()
     args = [
         "build-dataset",
         "--input", categorized,
         "--transcripts", TOY / "transcripts.jsonl",
+        "--output", outdir / "records.jsonl",
+        "--reclassified", outdir / "reclassified.jsonl",
+    ]
+    return args, outdir
+
+
+def _derive_crux_emit(workdir: Path) -> tuple[list, Path]:
+    categorized = _categorized_toy(workdir)
+    outdir = workdir / "out"
+    outdir.mkdir()
+    return ["derive-crux", "--input", categorized, "--emit", outdir / "bundles.jsonl"], outdir
+
+
+def _derive_crux_live(workdir: Path) -> tuple[list, Path]:
+    categorized = _categorized_toy(workdir)
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "derive-crux",
+        "--input", categorized,
+        "--live",
+        "--mock-provider", TOY / "mock_provider.json",
+        "--output", outdir / "transcripts.jsonl",
+    ]
+    return args, outdir
+
+
+def _no_sim_tiny(workdir: Path) -> tuple[list, Path]:
+    """categorize, then derive-crux --live on the batch's mock rules, then
+    build-dataset, as one no-sim benchmark batch runs them. The first two
+    leave their outputs next to build-dataset's, so all four are compared."""
+    outdir = workdir / "out"
+    outdir.mkdir()
+    config = ["--config", NO_SIM_TINY / "config.json"]
+    categorized = outdir / "categorized.jsonl"
+    for step in (
+        ["categorize", "--input", NO_SIM_TINY / "pairs.jsonl",
+         "--verdicts", NO_SIM_TINY / "verdicts.jsonl", "--output", categorized],
+        ["derive-crux", "--input", categorized, "--live",
+         "--provider", NO_SIM_TINY / "provider.json", "--output", outdir / "derived.jsonl"],
+    ):
+        setup = run_cli(*config, *step)
+        assert setup.exit_code == 0, setup.output
+    args = [
+        *config,
+        "build-dataset",
+        "--input", categorized,
+        "--transcripts", NO_SIM_TINY / "transcripts.jsonl",
         "--output", outdir / "records.jsonl",
         "--reclassified", outdir / "reclassified.jsonl",
     ]
@@ -158,6 +215,9 @@ CASES = {
     "categorize": _categorize,
     "build-dataset": _build_dataset,
     "grpo-check": _grpo_check,
+    "derive-crux-emit": _derive_crux_emit,
+    "derive-crux-live": _derive_crux_live,
+    "no-sim-tiny": _no_sim_tiny,
 }
 
 
