@@ -1,5 +1,7 @@
 """Module header parsing, rendering, and seeded degradation."""
 
+import re
+import sys
 import textwrap
 
 import pytest
@@ -16,12 +18,22 @@ from cruxkit.interface import (
     PortSpec,
     UnsupportedSyntax,
     VERILOG_KEYWORDS,
+    DegradedInterface,
+    _balanced_parens,
+    _skip_ws,
+    _split_top_level,
     degrade_interface,
     parse_module_header,
     range_width,
     render_degraded_interface,
     render_interface,
+    strip_comments_and_attributes,
 )
+
+
+def exactly(message):
+    """A ``pytest.raises(match=...)`` pattern for the whole message."""
+    return "^" + re.escape(message) + r"\Z"
 
 
 def ports_of(iface):
@@ -102,11 +114,11 @@ class TestParse:
         src = "module a(input x);\nendmodule\nmodule b(output y);\nendmodule"
         assert parse_module_header(src).module_name == "a"
         assert parse_module_header(src, module_name="b").module_name == "b"
-        with pytest.raises(NoModuleFound):
+        with pytest.raises(NoModuleFound, match=exactly("no module named 'c'")):
             parse_module_header(src, module_name="c")
 
     def test_no_module_at_all(self):
-        with pytest.raises(NoModuleFound):
+        with pytest.raises(NoModuleFound, match=exactly("no module declaration found")):
             parse_module_header("// nothing here\nwire x;\n")
 
     def test_ascending_and_degenerate_ranges(self):
@@ -131,36 +143,95 @@ class TestParse:
 
 class TestParseErrors:
     def test_input_reg_rejected(self):
-        with pytest.raises(MalformedHeader):
+        message = "input ports cannot be reg: 'input reg x'"
+        with pytest.raises(MalformedHeader, match=exactly(message)):
             parse_module_header("module m(input reg x);\nendmodule")
 
     def test_non_ansi_name_list(self):
-        with pytest.raises(UnsupportedSyntax):
+        with pytest.raises(UnsupportedSyntax, match=exactly(
+            "port list without directions (non-ANSI header not supported)"
+        )):
             parse_module_header("module m(a, b);\ninput a;\nendmodule")
 
     def test_non_ansi_no_port_list(self):
-        with pytest.raises(UnsupportedSyntax):
+        with pytest.raises(UnsupportedSyntax, match=exactly(
+            "module 'm' has no header port list (non-ANSI style not supported)"
+        )):
             parse_module_header("module m;\nendmodule")
 
     def test_symbolic_range(self):
-        with pytest.raises(UnsupportedSyntax):
-            parse_module_header("module m(input [WIDTH-1:0] x);\nendmodule")
+        with pytest.raises(UnsupportedSyntax, match=exactly(
+            "non-constant range not supported: '[WIDTH-1:0]'"
+        )):
+            parse_module_header("module m(input [WIDTH - 1 : 0] x);\nendmodule")
 
     def test_unpacked_array_port(self):
-        with pytest.raises(UnsupportedSyntax):
+        with pytest.raises(UnsupportedSyntax, match=exactly(
+            "unpacked array port not supported: 'input [1:0] a [0:3]'"
+        )):
             parse_module_header("module m(input [1:0] a [0:3]);\nendmodule")
 
     def test_unbalanced_parens(self):
-        with pytest.raises(MalformedHeader):
+        message = "unbalanced parentheses in module header"
+        with pytest.raises(MalformedHeader, match=exactly(message)):
             parse_module_header("module m(input x;\nendmodule")
 
     def test_duplicate_port_name(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(MalformedHeader, match=exactly("duplicate port names")):
             parse_module_header("module m(input x, input x);\nendmodule")
 
     def test_empty_port_chunk(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(MalformedHeader, match=exactly("empty port entry")):
             parse_module_header("module m(input x,, input y);\nendmodule")
+
+
+# Every other header error, with its whole message: these messages become
+# build-dataset reclassification reasons and CRUX diagnostics. The
+# MalformedHeader that _parse_ports makes of a PortSpec ValueError is not
+# here: the port checks before it leave PortSpec nothing to reject.
+HEADER_ERRORS = [
+    ("module m #(parameter W = 1,) (input x);", MalformedHeader, "empty parameter entry"),
+    ("module m #(parameter W) (input x);", MalformedHeader,
+     "parameter without default: 'parameter W'"),
+    ("module m #( = 4) (input x);", MalformedHeader, "cannot parse parameter: '= 4'"),
+    ("module m #(parameter 8W = 1) (input x);", MalformedHeader, "illegal parameter name: '8W'"),
+    ("module m #(parameter P = 1, P = 2) (input x);", MalformedHeader,
+     "duplicate parameter names"),
+    ("module m #(parameter x = 1) (input x);", MalformedHeader,
+     "parameter name collides with port name"),
+    ("module m #(parameter W = (1) (input x);", MalformedHeader,
+     "unbalanced parentheses in module header"),
+    ("module m(input output x);", MalformedHeader, "cannot parse port: 'input output x'"),
+    ("module m(input x input y);", MalformedHeader, "cannot parse port: 'input x input y'"),
+    ("module m(input x y);", MalformedHeader, "cannot parse port: 'input x y'"),
+    ("module m(input [1:0] [3:0] a);", UnsupportedSyntax,
+     "multi-dimensional port not supported: 'input [1:0] [3:0] a'"),
+    ("module m(input a + b);", MalformedHeader, "unexpected token '+' in port: 'input a + b'"),
+    ("module m(input $a);", MalformedHeader, "unexpected token '$a' in port: 'input $a'"),
+    ("module m(input [3:0]);", MalformedHeader, "port entry has no name: 'input [3:0]'"),
+    ("module m(output reg q, input reg d);", MalformedHeader,
+     "input ports cannot be reg: 'input reg d'"),
+    ("module m(input a, reg b);", MalformedHeader, "input ports cannot be reg: 'reg b'"),
+    ("module (input x);", MalformedHeader, "module keyword without a name"),
+    ("module m # x (input a);", MalformedHeader, "expected '(' after '#'"),
+    ("module m #", MalformedHeader, "expected '(' after '#'"),
+    ("module m #(parameter W = 1);", UnsupportedSyntax,
+     "module 'm' has no header port list (non-ANSI style not supported)"),
+    ("module m input x;", MalformedHeader, "expected port list after module 'm'"),
+    ("module m", MalformedHeader, "expected port list after module 'm'"),
+    ("module m(input x)\nendmodule", MalformedHeader, "missing ';' after module 'm' header"),
+    ("module m(input x)", MalformedHeader, "missing ';' after module 'm' header"),
+    ("module input (output y);", MalformedHeader, "illegal module name: 'input'"),
+    ("module m(input [N:0] x);", UnsupportedSyntax, "non-constant range not supported: '[N:0]'"),
+    ("", NoModuleFound, "no module declaration found"),
+]
+
+
+@pytest.mark.parametrize("src, exc_type, message", HEADER_ERRORS)
+def test_header_error_message(src, exc_type, message):
+    with pytest.raises(exc_type, match=exactly(message)) as info:
+        parse_module_header(src)
+    assert type(info.value) is exc_type
 
 
 class TestDataModel:
@@ -168,15 +239,18 @@ class TestDataModel:
         assert range_width("[7:0]") == 8
         assert range_width("[0:7]") == 8
         assert range_width("[3:3]") == 1
+        message = "non-constant range not supported: ' [a:0] '"
+        with pytest.raises(UnsupportedSyntax, match=exactly(message)):
+            range_width(" [a:0] ")
 
     def test_portspec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("illegal port name: '2bad'")):
             PortSpec("2bad", Direction.INPUT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("width_bits must be >= 1, got 0")):
             PortSpec("x", Direction.INPUT, width_bits=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("input ports cannot be reg")):
             PortSpec("x", Direction.INPUT, is_reg=True)  # input reg is not legal
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("range '[7:0]' disagrees with width 4")):
             PortSpec("x", Direction.INPUT, width_bits=4, range_text="[7:0]")
 
     def test_range_text_is_metadata_only(self):
@@ -186,15 +260,19 @@ class TestDataModel:
 
     def test_interface_collisions(self):
         p = PortSpec("x", Direction.INPUT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("duplicate port names")):
             ModuleInterface("m", (), (p, p))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("parameter name collides with port name")):
             ModuleInterface("m", (("x", "1"),), (p,))
+        with pytest.raises(ValueError, match=exactly("duplicate parameter names")):
+            ModuleInterface("m", (("P", "1"), ("P", "2")), ())
+        with pytest.raises(ValueError, match=exactly("illegal module name: 'endmodule'")):
+            ModuleInterface("endmodule")
 
     def test_port_lookup(self):
         iface = ModuleInterface("m", (), (PortSpec("x", Direction.INPUT),))
         assert iface.port("x").name == "x"
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=exactly("'y'")):
             iface.port("y")
 
 
@@ -240,7 +318,7 @@ class TestRender:
 
     def test_unknown_style(self):
         iface = ModuleInterface("m", (), ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("unknown render style: 'yaml'")):
             render_interface(iface, style="yaml")
 
 
@@ -357,10 +435,25 @@ class TestDegradation:
         # all four direction/width keep combinations occur
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
+    def test_degraded_interface_validation(self):
+        clk, d, q, pad = self.IFACE.ports
+        ghost = PortSpec("ghost", Direction.INPUT)
+        cases = [
+            (((ghost, KEEP_ALL),), False, "retained port 'ghost' not in source interface"),
+            (((clk, KeptFields.DIRECTION),), False, "port names are always kept"),
+            (((pad, KeptFields.NAME),), False, "inout ports never lose their direction"),
+            (((clk, KEEP_ALL),), True, "fully_retained requires every port present"),
+            (((clk, KEEP_ALL), (d, KEEP_ALL), (q, KeptFields.NAME), (pad, KEEP_ALL)), True,
+             "fully_retained requires every field kept"),
+        ]
+        for retained, fully, message in cases:
+            with pytest.raises(ValueError, match=exactly(message)):
+                DegradedInterface(self.IFACE, retained, fully)
+
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("p_full_retain must be in [0,1], got 1.5")):
             DegradationPolicy(p_full_retain=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("p_keep_element must be in [0,1], got -0.1")):
             DegradationPolicy(p_keep_element=-0.1)
 
 
@@ -372,3 +465,84 @@ def test_degradation_invariants_any_seed(seed):
     for port, kept in deg.retained_ports:
         assert KeptFields.NAME in kept
         assert port in iface.ports
+
+
+# --- scanner properties ---------------------------------------------------------
+# Per-character reference scanners: the fast ones must agree with them on
+# every value and every exception.
+
+
+def oracle_balanced_parens(text, start):
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[start + 1 : i], i + 1
+    raise MalformedHeader("unbalanced parentheses in module header")
+
+
+def oracle_split_top_level(text):
+    chunks, depth, cur = [], 0, ""
+    for ch in text:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            chunks.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    return chunks + [cur]
+
+
+def oracle_skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raised", type(exc), str(exc)
+
+
+SCAN_TEXT = st.text(alphabet="()[]{},;a \n", max_size=80)
+
+
+@given(SCAN_TEXT)
+def test_split_top_level_matches_oracle(text):
+    assert outcome(_split_top_level, text) == outcome(oracle_split_top_level, text)
+
+
+@given(SCAN_TEXT, st.data())
+def test_balanced_parens_matches_oracle(text, data):
+    text = "(" + text
+    start = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "("]))
+    assert outcome(_balanced_parens, text, start) == outcome(oracle_balanced_parens, text, start)
+
+
+@given(st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000a(", max_size=20), st.data())
+def test_skip_ws_matches_oracle(text, data):
+    pos = data.draw(st.integers(min_value=0, max_value=len(text)))
+    assert _skip_ws(text, pos) == oracle_skip_ws(text, pos)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the scanners may use either test for whitespace; they agree everywhere
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
+@given(st.text(alphabet="/*()\n a;\r", max_size=80))
+def test_strip_keeps_length_and_newline_offsets(text):
+    out = strip_comments_and_attributes(text)
+    assert len(out) == len(text)
+    assert [i for i, ch in enumerate(out) if ch == "\n"] == [
+        i for i, ch in enumerate(text) if ch == "\n"
+    ]
