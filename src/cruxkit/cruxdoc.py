@@ -195,9 +195,13 @@ def parse_crux(text: str) -> CruxParseReport:
     current: str | None = None
     in_fence = False
     for no, raw in enumerate(text.split("\n"), start=1):
-        if _FENCE_RE.match(raw):
-            in_fence = not in_fence
-        heading = None if in_fence else _HEADING_RE.match(raw)
+        heading = None
+        # only a line starting with '#' or '`' after its indent can be either
+        if raw.lstrip(" ")[:1] in ("#", "`"):
+            if _FENCE_RE.match(raw):
+                in_fence = not in_fence
+            if not in_fence:
+                heading = _HEADING_RE.match(raw)
         if heading is not None:
             section = _SECTION_NAMES.get(heading.group(2).strip().lower())
             if section is None:

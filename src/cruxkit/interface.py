@@ -4,10 +4,19 @@ Only ANSI-style headers (``module name #(params) (ports);``) are handled.
 Bodies, expressions, generate blocks and the rest of the language are out
 of scope; anything beyond the supported header subset raises a typed error
 instead of guessing.
+
+Comments are read left to right, as a lexer would: whichever of ``//`` and
+``/*`` opens first wins, so a ``/*`` inside a line comment opens nothing.
+The scanners step from delimiter to delimiter with compiled patterns and
+string methods, never one character at a time. ``parse_module_header`` is
+memoized over the last few distinct inputs; its result is immutable (frozen
+dataclasses holding tuples), so callers share it safely. Errors are not
+cached: each failing call raises a new exception.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum, Flag, auto
@@ -130,50 +139,58 @@ class ModuleInterface:
         raise KeyError(name)
 
 
+# One left-to-right pass over both comment kinds, like a lexer: whichever
+# opens first wins, so a `/*` inside a `//` comment opens nothing.
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+# [^)] keeps this from swallowing `@(*)` sensitivity lists in bodies
+_ATTRIBUTE_RE = re.compile(r"\(\*[^)]*\*\)")
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank(m: re.Match[str]) -> str:
+    found = m.group()
+    if "\n" in found:
+        return _NOT_NEWLINE_RE.sub(" ", found)
+    return " " * len(found)
+
+
 def strip_comments_and_attributes(text: str) -> str:
     """Blank out //, /* */ comments and (* ... *) attributes.
 
     Replacement preserves newlines so later diagnostics could map offsets.
     """
-
-    def _blank(m: re.Match[str]) -> str:
-        return re.sub(r"[^\n]", " ", m.group(0))
-
-    text = re.sub(r"/\*.*?\*/", _blank, text, flags=re.S)
-    text = re.sub(r"//[^\n]*", _blank, text)
-    # [^)] keeps this from swallowing `@(*)` sensitivity lists in bodies
-    text = re.sub(r"\(\*[^)]*\*\)", _blank, text, flags=re.S)
-    return text
+    return _ATTRIBUTE_RE.sub(_blank, _COMMENT_RE.sub(_blank, text))
 
 
 def _balanced_parens(text: str, start: int) -> tuple[str, int]:
     """Return (inner text, index just past the closing paren); text[start] == '('."""
-    depth = 0
-    for i in range(start, len(text)):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return text[start + 1 : i], i + 1
+    # the parens close at the first ')' that leaves as many '(' as ')' behind it
+    opens = closes = 0
+    pos = start
+    while (close := text.find(")", pos)) >= 0:
+        opens += text.count("(", pos, close)
+        closes += 1
+        if opens == closes:
+            return text[start + 1 : close], close + 1
+        pos = close + 1
     raise MalformedHeader("unbalanced parentheses in module header")
+
+
+_NESTING_RE = re.compile(r"[()\[\]{},]")
+_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
 def _split_top_level(text: str) -> list[str]:
     """Split on commas not nested in (), [] or {}."""
-    chunks, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append("".join(cur))
+    chunks, depth, last = [], 0, 0
+    for m in _NESTING_RE.finditer(text):
+        ch = m.group()
+        if ch != ",":
+            depth += _DEPTH_STEP[ch]
+        elif depth == 0:
+            chunks.append(text[last : m.start()])
+            last = m.end()
+    chunks.append(text[last:])
     return chunks
 
 
@@ -197,6 +214,7 @@ def _parse_parameters(text: str) -> tuple[tuple[str, str], ...]:
 
 
 _PORT_TOKEN_RE = re.compile(r"\[[^\[\]]*\]|[A-Za-z_$][A-Za-z0-9_$]*|\S")
+_DIRECTIONS = {d.value: d for d in Direction}
 
 
 def _parse_ports(text: str) -> tuple[PortSpec, ...]:
@@ -212,10 +230,10 @@ def _parse_ports(text: str) -> tuple[PortSpec, ...]:
         range_text = ""
         name: str | None = None
         for tok in tokens:
-            if tok in ("input", "output", "inout"):
+            if tok in _DIRECTIONS:
                 if direction is not None or name is not None:
                     raise MalformedHeader(f"cannot parse port: {chunk!r}")
-                direction = Direction(tok)
+                direction = _DIRECTIONS[tok]
             elif tok == "reg":
                 is_reg = True
             elif tok in _NET_WORDS:
@@ -225,7 +243,7 @@ def _parse_ports(text: str) -> tuple[PortSpec, ...]:
                     raise UnsupportedSyntax(f"unpacked array port not supported: {chunk!r}")
                 if range_text:
                     raise UnsupportedSyntax(f"multi-dimensional port not supported: {chunk!r}")
-                range_text = re.sub(r"\s+", "", tok)
+                range_text = "".join(tok.split())
             elif _valid_identifier(tok):
                 if name is not None:
                     raise MalformedHeader(f"cannot parse port: {chunk!r}")
@@ -256,12 +274,15 @@ def _parse_ports(text: str) -> tuple[PortSpec, ...]:
     return tuple(ports)
 
 
+_WS_RE = re.compile(r"\s*")
+
+
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+    # regex \s and str.isspace agree on every code point
+    return _WS_RE.match(text, pos).end()
 
 
+_MODULE_RE = re.compile(r"\bmodule\b")
 _NAME_AT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_$]*)")
 
 
@@ -271,9 +292,20 @@ def parse_module_header(source_text: str, module_name: str | None = None) -> Mod
     With ``module_name`` given, parse that module instead of the first one.
     Raises NoModuleFound / MalformedHeader / UnsupportedSyntax.
     """
+    # a plain function in front of the cache: the public name keeps its
+    # signature, and both call forms share one cache key
+    return _parse_header(source_text, module_name)
+
+
+# Repeats come close together: build-dataset parses each record's reference
+# header twice in a row, and reward's rollouts restate their task's header
+# within 5 other distinct headers, so 16 entries hit as often as an unbounded
+# cache would. Errors are raised afresh, never cached.
+@functools.lru_cache(maxsize=16)
+def _parse_header(source_text: str, module_name: str | None) -> ModuleInterface:
     text = strip_comments_and_attributes(source_text)
     found_any = False
-    for m in re.finditer(r"\bmodule\b", text):
+    for m in _MODULE_RE.finditer(text):
         name_m = _NAME_AT_RE.match(text, m.end())
         if not name_m:
             raise MalformedHeader("module keyword without a name")
@@ -283,22 +315,22 @@ def parse_module_header(source_text: str, module_name: str | None = None) -> Mod
             continue
         cursor = _skip_ws(text, name_m.end())
         params: tuple[tuple[str, str], ...] = ()
-        if cursor < len(text) and text[cursor] == "#":
+        if text.startswith("#", cursor):
             cursor = _skip_ws(text, cursor + 1)
-            if cursor >= len(text) or text[cursor] != "(":
+            if not text.startswith("(", cursor):
                 raise MalformedHeader("expected '(' after '#'")
             param_text, cursor = _balanced_parens(text, cursor)
             params = _parse_parameters(param_text)
             cursor = _skip_ws(text, cursor)
-        if cursor < len(text) and text[cursor] == ";":
+        if text.startswith(";", cursor):
             raise UnsupportedSyntax(
                 f"module {name!r} has no header port list (non-ANSI style not supported)"
             )
-        if cursor >= len(text) or text[cursor] != "(":
+        if not text.startswith("(", cursor):
             raise MalformedHeader(f"expected port list after module {name!r}")
         port_text, cursor = _balanced_parens(text, cursor)
         cursor = _skip_ws(text, cursor)
-        if cursor >= len(text) or text[cursor] != ";":
+        if not text.startswith(";", cursor):
             raise MalformedHeader(f"missing ';' after module {name!r} header")
         ports = _parse_ports(port_text) if port_text.strip() else ()
         try:

@@ -149,6 +149,16 @@ class TestParse:
         assert report.doc is not None
         assert report.interface_parsable
 
+    def test_indented_headings_and_fences(self):
+        # up to three spaces of indent still open a heading or a fence; four
+        # spaces or a tab make the line section content
+        text = render_crux(DOC)
+        indented = text.replace("## Core", "   ## Core").replace("```verilog", "   ```verilog")
+        assert parse_crux(indented).doc == DOC
+        for indent in ("    ", "\t"):
+            report = parse_crux(text.replace("## Key", indent + "## Key"))
+            assert SECTION_KEY not in report.sections_found
+
     def test_duplicate_section_merges_with_warning(self):
         text = render_crux(DOC) + f"\n## Core Functions\n\n- Another fact\n"
         report = parse_crux(text)

@@ -5,7 +5,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cruxkit.interface import (
     KEEP_ALL,
@@ -109,6 +109,17 @@ class TestParse:
         iface = parse_module_header(src)
         assert iface.module_name == "m"
         assert ports_of(iface) == [("clk", "input", 1, False), ("q", "output", 4, True)]
+
+    def test_block_opener_inside_line_comment_opens_nothing(self):
+        # comments are read left to right: `/*` after `//` is comment text
+        head = "module m (\n input a, // see /* note\n input b,\n "
+        for tail in ("output c // end */\n);\nendmodule", "output c\n);\n/* later */\nendmodule"):
+            iface = parse_module_header(head + tail)
+            assert [p.name for p in iface.ports] == ["a", "b", "c"]
+
+    def test_line_opener_inside_block_comment_ends_with_it(self):
+        iface = parse_module_header("module m (/* x // y */ input a, input b);\nendmodule")
+        assert [p.name for p in iface.ports] == ["a", "b"]
 
     def test_first_module_wins_unless_named(self):
         src = "module a(input x);\nendmodule\nmodule b(output y);\nendmodule"
@@ -505,6 +516,24 @@ def oracle_skip_ws(text, pos):
     return pos
 
 
+def oracle_strip_comments(text):
+    """Blank comments read left to right, one character at a time."""
+    out, i = [], 0
+    while i < len(text):
+        if text.startswith("//", i):
+            end = text.find("\n", i)
+            end = len(text) if end < 0 else end
+        elif text.startswith("/*", i) and text.find("*/", i + 2) >= 0:
+            end = text.find("*/", i + 2) + 2
+        else:
+            out.append(text[i])
+            i += 1
+            continue
+        out.extend("\n" if ch == "\n" else " " for ch in text[i:end])
+        i = end
+    return "".join(out)
+
+
 def outcome(fn, *args):
     try:
         return "returned", fn(*args)
@@ -546,3 +575,9 @@ def test_strip_keeps_length_and_newline_offsets(text):
     assert [i for i, ch in enumerate(out) if ch == "\n"] == [
         i for i, ch in enumerate(text) if ch == "\n"
     ]
+
+
+@given(st.text(alphabet="/*\n a", max_size=80))
+@example("// /*\n*/ a")
+def test_strip_matches_left_to_right_lexer(text):
+    assert strip_comments_and_attributes(text) == oracle_strip_comments(text)
