@@ -2,7 +2,9 @@
 
 Each case runs one command over the toy corpus (the simulating ones on the
 echo toolchain) or over the committed ``fixtures/no-sim-tiny`` batch, and
-captures every output file, its stdout, its stderr and its exit code.
+captures every output file, its stdout, its stderr and its exit code. The
+``report`` cases first run the ``reward`` or ``evaluate`` case's command and
+render what it wrote.
 ``tests/test_golden.py`` reruns the cases and compares byte for byte against
 ``tests/golden/<case>/``. After an intended output change, regenerate with
 
@@ -201,6 +203,29 @@ def _no_sim_tiny(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
+def _setup(make_case, workdir: Path) -> Path:
+    """Runs another case's command in a subdirectory of ``workdir``; returns
+    its output directory."""
+    sub = workdir / "setup"
+    sub.mkdir()
+    args, outdir = make_case(sub)
+    setup = run_cli(*args)
+    assert setup.exit_code == 0, setup.output
+    return outdir
+
+
+def _report_reward(workdir: Path) -> tuple[list, Path]:
+    rewards = _setup(_reward, workdir) / "rewards.jsonl"
+    outdir = workdir / "out"
+    return ["report", "--reward", rewards, "--output-dir", outdir], outdir
+
+
+def _report_evaluate_dir(workdir: Path) -> tuple[list, Path]:
+    evaluated = _setup(_evaluate, workdir)
+    outdir = workdir / "out"
+    return ["report", "--evaluate-dir", evaluated, "--output-dir", outdir], outdir
+
+
 def _grpo_check(workdir: Path) -> tuple[list, Path]:
     outdir = workdir / "out"
     outdir.mkdir()
@@ -218,6 +243,8 @@ CASES = {
     "derive-crux-emit": _derive_crux_emit,
     "derive-crux-live": _derive_crux_live,
     "no-sim-tiny": _no_sim_tiny,
+    "report-reward": _report_reward,
+    "report-evaluate-dir": _report_evaluate_dir,
 }
 
 
