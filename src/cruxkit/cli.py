@@ -848,9 +848,9 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
                 mean = sum(values) / len(values)
                 lines_csv.append(f"{step},{mean!r},{len(values)}")
                 lines_txt.append(f"{step}\t{mean:.4f}\t{len(values)}")
-            with open(os.path.join(output_dir, "reward_by_step.csv"), "w") as f:
+            with open(os.path.join(output_dir, "reward_by_step.csv"), "w", encoding="utf-8") as f:
                 f.write("\n".join(lines_csv) + "\n")
-            with open(os.path.join(output_dir, "reward_by_step.txt"), "w") as f:
+            with open(os.path.join(output_dir, "reward_by_step.txt"), "w", encoding="utf-8") as f:
                 f.write("\n".join(lines_txt) + "\n")
             click.echo("\n".join(lines_txt))
         if evaluate_dir is not None:
@@ -865,7 +865,7 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
                 int(key.split("@")[1]) for key in rows[0] if key.startswith("pass@")
             )
             lines = report_lines(rows, ks)
-            with open(os.path.join(output_dir, "evaluation.txt"), "w") as f:
+            with open(os.path.join(output_dir, "evaluation.txt"), "w", encoding="utf-8") as f:
                 f.write("\n".join(lines) + "\n")
             click.echo("\n".join(lines))
 

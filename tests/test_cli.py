@@ -872,6 +872,24 @@ class TestReport:
         result = run_cli("report", "--output-dir", tmp_path / "rep")
         assert result.exit_code == 2
 
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        evaldir = tmp_path / "eval"
+        evaldir.mkdir()
+        row = {"c": 1, "n": 1, "pass@1": 1.0, "task_id": "tâche"}
+        (evaldir / "per_task.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+        outdir = tmp_path / "rep"
+        src = Path(__file__).resolve().parents[1] / "src"
+        ascii_env = {"PYTHONPATH": str(src), "LC_ALL": "C",
+                     "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        result = subprocess.run(
+            [sys.executable, "-m", "cruxkit.cli",
+             "report", "--evaluate-dir", str(evaldir), "--output-dir", str(outdir)],
+            capture_output=True, timeout=120, env={**os.environ, **ascii_env},
+        )
+        assert result.returncode == 0, result.stderr
+        lines = (outdir / "evaluation.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == ["task\tn\tc\tpass@1", "tâche\t1\t1\t1.0000"]
+
 
 class TestGrpoCheckCommand:
     def test_passes(self):
