@@ -190,6 +190,16 @@ def _as_pair(row: dict) -> RawPair:
         raise ConfigError(f"bad corpus row {row.get('id')!r}: {exc}") from exc
 
 
+def _category(row: dict) -> Category:
+    try:
+        return Category(row.get("category"))
+    except ValueError as exc:
+        raise ConfigError(
+            f"corpus row {row.get('id')!r} has no known category "
+            f"({row.get('category')!r}); run categorize first"
+        ) from exc
+
+
 def _toolchain(path: str | None) -> ToolchainConfig:
     if path is None:
         return ToolchainConfig()
@@ -460,7 +470,7 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
             raise ConfigError("--live needs --output for transcripts")
         bundles = []
         for row in rows:
-            category = Category(row["category"])
+            category = _category(row)
             if category is Category.EASY_QUESTION:
                 continue
             bundles.append((row, make_crux_derivation_prompt(_as_pair(row), category)))
@@ -520,7 +530,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         records, reclassified = [], []
         for row in rows:
             pair = _as_pair(row)
-            category = Category(row["category"])
+            category = _category(row)
             try:
                 reference_iface = parse_module_header(pair.reference_code)
             except HeaderError as exc:

@@ -207,6 +207,15 @@ class TestDeriveCrux:
         result = run_cli("derive-crux", "--input", categorized_toy)
         assert result.exit_code == 2
 
+    def test_uncategorized_input_is_usage_error(self, tmp_path):
+        result = run_cli(
+            "derive-crux", "--input", TOY / "pairs.jsonl", "--emit", tmp_path / "bundles.jsonl"
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: corpus row 'dff8p' has no known category (None); run categorize first\n"
+        )
+
 
 class TestBuildDataset:
     def test_full_toy_build(self, tmp_path, categorized_toy):
@@ -277,6 +286,23 @@ class TestBuildDataset:
             )
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("category, shown", [(None, "None"), ("Hard", "'Hard'")])
+    def test_uncategorized_row_is_usage_error(self, tmp_path, category, shown):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        rows = [dict(pairs[0], category="EasyQuestion"), dict(pairs[1], category=category)]
+        if category is None:
+            del rows[1]["category"]
+        categorized = tmp_path / "categorized.jsonl"
+        categorized.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        records = tmp_path / "records.jsonl"
+        result = run_cli("build-dataset", "--input", categorized, "--output", records)
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: corpus row {pairs[1]['id']!r} has no known category ({shown}); "
+            "run categorize first\n"
+        )
+        assert not records.exists()
 
 
 def write_candidates(tmp_path, pairs_rows):
