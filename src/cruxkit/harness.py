@@ -107,9 +107,6 @@ class ToolchainConfig:
     def binaries(self) -> tuple[str, str]:
         return shlex.split(self.compile_cmd)[0], shlex.split(self.run_cmd)[0]
 
-    def available(self) -> bool:
-        return all(shutil.which(b) is not None for b in self.binaries())
-
     def check_available(self) -> None:
         for binary in self.binaries():
             if shutil.which(binary) is None:

@@ -35,7 +35,7 @@ from cruxkit.grpo import (
     objective_gradient_check,
     random_toy_instance,
 )
-from cruxkit.harness import SimJob, ToolchainConfig, pass_at_k, run_sim
+from cruxkit.harness import SimJob, ToolchainConfig, ToolchainMissing, pass_at_k, run_sim
 from cruxkit.interface import (
     KeptFields,
     DegradationPolicy,
@@ -353,7 +353,9 @@ def test_criterion_8_end_to_end_real_simulator(tmp_path):
     with criterion(8, "end-to-end with real simulator"):
         start = time.perf_counter()
         default = ToolchainConfig()
-        if not default.available():
+        try:
+            default.check_available()
+        except ToolchainMissing:
             pytest.skip(
                 "no IEEE-1364 simulator on PATH (iverilog/vvp not found); "
                 "criterion applies only when one is installed - the hermetic "

@@ -459,9 +459,8 @@ class TestToolchainConfig:
         assert tc.compile_cmd == echo.compile_cmd
 
     def test_binaries_and_availability(self):
-        assert ToolchainConfig.echo().available()
+        ToolchainConfig.echo().check_available()
         missing = ToolchainConfig(compile_cmd="nope {out} {design} {tb}", run_cmd="x {out}")
-        assert not missing.available()
         with pytest.raises(ToolchainMissing):
             missing.check_available()
 
