@@ -541,18 +541,15 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
             seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
             seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
             degraded = degrade_interface(reference_iface, degradation, seed_degrade)
-            crux_text = None
-            verdict = None
-            diagram = None
+            crux_text = verdict = diagram = None
             if category is Category.NORMAL_DATA:
                 crux_text = transcripts.get((pair.id, "extract"))
             elif category is Category.SPECIAL_NON_TEXT:
                 crux_text = transcripts.get((pair.id, "circuit_parse"))
                 verdict = transcripts.get((pair.id, "validate"))
-                if crux_text is not None:
-                    report = parse_crux(crux_text)
-                    if report.doc is not None:
-                        diagram = diagram_blocks_for_realspec(report.doc)
+            crux = None if crux_text is None else parse_crux(crux_text)
+            if category is Category.SPECIAL_NON_TEXT and crux is not None and crux.doc is not None:
+                diagram = diagram_blocks_for_realspec(crux.doc)
             try:
                 realspec = build_realspec(
                     pair, category, degraded, augmentation, seed_augment, diagram
@@ -573,7 +570,9 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                     "p_suffix": augmentation.p_suffix,
                 },
             }
-            result = assemble_record(pair, category, realspec, crux_text, verdict, provenance)
+            result = assemble_record(
+                pair, category, realspec, reference_iface, crux, verdict, provenance
+            )
             if isinstance(result, Reclassification):
                 reclassified.append(result)
             else:

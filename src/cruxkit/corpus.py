@@ -14,12 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 
-from .cruxdoc import CruxDoc, parse_crux
-from .interface import (
-    DegradedInterface,
-    parse_module_header,
-    render_degraded_interface,
-)
+from .cruxdoc import CruxDoc, CruxParseReport
+from .interface import DegradedInterface, ModuleInterface, render_degraded_interface
 
 
 class Category(str, Enum):
@@ -313,8 +309,7 @@ class TaskRecord:
             )
 
 
-def _easy_crux(pair: RawPair) -> CruxDoc:
-    iface = parse_module_header(pair.reference_code)
+def _easy_crux(pair: RawPair, iface: ModuleInterface) -> CruxDoc:
     blocks = []
     for para in _split_paragraphs(pair.description):
         lines = [ln.strip() for ln in para.split("\n") if ln.strip()]
@@ -326,39 +321,41 @@ def assemble_record(
     pair: RawPair,
     category: Category,
     realspec: str,
-    crux_text: str | None = None,
+    reference_iface: ModuleInterface,
+    crux: CruxParseReport | None = None,
     validation_verdict: str | None = None,
     provenance: dict | None = None,
 ) -> TaskRecord | Reclassification:
     """Build the final record for a pair, or bounce it for re-derivation.
 
-    Easy Questions adopt the description as their Core Functions and leave
-    Key Considerations empty. Other categories parse ``crux_text``; parse
-    failures, empty Key Considerations, and failed SpecialNonText validation
-    all reclassify to NormalData instead of emitting a record.
+    Easy Questions adopt ``reference_iface`` and the description as their
+    CRUX and leave Key Considerations empty. Other categories take the parsed
+    transcript ``crux``; a missing one, failed SpecialNonText validation,
+    parse errors and empty Key Considerations all reclassify to NormalData
+    instead of emitting a record.
     """
     prov = dict(provenance or {})
     prov.setdefault("source_id", pair.id)
     if category is Category.EASY_QUESTION:
-        return TaskRecord(pair.id, realspec, _easy_crux(pair), pair.reference_code, category, prov)
-    if crux_text is None:
+        doc = _easy_crux(pair, reference_iface)
+        return TaskRecord(pair.id, realspec, doc, pair.reference_code, category, prov)
+    if crux is None:
         return Reclassification(pair.id, Category.NORMAL_DATA, "no CRUX transcript")
     if category is Category.SPECIAL_NON_TEXT and (validation_verdict or "").strip().lower() != "valid":
         return Reclassification(
             pair.id, Category.NORMAL_DATA, f"validation verdict: {validation_verdict!r}"
         )
-    report = parse_crux(crux_text)
-    if report.doc is None:
+    if crux.doc is None:
         first_error = next(
-            (d.message for d in report.diagnostics if d.severity == "error"),
+            (d.message for d in crux.diagnostics if d.severity == "error"),
             "unparsable CRUX text",
         )
         return Reclassification(pair.id, Category.NORMAL_DATA, first_error)
-    if not report.doc.key_considerations:
+    if not crux.doc.key_considerations:
         return Reclassification(
             pair.id, Category.NORMAL_DATA, "Key Considerations empty for non-easy task"
         )
-    return TaskRecord(pair.id, realspec, report.doc, pair.reference_code, category, prov)
+    return TaskRecord(pair.id, realspec, crux.doc, pair.reference_code, category, prov)
 
 
 _FENCED_CODE_RE = re.compile(r"```(?:[Vv]erilog|systemverilog|sv)?\s*\n(.*?)```", re.S)

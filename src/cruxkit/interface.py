@@ -8,15 +8,11 @@ instead of guessing.
 Comments are read left to right, as a lexer would: whichever of ``//`` and
 ``/*`` opens first wins, so a ``/*`` inside a line comment opens nothing.
 The scanners step from delimiter to delimiter with compiled patterns and
-string methods, never one character at a time. ``parse_module_header`` is
-memoized over the last few distinct inputs; its result is immutable (frozen
-dataclasses holding tuples), so callers share it safely. Errors are not
-cached: each failing call raises a new exception.
+string methods, never one character at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum, Flag, auto
@@ -292,17 +288,6 @@ def parse_module_header(source_text: str, module_name: str | None = None) -> Mod
     With ``module_name`` given, parse that module instead of the first one.
     Raises NoModuleFound / MalformedHeader / UnsupportedSyntax.
     """
-    # a plain function in front of the cache: the public name keeps its
-    # signature, and both call forms share one cache key
-    return _parse_header(source_text, module_name)
-
-
-# Repeats come close together: build-dataset parses each record's reference
-# header twice in a row, and reward's rollouts restate their task's header
-# within 5 other distinct headers, so 16 entries hit as often as an unbounded
-# cache would. Errors are raised afresh, never cached.
-@functools.lru_cache(maxsize=16)
-def _parse_header(source_text: str, module_name: str | None) -> ModuleInterface:
     text = strip_comments_and_attributes(source_text)
     found_any = False
     for m in _MODULE_RE.finditer(text):

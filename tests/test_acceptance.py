@@ -275,14 +275,12 @@ def test_criterion_7_parser_fidelity_fixtures():
             report = parse_crux(transcripts[(task_id, stage)])
             assert report.doc is not None, task_id
             docs[task_id] = report.doc
+        clk = pairs["clkgenerator"]
         easy = assemble_record(
-            RawPair(
-                "clkgenerator",
-                pairs["clkgenerator"]["description"],
-                pairs["clkgenerator"]["reference_code"],
-            ),
+            RawPair("clkgenerator", clk["description"], clk["reference_code"]),
             Category.EASY_QUESTION,
             "realspec",
+            parse_module_header(clk["reference_code"]),
         )
         docs["clkgenerator"] = easy.crux
         for task_id, doc in docs.items():

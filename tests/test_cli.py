@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cruxkit.harness import SimOutcome
 
 TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_corpus"
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
+NO_SIM_TINY = Path(__file__).resolve().parent / "fixtures" / "no-sim-tiny"
 
 
 def run_cli(*args, **kwargs):
@@ -303,6 +305,67 @@ class TestBuildDataset:
             "run categorize first\n"
         )
         assert not records.exists()
+
+    def test_parses_each_reference_header_and_transcript_once(self, tmp_path, monkeypatch):
+        from cruxkit.interface import HeaderError, parse_module_header
+
+        config = ["--config", NO_SIM_TINY / "config.json"]
+        categorized = tmp_path / "categorized.jsonl"
+        result = run_cli(*config, "categorize", "--input", NO_SIM_TINY / "pairs.jsonl",
+                         "--verdicts", NO_SIM_TINY / "verdicts.jsonl", "--output", categorized)
+        assert result.exit_code == 0, result.output
+        _, rows = read_jsonl(categorized)
+        references = [r["reference_code"] for r in rows]
+        assert len(set(references)) == len(rows) == 60
+        _, transcripts = read_jsonl(NO_SIM_TINY / "transcripts.jsonl")
+        texts = {(t["id"], t["stage"]): t["text"] for t in transcripts}
+        stages = {"NormalData": "extract", "SpecialNonText": "circuit_parse"}
+        # a row whose reference header fails is reclassified before its transcript is read
+        notes = []
+        for row in rows:
+            try:
+                parse_module_header(row["reference_code"])
+            except HeaderError:
+                continue
+            if (row["id"], stages.get(row["category"])) in texts:
+                notes.append(texts[(row["id"], stages[row["category"]])])
+        assert len(set(notes)) == len(notes) > 0
+        assert any(r["category"] == "EasyQuestion" for r in rows)
+
+        calls = logged_parsers(monkeypatch)
+        result = run_cli(*config, "build-dataset", "--input", categorized,
+                         "--transcripts", NO_SIM_TINY / "transcripts.jsonl",
+                         "--output", tmp_path / "records.jsonl")
+        assert result.exit_code == 0, result.output
+        header_parses = Counter(calls["parse_module_header"])
+        assert [header_parses[ref] for ref in references] == [1] * len(references)
+        assert sorted(calls["parse_crux"]) == sorted(notes)
+
+
+def logged_parsers(monkeypatch):
+    """Replaces ``parse_module_header`` and ``parse_crux`` in every cruxkit
+    module that binds them; returns each one's list of parsed texts."""
+    import cruxkit.cruxdoc
+    import cruxkit.interface
+
+    real = {
+        "parse_module_header": cruxkit.interface.parse_module_header,
+        "parse_crux": cruxkit.cruxdoc.parse_crux,
+    }
+    calls = {name: [] for name in real}
+
+    def logging(name):
+        def parse(text, *args, **kwargs):
+            calls[name].append(text)
+            return real[name](text, *args, **kwargs)
+        return parse
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cruxkit."):
+            for name, fn in real.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, logging(name))
+    return calls
 
 
 def write_candidates(tmp_path, pairs_rows):

@@ -215,10 +215,14 @@ def canned_crux_text():
     return render_crux(doc)
 
 
+def reference_iface():
+    return parse_module_header(make_pair().reference_code)
+
+
 class TestAssembleRecord:
     def test_easy_derives_crux_locally(self):
         pair = make_pair()
-        record = assemble_record(pair, Category.EASY_QUESTION, "spec text")
+        record = assemble_record(pair, Category.EASY_QUESTION, "spec text", reference_iface())
         assert isinstance(record, TaskRecord)
         assert record.category is Category.EASY_QUESTION
         assert record.crux.key_considerations == ()
@@ -227,44 +231,50 @@ class TestAssembleRecord:
 
     def test_normal_with_valid_transcript(self):
         record = assemble_record(
-            make_pair(), Category.NORMAL_DATA, "spec", crux_text=canned_crux_text()
+            make_pair(), Category.NORMAL_DATA, "spec", reference_iface(),
+            crux=parse_crux(canned_crux_text()),
         )
         assert isinstance(record, TaskRecord)
         assert record.crux.key_considerations != ()
 
     def test_normal_without_transcript_reclassifies(self):
-        out = assemble_record(make_pair(), Category.NORMAL_DATA, "spec", crux_text=None)
+        out = assemble_record(
+            make_pair(), Category.NORMAL_DATA, "spec", reference_iface(), crux=None
+        )
         assert isinstance(out, Reclassification)
         assert out.to is Category.NORMAL_DATA
 
     def test_unparsable_transcript_reclassifies(self):
         out = assemble_record(
-            make_pair(), Category.NORMAL_DATA, "spec", crux_text="not a document"
+            make_pair(), Category.NORMAL_DATA, "spec", reference_iface(),
+            crux=parse_crux("not a document"),
         )
         assert isinstance(out, Reclassification)
         assert out.reason
 
     def test_empty_key_considerations_reclassifies(self):
         text = canned_crux_text().split("## Key Considerations")[0] + "## Key Considerations\n"
-        out = assemble_record(make_pair(), Category.NORMAL_DATA, "spec", crux_text=text)
+        out = assemble_record(
+            make_pair(), Category.NORMAL_DATA, "spec", reference_iface(), crux=parse_crux(text)
+        )
         assert isinstance(out, Reclassification)
 
     def test_special_requires_valid_verdict(self):
-        text = canned_crux_text()
+        crux = parse_crux(canned_crux_text())
         ok = assemble_record(
-            make_pair(), Category.SPECIAL_NON_TEXT, "spec",
-            crux_text=text, validation_verdict="valid",
+            make_pair(), Category.SPECIAL_NON_TEXT, "spec", reference_iface(),
+            crux=crux, validation_verdict="valid",
         )
         assert isinstance(ok, TaskRecord)
         rejected = assemble_record(
-            make_pair(), Category.SPECIAL_NON_TEXT, "spec",
-            crux_text=text, validation_verdict="the diagram is inconsistent",
+            make_pair(), Category.SPECIAL_NON_TEXT, "spec", reference_iface(),
+            crux=crux, validation_verdict="the diagram is inconsistent",
         )
         assert isinstance(rejected, Reclassification)
 
     def test_record_couples_category_to_key_considerations(self):
         pair = make_pair()
-        easy = assemble_record(pair, Category.EASY_QUESTION, "spec")
+        easy = assemble_record(pair, Category.EASY_QUESTION, "spec", reference_iface())
         with pytest.raises(ValueError):
             TaskRecord(
                 id=pair.id,
@@ -277,7 +287,8 @@ class TestAssembleRecord:
 
     def test_provenance_preserved(self):
         record = assemble_record(
-            make_pair(), Category.EASY_QUESTION, "spec", provenance={"seed": 5}
+            make_pair(), Category.EASY_QUESTION, "spec", reference_iface(),
+            provenance={"seed": 5},
         )
         assert record.provenance == {"seed": 5, "source_id": "t1"}
 
