@@ -541,7 +541,9 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
             seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
             seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
             degraded = degrade_interface(reference_iface, degradation, seed_degrade)
-            crux_text = verdict = diagram = None
+            crux_text = None
+            verdict = None
+            diagram = None
             if category is Category.NORMAL_DATA:
                 crux_text = transcripts.get((pair.id, "extract"))
             elif category is Category.SPECIAL_NON_TEXT:

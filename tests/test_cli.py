@@ -327,8 +327,9 @@ class TestBuildDataset:
                 parse_module_header(row["reference_code"])
             except HeaderError:
                 continue
-            if (row["id"], stages.get(row["category"])) in texts:
-                notes.append(texts[(row["id"], stages[row["category"]])])
+            note = texts.get((row["id"], stages.get(row["category"])))
+            if note is not None:
+                notes.append(note)
         assert len(set(notes)) == len(notes) > 0
         assert any(r["category"] == "EasyQuestion" for r in rows)
 
