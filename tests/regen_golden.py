@@ -117,6 +117,38 @@ def _evaluate_error_order(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
+def _evaluate_failures(workdir: Path) -> tuple[list, Path]:
+    """Every task's reference, plus mux2to1 candidates that crash (exit 3),
+    time out (sleep 5 s under a 300 ms run timeout) and print one line
+    differently from the reference."""
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"timeout_ms": 300}))
+    candidates = workdir / "candidates.jsonl"
+    with open(candidates, "w") as f:
+        for row in pairs:
+            codes = [row["reference_code"]]
+            if row["id"] == "mux2to1":
+                ref = row["reference_code"]
+                codes += [
+                    ref + "// EXITCODE: 3\n",
+                    "// SLEEP: 5\n" + ref,
+                    ref.replace("// EMIT: mux2to1 sel1 b", "// EMIT: mux2to1 sel1 a"),
+                ]
+            f.write(json.dumps({"task_id": row["id"], "candidates": codes}) + "\n")
+    outdir = workdir / "out"
+    args = [
+        "--config", config,
+        "evaluate",
+        "--tasks", TOY / "pairs.jsonl",
+        "--candidates", candidates,
+        "--testbenches", TOY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output-dir", outdir,
+    ]
+    return args, outdir
+
+
 def _categorize(workdir: Path) -> tuple[list, Path]:
     outdir = workdir / "out"
     outdir.mkdir()
@@ -237,6 +269,7 @@ CASES = {
     "reward": _reward,
     "categorize-live": _categorize_live,
     "evaluate-error-order": _evaluate_error_order,
+    "evaluate-failures": _evaluate_failures,
     "categorize": _categorize,
     "build-dataset": _build_dataset,
     "grpo-check": _grpo_check,
