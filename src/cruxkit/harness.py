@@ -6,11 +6,11 @@ comparing the run's monitored-output transcript against the transcript the
 reference design produces under the same testbench: testbenches print one
 line per sampled cycle, so the two transcripts align by line index.
 
-Each toolchain step's stdout and stderr are read back once, as text with
-invalid bytes replaced (U+FFFD) and at most ``OUTPUT_LIMIT`` characters
-kept. A run whose stdout is longer than that fails as ``truncated``; a step
-whose capture file grows past what that many characters can take is
-stopped, so a flood is bounded on disk as well as in memory.
+Each toolchain step runs under kernel limits on the size of every file it
+writes and on its address space (``OUTPUT_LIMIT``, ``MEMORY_LIMIT_KB``). Its
+stdout and stderr are read back once, as text with invalid bytes replaced
+(U+FFFD) and at most ``OUTPUT_LIMIT`` characters kept; a run whose stdout is
+longer than that fails as ``truncated``.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor  # the sim pool's class; see cli._Simulator
 from dataclasses import dataclass, field
 
 
 # characters kept of each step's stdout and stderr; a run with longer stdout fails
 OUTPUT_LIMIT = 4 * 1024 * 1024
-# how often a running step's capture files are checked against that limit
-_WAIT_SLICE_MS = 100
+# address space each toolchain step may use, in KiB
+MEMORY_LIMIT_KB = 4 * 1024 * 1024
 
 
 class ToolchainMissing(RuntimeError):
@@ -187,37 +186,39 @@ def _run_child(
     """Run one toolchain step in a session of its own; returns its return
     code (``None`` on timeout, with no output), stdout and stderr.
 
-    Output goes to unnamed temporary files, so the step never stalls on a
-    full pipe and only its leader is waited for, in slices of
-    ``_WAIT_SLICE_MS``. When the leader exits, at the timeout, or once a
-    capture file holds more bytes than ``OUTPUT_LIMIT`` characters can take,
-    the step's whole process group is killed before the leader is reaped:
-    the unreaped leader still holds the group id, so the signal reaches only
-    processes the step started. A step stopped for its output is reported
-    as one that exited, with the kill's return code (-9).
+    ``sh`` sets the step's limits and execs it, keeping the pid; if a limit
+    cannot be set, the step does not run. No file the step writes can hold
+    more bytes than ``OUTPUT_LIMIT`` characters can take: a writer past that
+    gets ``EFBIG`` or dies of ``SIGXFSZ``. Output goes to unnamed temporary
+    files, so the step never stalls on a full pipe, and only its leader is
+    waited for. When it exits or at the timeout, the step's whole process
+    group is killed before the leader is reaped: the unreaped leader still
+    holds the group id, so the signal reaches only processes the step started.
     """
+    # looked up as Popen would: on PATH, or from cwd for a name with a slash
+    name = os.path.join(cwd, cmd[0]) if os.sep in cmd[0] else cmd[0]
+    binary = shutil.which(name, path=env.get("PATH"))
+    if binary is None:
+        raise ToolchainMissing(f"toolchain binary not found: {cmd[0]!r}")
+    # in 512-byte blocks; over 4 * (OUTPUT_LIMIT + 1) bytes decode to over
+    # OUTPUT_LIMIT characters
+    blocks = math.ceil(4 * (OUTPUT_LIMIT + 1) / 512)
+    limits = f'ulimit -f {blocks} && ulimit -v {MEMORY_LIMIT_KB} && exec "$@"'
     with tempfile.TemporaryFile("w+", errors="replace") as out, \
             tempfile.TemporaryFile("w+", errors="replace") as err:
         with subprocess.Popen(
-            cmd, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True
+            ["/bin/sh", "-c", limits, "sh", binary, *cmd[1:]],
+            cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True,
         ) as proc:
-            # more bytes than this always decode to over OUTPUT_LIMIT characters
-            byte_cap = 4 * (OUTPUT_LIMIT + 1)
-            deadline = time.monotonic() + timeout_ms / 1000
-            finished = False
             pidfd = os.pidfd_open(proc.pid)
             try:
                 poller = select.poll()
                 poller.register(pidfd, select.POLLIN)
-                while not finished and (left := deadline - time.monotonic()) > 0:
-                    exited = poller.poll(min(_WAIT_SLICE_MS, math.ceil(left * 1000)))
-                    finished = bool(exited) or any(
-                        os.fstat(f.fileno()).st_size > byte_cap for f in (out, err)
-                    )
+                exited = bool(poller.poll(timeout_ms))
             finally:
                 os.close(pidfd)
             os.killpg(proc.pid, signal.SIGKILL)
-        if not finished:
+        if not exited:
             return None, "", ""
         return proc.returncode, _read_capped(out), _read_capped(err)
 
@@ -287,8 +288,6 @@ def run_sim(
             compile_ok=True, ran_ok=True, stdout_lines=lines,
             match_fraction=fraction, returncode=0, scratch_dir=scratch,
         )
-    except FileNotFoundError as exc:
-        raise ToolchainMissing(str(exc)) from exc
     finally:
         if not toolchain.keep_artifacts:
             shutil.rmtree(scratch, ignore_errors=True)

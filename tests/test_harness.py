@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -246,6 +247,49 @@ class TestUntrustedOutput:
         while _alive(pid) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not _alive(pid), f"flooding loop {pid} outlived the stopped run"
+        assert self.leftovers(scratch_root) == []
+
+    def test_one_burst_is_cut_at_the_byte_cap(self, scratch_root, monkeypatch):
+        # the whole burst is written before any check of the file could see it
+        monkeypatch.setattr(harness, "OUTPUT_LIMIT", 1000)
+        sizes = []
+        read_capped = harness._read_capped
+
+        def spy(f):
+            sizes.append(os.fstat(f.fileno()).st_size)
+            return read_capped(f)
+
+        monkeypatch.setattr(harness, "_read_capped", spy)
+        tc = ToolchainConfig(
+            compile_cmd="true {out}", run_cmd='sh -c "yes 0123456789 | head -c 5000000" {out}'
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.truncated and out.compile_ok and not out.ran_ok
+        # the file limit is set in 512-byte blocks
+        cap = math.ceil(4 * 1001 / 512) * 512
+        assert len(sizes) == 4 and max(sizes) <= cap, sizes
+        assert self.leftovers(scratch_root) == []
+
+    def test_allocation_over_the_memory_limit_fails_the_run(self, scratch_root, monkeypatch):
+        monkeypatch.setattr(harness, "MEMORY_LIMIT_KB", 64 * 1024, raising=False)
+        tc = ToolchainConfig(
+            compile_cmd="true {out}",
+            run_cmd=f'{shlex.quote(sys.executable)} -I -S -c "bytearray(300 << 20)" {{out}}',
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.compile_ok and not out.ran_ok
+        assert "MemoryError" in out.log
+        assert self.leftovers(scratch_root) == []
+
+    def test_a_limit_that_cannot_be_set_runs_nothing(self, scratch_root, monkeypatch):
+        monkeypatch.setattr(harness, "MEMORY_LIMIT_KB", -1, raising=False)
+        marker = scratch_root / "ran"
+        tc = ToolchainConfig(
+            compile_cmd=f"touch {shlex.quote(str(marker))} {{out}}", run_cmd="true {out}"
+        )
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert not out.compile_ok and not out.ran_ok
+        assert not marker.exists()
         assert self.leftovers(scratch_root) == []
 
     def test_missing_toolchain_leaves_no_scratch(self, scratch_root):
