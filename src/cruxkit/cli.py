@@ -183,6 +183,16 @@ def _load_pairs(path: str) -> list[dict]:
     return rows
 
 
+def _load_tasks(path: str) -> dict[str, dict]:
+    """Task rows by id; a row without an id or reference code is a usage error."""
+    rows = _load_pairs(path)
+    for row in rows:
+        for key in ("id", "reference_code"):
+            if key not in row:
+                raise ConfigError(f"task row {row.get('id')!r} has no {key!r}")
+    return {row["id"]: row for row in rows}
+
+
 def _as_pair(row: dict) -> RawPair:
     try:
         return RawPair(row["id"], row["description"], row["reference_code"])
@@ -524,7 +534,12 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         transcripts: dict[tuple[str, str], str] = {}
         if transcripts_path is not None:
             for t in jsonl.read_rows(_require_file(transcripts_path, "transcripts file")):
-                transcripts[(t["id"], t["stage"])] = t["text"]
+                try:
+                    transcripts[(t["id"], t["stage"])] = t["text"]
+                except KeyError as exc:
+                    raise ConfigError(
+                        f"transcript row {t.get('id')!r} has no {exc.args[0]!r}"
+                    ) from exc
         degradation = DegradationPolicy(**cfg["degradation"])
         augmentation = AugmentationPolicy(**cfg["augmentation"])
         records, reclassified = [], []
@@ -630,7 +645,7 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         if keep_artifacts:
             toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
         sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
-        tasks = {r["id"]: r for r in _load_pairs(tasks_path)}
+        tasks = _load_tasks(tasks_path)
         cand_rows = jsonl.read_rows(_require_file(candidates_path, "candidates file"))
         ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
         thr = cfg["threshold"] if threshold is None else threshold
@@ -689,7 +704,7 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
     def run():
         sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
-        tasks = {r["id"]: r for r in _load_pairs(tasks_path)}
+        tasks = _load_tasks(tasks_path)
         schedule = WeightSchedule(**cfg["schedule"])
         gateway = Gateway(_provider(provider_path, mock_script))
         epsilon = cfg["grpo"]["epsilon"]

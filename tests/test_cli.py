@@ -306,6 +306,20 @@ class TestBuildDataset:
         )
         assert not records.exists()
 
+    def test_transcript_without_stage_is_usage_error(self, tmp_path, categorized_toy):
+        transcripts = tmp_path / "transcripts.jsonl"
+        transcripts.write_text(json.dumps({"id": "dff8p", "text": "## Module Interface"}) + "\n")
+        records = tmp_path / "records.jsonl"
+        result = run_cli(
+            "build-dataset",
+            "--input", categorized_toy,
+            "--transcripts", transcripts,
+            "--output", records,
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: transcript row 'dff8p' has no 'stage'\n"
+        assert not records.exists()
+
     def test_parses_each_reference_header_and_transcript_once(self, tmp_path, monkeypatch):
         from cruxkit.interface import HeaderError, parse_module_header
 
@@ -505,6 +519,24 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "ghost" in result.stderr
 
+    def test_task_without_reference_code_is_usage_error(self, tmp_path, echo_toolchain_file):
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps({"id": "mux2to1", "description": "a mux"}) + "\n")
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(
+            json.dumps({"task_id": "mux2to1", "candidates": ["module m; endmodule"]}) + "\n"
+        )
+        result = run_cli(
+            "evaluate",
+            "--tasks", tasks,
+            "--candidates", candidates,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output-dir", tmp_path / "eval",
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: task row 'mux2to1' has no 'reference_code'\n"
+
     def test_missing_simulator_exits_before_work(self, tmp_path):
         tc = tmp_path / "tc.json"
         tc.write_text(json.dumps({
@@ -651,6 +683,23 @@ class TestReward:
             "--output", tmp_path / "out.jsonl",
         )
         assert result.exit_code == 2
+
+    def test_task_without_reference_code_is_usage_error(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps({"id": pairs[0]["id"], "description": "no code"}) + "\n")
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli(
+            "reward",
+            "--groups", write_groups(tmp_path, pairs[:1], step=0),
+            "--tasks", tasks,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output", out,
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: task row {pairs[0]['id']!r} has no 'reference_code'\n"
+        assert not out.exists()
 
     def test_kl_without_ref_logprobs_is_usage_error(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
