@@ -86,23 +86,28 @@ class PortSpec:
 
     ``range_text`` carries the original range annotation for diagnostics and
     faithful re-rendering; it is excluded from equality so that semantically
-    identical ports compare equal regardless of spelling.
+    identical ports compare equal regardless of spelling. A ``width_bits``
+    left as ``None`` is read off ``range_text`` (1 without one); a given one
+    must agree with it.
     """
 
     name: str
     direction: Direction
-    width_bits: int = 1
+    width_bits: int | None = None
     is_reg: bool = False
     range_text: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not _valid_identifier(self.name):
             raise ValueError(f"illegal port name: {self.name!r}")
+        range_bits = range_width(self.range_text) if self.range_text else None
+        if self.width_bits is None:
+            object.__setattr__(self, "width_bits", range_bits or 1)
         if self.width_bits < 1:
             raise ValueError(f"width_bits must be >= 1, got {self.width_bits}")
         if self.is_reg and self.direction is Direction.INPUT:
             raise ValueError("input ports cannot be reg")
-        if self.range_text and range_width(self.range_text) != self.width_bits:
+        if range_bits is not None and range_bits != self.width_bits:
             raise ValueError(
                 f"range {self.range_text!r} disagrees with width {self.width_bits}"
             )
@@ -260,11 +265,8 @@ def _parse_ports(text: str) -> tuple[PortSpec, ...]:
                 range_text = prev.range_text
         if direction is Direction.INPUT and is_reg:
             raise MalformedHeader(f"input ports cannot be reg: {chunk!r}")
-        width = range_width(range_text) if range_text else 1
-        try:
-            port = PortSpec(name, direction, width, is_reg, range_text)
-        except ValueError as exc:
-            raise MalformedHeader(str(exc)) from exc
+        # no other PortSpec check can fail here; it reads the width off the range
+        port = PortSpec(name, direction, None, is_reg, range_text)
         ports.append(port)
         prev = port
     return tuple(ports)

@@ -264,6 +264,24 @@ class TestDataModel:
         with pytest.raises(ValueError, match=exactly("range '[7:0]' disagrees with width 4")):
             PortSpec("x", Direction.INPUT, width_bits=4, range_text="[7:0]")
 
+    def test_range_width_runs_once_per_ranged_port(self, monkeypatch):
+        import cruxkit.interface as interface
+
+        seen = []
+        real_range_width = interface.range_width
+        monkeypatch.setattr(
+            interface, "range_width", lambda text: seen.append(text) or real_range_width(text)
+        )
+        iface = parse_module_header(
+            "module m (input [7:0] a, b, input clk, output reg [0:3] q); endmodule"
+        )
+        assert [p.width_bits for p in iface.ports] == [8, 8, 1, 4]
+        assert seen == ["[7:0]", "[7:0]", "[0:3]"]
+
+    def test_width_is_read_off_the_range(self):
+        assert PortSpec("x", Direction.INPUT, range_text="[0:3]").width_bits == 4
+        assert PortSpec("x", Direction.INPUT).width_bits == 1
+
     def test_range_text_is_metadata_only(self):
         a = PortSpec("x", Direction.INPUT, 8, False, "[7:0]")
         b = PortSpec("x", Direction.INPUT, 8, False, "")
