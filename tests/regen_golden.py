@@ -1,7 +1,7 @@
 """Golden outputs of the commands, and the only way to regenerate them.
 
 Each case runs one command over the toy corpus (the simulating ones on the
-echo toolchain) or over the committed ``fixtures/no-sim-tiny`` batch, and
+echo toolchain) or over a committed benchmark batch under ``fixtures/``, and
 captures every output file, its stdout, its stderr and its exit code. The
 ``report`` cases first run the ``reward`` or ``evaluate`` case's command and
 render what it wrote.
@@ -16,6 +16,7 @@ and record the change and its reason in CHANGES.md.
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -25,6 +26,11 @@ GOLDEN = HERE / "golden"
 # its inputs, config and mock provider rules, copied so that a change to the
 # benchmark generator cannot move this golden.
 NO_SIM_TINY = HERE / "fixtures" / "no-sim-tiny"
+# An eval-sweep and an rl-groups batch of the same generator (size tiny,
+# seed 1, batch 0), each with its config and, for rl-groups, its mock
+# provider; both are simulated on the echo toolchain.
+EVAL_SWEEP_TINY = HERE / "fixtures" / "eval-sweep-tiny"
+RL_GROUPS_TINY = HERE / "fixtures" / "rl-groups-tiny"
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from test_cli import (  # noqa: E402
@@ -235,6 +241,40 @@ def _no_sim_tiny(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
+def _evaluate_sweep_tiny(workdir: Path) -> tuple[list, Path]:
+    """One eval-sweep batch: a pass, mismatches, a compile failure, a crash
+    and a candidate that outlasts the batch's 1.5 s run timeout."""
+    outdir = workdir / "out"
+    args = [
+        "--config", EVAL_SWEEP_TINY / "config.json",
+        "evaluate",
+        "--tasks", EVAL_SWEEP_TINY / "tasks.jsonl",
+        "--candidates", EVAL_SWEEP_TINY / "candidates.jsonl",
+        "--testbenches", EVAL_SWEEP_TINY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output-dir", outdir,
+    ]
+    return args, outdir
+
+
+def _reward_rl_tiny(workdir: Path) -> tuple[list, Path]:
+    """One rl-groups batch: two 8-rollout groups under beta > 0, scored
+    through a mock provider whose first scoring call exhausts its retries."""
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "--config", RL_GROUPS_TINY / "config.json",
+        "reward",
+        "--groups", RL_GROUPS_TINY / "groups.jsonl",
+        "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+        "--testbenches", RL_GROUPS_TINY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--provider", RL_GROUPS_TINY / "provider.json",
+        "--output", outdir / "rewards.jsonl",
+    ]
+    return args, outdir
+
+
 def _setup(make_case, workdir: Path) -> Path:
     """Runs another case's command in a subdirectory of ``workdir``; returns
     its output directory."""
@@ -276,6 +316,8 @@ CASES = {
     "derive-crux-emit": _derive_crux_emit,
     "derive-crux-live": _derive_crux_live,
     "no-sim-tiny": _no_sim_tiny,
+    "evaluate-sweep-tiny": _evaluate_sweep_tiny,
+    "reward-rl-tiny": _reward_rl_tiny,
     "report-reward": _report_reward,
     "report-evaluate-dir": _report_evaluate_dir,
 }
@@ -285,7 +327,15 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     """Run one case in ``workdir``; returns file name -> bytes, output files
     plus ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``."""
     args, outdir = CASES[name](workdir)
-    result = run_cli(*args)
+    # a cruxkit process starts with no logging handlers, so a warning reaches
+    # stderr through logging's last-resort handler; a test runner's root
+    # handlers would take it instead
+    handlers = logging.root.handlers[:]
+    logging.root.handlers.clear()
+    try:
+        result = run_cli(*args)
+    finally:
+        logging.root.handlers[:] = handlers
     files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
     files["stdout.txt"] = result.stdout_bytes
     files["stderr.txt"] = result.stderr_bytes
