@@ -7,6 +7,12 @@ reports. Every output file starts with a meta row carrying the config hash
 and seed, and reruns with identical inputs and the mock provider are
 byte-identical (wall-clock measurements are deliberately kept out of files).
 
+Each command loads only the layers it drives: ``harness``, ``jsonl`` and
+``grpo`` (which imports no other cruxkit module) are loaded with this one,
+and ``corpus``, ``cruxdoc``, ``interface``, ``rewards`` and ``gateway`` are
+imported inside the commands and helpers that use them. So ``evaluate`` and
+``report`` never load the corpus, parsing, reward or provider layers.
+
 Exit codes: 0 success, 1 internal error, 2 usage or configuration error.
 """
 
@@ -20,32 +26,11 @@ import sys
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__, harness, jsonl
-from .corpus import (
-    AugmentationPolicy,
-    Category,
-    MissingDiagram,
-    RawPair,
-    Reclassification,
-    assemble_record,
-    build_realspec,
-    categorize as categorize_pair,
-    diagram_blocks_for_realspec,
-    extract_verilog,
-    make_crux_derivation_prompt,
-    probe_verdict_from_outcomes,
-)
-from .cruxdoc import parse_crux, render_crux
-from .gateway import (
-    GatewayError,
-    Gateway,
-    GenRequest,
-    ProviderConfig,
-    ScoreRequest,
-)
 from .grpo import (
     GroupTooSmall,
     MissingRefLogprobs,
@@ -68,16 +53,10 @@ from .harness import (
     report_rows,
     report_table,
 )
-from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
-from .rewards import (
-    TokenLogProbSeq,
-    WeightSchedule,
-    code_reward,
-    compile_reward,
-    crux_reward,
-    format_reward,
-    reward_vector,
-)
+
+if TYPE_CHECKING:
+    from .corpus import Category, RawPair
+    from .gateway import ProviderConfig, TokenLogProbSeq
 
 
 class ConfigError(ValueError):
@@ -107,13 +86,20 @@ def default_config() -> dict:
     }
 
 
-# config sections passed whole to a class as keyword arguments; any of its
-# fields may be set, not only those with a default in default_config()
-_SECTION_CLASSES = {
-    "degradation": DegradationPolicy,
-    "augmentation": AugmentationPolicy,
-    "schedule": WeightSchedule,
-}
+def _section_fields(key: str) -> set[str] | None:
+    """Field names of the class a config section is passed to whole as
+    keyword arguments; any of them may be set, not only those with a default
+    in default_config(). None for a section that no class takes. Only a
+    config file that sets the section loads the class's layer."""
+    if key == "degradation":
+        from .interface import DegradationPolicy as cls
+    elif key == "augmentation":
+        from .corpus import AugmentationPolicy as cls
+    elif key == "schedule":
+        from .rewards import WeightSchedule as cls
+    else:
+        return None
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def load_config(path: str | None, seed: int | None) -> dict:
@@ -129,8 +115,9 @@ def load_config(path: str | None, seed: int | None) -> dict:
             if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key {key} must be an object")
-                cls = _SECTION_CLASSES.get(key)
-                known = {f.name for f in dataclasses.fields(cls)} if cls else set(cfg[key])
+                known = _section_fields(key)
+                if known is None:
+                    known = set(cfg[key])
                 unknown = set(value) - known
                 if unknown:
                     raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
@@ -194,6 +181,8 @@ def _load_tasks(path: str) -> dict[str, dict]:
 
 
 def _as_pair(row: dict) -> RawPair:
+    from .corpus import RawPair
+
     try:
         return RawPair(row["id"], row["description"], row["reference_code"])
     except (KeyError, ValueError) as exc:
@@ -201,6 +190,8 @@ def _as_pair(row: dict) -> RawPair:
 
 
 def _category(row: dict) -> Category:
+    from .corpus import Category
+
     try:
         return Category(row.get("category"))
     except ValueError as exc:
@@ -220,6 +211,8 @@ def _toolchain(path: str | None) -> ToolchainConfig:
 
 
 def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
+    from .gateway import ProviderConfig
+
     if mock_script is not None:
         with open(_require_file(mock_script, "mock provider script"), encoding="utf-8") as f:
             return ProviderConfig(kind="mock", mock=json.load(f))
@@ -372,11 +365,13 @@ def _run_command(fn) -> None:
     except tuple(pass_exit_codes) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except GatewayError as exc:
-        click.echo(f"gateway error: {exc}", err=True)
-        sys.exit(1)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 1
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        # only a command that loaded the gateway can raise one of its errors
+        gateway = sys.modules.get(f"{__package__}.gateway")
+        if gateway is not None and isinstance(exc, gateway.GatewayError):
+            click.echo(f"gateway error: {exc}", err=True)
+        else:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
 
 
@@ -412,6 +407,8 @@ def main(ctx: click.Context, config_path: str | None, seed: int | None) -> None:
 def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
                toolchain_path, tb_dir, output_path):
     """Assign EasyQuestion / SpecialNonText / NormalData to raw pairs."""
+    from .corpus import Category, categorize as categorize_pair
+
     cfg = ctx.obj["config"]
 
     def run():
@@ -420,6 +417,10 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
         if live:
             if tb_dir is None:
                 raise ConfigError("--live categorization needs --testbenches")
+            from .corpus import extract_verilog, probe_verdict_from_outcomes
+            from .gateway import Gateway, GenRequest
+            from .rewards import code_reward
+
             sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
             gateway = Gateway(_provider(provider_path, mock_script))
             verdicts = {}
@@ -470,6 +471,8 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 @click.pass_context
 def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, output_path):
     """Emit CRUX-derivation prompt bundles, or run them against a provider."""
+    from .corpus import Category, make_crux_derivation_prompt
+
     cfg = ctx.obj["config"]
 
     def run():
@@ -495,6 +498,8 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
             jsonl.write_rows(emit_path, out_rows, meta=meta_for(cfg))
             click.echo(f"emitted {len(out_rows)} prompt bundles")
             return
+        from .gateway import Gateway, GenRequest
+
         gateway = Gateway(_provider(provider_path, mock_script))
         transcripts = []
         for row, bundle in bundles:
@@ -527,6 +532,18 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
 @click.pass_context
 def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_path):
     """Assemble task records: degrade interfaces, build RealSpecs, attach CRUX."""
+    from .corpus import (
+        AugmentationPolicy,
+        Category,
+        MissingDiagram,
+        Reclassification,
+        assemble_record,
+        build_realspec,
+        diagram_blocks_for_realspec,
+    )
+    from .cruxdoc import parse_crux, render_crux
+    from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
+
     cfg = ctx.obj["config"]
 
     def run():
@@ -680,6 +697,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
 
 
 def _seq_from_payload(payload: dict) -> TokenLogProbSeq:
+    from .gateway import TokenLogProbSeq
+
     return TokenLogProbSeq(
         tuple(int(t) for t in payload["tokens"]),
         tuple(float(x) for x in payload["logprobs"]),
@@ -700,6 +719,18 @@ def _seq_from_payload(payload: dict) -> TokenLogProbSeq:
 def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
            mock_script, global_step, output_path):
     """Score rollout groups: four rewards, advantages, clipped objective."""
+    from .corpus import extract_verilog
+    from .gateway import Gateway, GatewayError, ScoreRequest
+    from .interface import parse_module_header
+    from .rewards import (
+        WeightSchedule,
+        code_reward,
+        compile_reward,
+        crux_reward,
+        format_reward,
+        reward_vector,
+    )
+
     cfg = ctx.obj["config"]
 
     def run():

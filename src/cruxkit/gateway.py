@@ -6,7 +6,8 @@ prompt, via the echo-logprobs convention). Transient failures retry with
 exponential backoff; every call appends one line to a JSONL audit log when
 one is configured. The mock provider answers from canned tables keyed by
 prompt substrings and is fully deterministic under its seed, so pipelines
-can run hermetically.
+can run hermetically. This module imports no other cruxkit module, so the
+commands that call a provider pay only for the client.
 """
 
 from __future__ import annotations
@@ -20,7 +21,27 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from .rewards import TokenLogProbSeq
+
+@dataclass(frozen=True)
+class TokenLogProbSeq:
+    """Aligned token ids and their log probabilities.
+
+    Logprobs are never positive. Operations that need at least one token
+    raise ``rewards.EmptySequence`` on the degenerate empty container.
+    """
+
+    tokens: tuple[int, ...]
+    logprobs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.tokens) != len(self.logprobs):
+            raise ValueError("tokens and logprobs must have equal length")
+        for lp in self.logprobs:
+            if not math.isfinite(lp) or lp > 0.0:
+                raise ValueError(f"logprobs must be finite and <= 0, got {lp}")
+
+    def __len__(self) -> int:
+        return len(self.tokens)
 
 
 class GatewayError(RuntimeError):

@@ -6,14 +6,17 @@ rollout, then across the group, optionally minus a KL penalty against a
 reference policy (the exp(d) - d - 1 estimator on d = ref - new).
 
 numpy is imported inside the numeric functions, not at module level, so
-commands that only validate coefficients or build rollouts never load it.
+commands that only validate coefficients or build rollouts never load it;
+no other cruxkit module is imported at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .rewards import TokenLogProbSeq
+if TYPE_CHECKING:
+    from .gateway import TokenLogProbSeq
 
 
 class GroupTooSmall(ValueError):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cruxdoc import ALL_SECTIONS, interface_mismatches, parse_crux
+from .gateway import TokenLogProbSeq
 from .harness import SimOutcome
 from .interface import ModuleInterface
 
@@ -22,28 +23,6 @@ logger = logging.getLogger(__name__)
 
 class EmptySequence(ValueError):
     """A logprob-based reward was asked to score zero tokens."""
-
-
-@dataclass(frozen=True)
-class TokenLogProbSeq:
-    """Aligned token ids and their log probabilities.
-
-    Logprobs are never positive. Operations that need at least one token
-    raise EmptySequence on the degenerate empty container.
-    """
-
-    tokens: tuple[int, ...]
-    logprobs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.logprobs):
-            raise ValueError("tokens and logprobs must have equal length")
-        for lp in self.logprobs:
-            if not math.isfinite(lp) or lp > 0.0:
-                raise ValueError(f"logprobs must be finite and <= 0, got {lp}")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def format_reward(crux_text: str, reference_interface: ModuleInterface) -> float:

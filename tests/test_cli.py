@@ -209,6 +209,16 @@ class TestDeriveCrux:
         result = run_cli("derive-crux", "--input", categorized_toy)
         assert result.exit_code == 2
 
+    def test_unreachable_provider_is_a_gateway_error(self, tmp_path, categorized_toy):
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"kind": "mock", "max_retries": 1, "mock": {"fail_first": 1}}))
+        result = run_cli(
+            "derive-crux", "--input", categorized_toy, "--live",
+            "--provider", provider, "--output", tmp_path / "transcripts.jsonl",
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "gateway error: scripted mock failure\n"
+
     def test_uncategorized_input_is_usage_error(self, tmp_path):
         result = run_cli(
             "derive-crux", "--input", TOY / "pairs.jsonl", "--emit", tmp_path / "bundles.jsonl"
@@ -1137,33 +1147,45 @@ class TestConfig:
 
 # Imports cruxkit.cli, loads argv[1] as the config, then runs each command of
 # argv[2] through cli.main; prints whether numpy was loaded after each step.
-_NUMPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("cruxkit"))
+
 import cruxkit.cli as cli
-loaded = {"import cruxkit.cli": "numpy" in sys.modules}
+steps = {"import cruxkit.cli": loaded()}
 cli.load_config(sys.argv[1], None)
-loaded["load_config"] = "numpy" in sys.modules
+steps["load_config"] = loaded()
 for args in json.loads(sys.argv[2]):
     cli.main(["--config", sys.argv[1], *args], standalone_mode=False)
-    loaded[args[0]] = "numpy" in sys.modules
-print(json.dumps(loaded))
+    steps[args[0]] = loaded()
+print(json.dumps(steps))
 """
 
 
-def numpy_loaded_after(tmp_path, commands):
-    """Runs ``_NUMPY_PROBE`` in a fresh interpreter (this one has numpy
-    loaded already) with a config that sets a grpo section."""
-    config = tmp_path / "probe_config.json"
-    config.write_text(json.dumps({"grpo": {"epsilon": 0.1, "beta": 0.04}}))
+def modules_after(tmp_path, config, commands):
+    """Runs ``_IMPORT_PROBE`` in a fresh interpreter (this one has every
+    module loaded already) with ``config`` as its config file; returns the
+    loaded cruxkit modules, and numpy if loaded, after each step."""
+    config_path = tmp_path / "probe_config.json"
+    config_path.write_text(json.dumps(config))
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, str(config),
+        [sys.executable, "-c", _IMPORT_PROBE, str(config_path),
          json.dumps([[str(a) for a in args] for args in commands])],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def numpy_loaded_after(tmp_path, commands):
+    """Whether numpy is loaded after each step, with a config that sets a
+    grpo section."""
+    steps = modules_after(tmp_path, {"grpo": {"epsilon": 0.1, "beta": 0.04}}, commands)
+    return {step: "numpy" in modules for step, modules in steps.items()}
 
 
 class TestNumpyImportBoundary:
@@ -1194,3 +1216,35 @@ class TestNumpyImportBoundary:
     def test_grpo_check_loads_numpy(self, tmp_path):
         loaded = numpy_loaded_after(tmp_path, [["grpo-check", "--instances", 1]])
         assert loaded == {"import cruxkit.cli": False, "load_config": False, "grpo-check": True}
+
+
+class TestLayerImportBoundary:
+    """Each command loads only the cruxkit layers it drives."""
+
+    def test_evaluate_and_report_load_only_harness_jsonl_and_grpo(
+        self, tmp_path, echo_toolchain_file
+    ):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        steps = modules_after(tmp_path, {"seed": 3}, [
+            ["evaluate", "--tasks", TOY / "pairs.jsonl",
+             "--candidates", write_candidates(tmp_path, pairs),
+             "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+             "--output-dir", tmp_path / "eval"],
+            ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
+        ])
+        light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.harness", "cruxkit.jsonl"]
+        assert steps == {
+            step: light for step in ["import cruxkit.cli", "load_config", "evaluate", "report"]
+        }
+        assert (tmp_path / "report" / "evaluation.txt").exists()
+
+    @pytest.mark.parametrize("module", ["cruxkit.gateway", "cruxkit.grpo"])
+    def test_module_imports_no_other_cruxkit_module(self, module):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('cruxkit')))"
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == str(["cruxkit", module])
