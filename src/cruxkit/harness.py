@@ -107,9 +107,26 @@ class ToolchainConfig:
         return shlex.split(self.compile_cmd)[0], shlex.split(self.run_cmd)[0]
 
     def check_available(self) -> None:
+        """Raises ``ToolchainMissing`` unless both binaries are found by the
+        lookup each step makes (``_find_binary``): on ``PATH`` after the
+        ``env`` overlay, so a toolchain whose ``env`` puts the simulator on
+        ``PATH`` passes. A name with a slash is looked up from the current
+        directory here but from the scratch directory in a step, so such a
+        binary is best given as an absolute path."""
+        env = {**os.environ, **self.env}
         for binary in self.binaries():
-            if shutil.which(binary) is None:
-                raise ToolchainMissing(f"toolchain binary not found: {binary!r}")
+            _find_binary(binary, os.getcwd(), env)
+
+
+def _find_binary(name: str, cwd: str, env: dict[str, str]) -> str:
+    """The path a toolchain step execs for ``name``, looked up as ``Popen``
+    would: on ``env``'s ``PATH``, or from ``cwd`` for a name with a slash.
+    Raises ``ToolchainMissing`` when there is none."""
+    binary = shutil.which(os.path.join(cwd, name) if os.sep in name else name,
+                          path=env.get("PATH"))
+    if binary is None:
+        raise ToolchainMissing(f"toolchain binary not found: {name!r}")
+    return binary
 
 
 @dataclass(frozen=True)
@@ -186,8 +203,10 @@ def _run_child(
     """Run one toolchain step in a session of its own; returns its return
     code (``None`` on timeout, with no output), stdout and stderr.
 
-    ``sh`` sets the step's limits and execs it, keeping the pid; if a limit
-    cannot be set, the step does not run. No file the step writes can hold
+    The binary is resolved by ``_find_binary`` before the spawn, as
+    ``check_available`` resolves it; under ``sh`` a missing one would only
+    exit 127. ``sh`` sets the step's limits and execs it, keeping the pid;
+    if a limit cannot be set, the step does not run. No file the step writes can hold
     more bytes than ``OUTPUT_LIMIT`` characters can take: a writer past that
     gets ``EFBIG`` or dies of ``SIGXFSZ``. Output goes to unnamed temporary
     files, so the step never stalls on a full pipe, and only its leader is
@@ -195,11 +214,7 @@ def _run_child(
     group is killed before the leader is reaped: the unreaped leader still
     holds the group id, so the signal reaches only processes the step started.
     """
-    # looked up as Popen would: on PATH, or from cwd for a name with a slash
-    name = os.path.join(cwd, cmd[0]) if os.sep in cmd[0] else cmd[0]
-    binary = shutil.which(name, path=env.get("PATH"))
-    if binary is None:
-        raise ToolchainMissing(f"toolchain binary not found: {cmd[0]!r}")
+    binary = _find_binary(cmd[0], cwd, env)
     # in 512-byte blocks; over 4 * (OUTPUT_LIMIT + 1) bytes decode to over
     # OUTPUT_LIMIT characters
     blocks = math.ceil(4 * (OUTPUT_LIMIT + 1) / 512)

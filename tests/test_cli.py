@@ -515,6 +515,23 @@ class TestEvaluate:
         assert [(r["n"], r["c"]) for r in per_task] == [(2, 2)]
         assert [(o["ran_ok"], o["match_fraction"]) for o in outcomes] == [(True, 1.0)] * 2
 
+    def test_simulator_on_the_toolchain_env_path(self, tmp_path):
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        mysim = bindir / "mysim"
+        mysim.write_text("#!/bin/sh\necho tick\n")
+        mysim.chmod(0o755)
+        toolchain = tmp_path / "tc.json"
+        toolchain.write_text(json.dumps({
+            "compile_cmd": "mysim {out}", "run_cmd": "mysim {out}",
+            "env": {"PATH": f"{bindir}:/usr/bin:/bin"},
+        }))
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, toolchain, "mux2to1", [toy_reference("mux2to1")]
+        )
+        assert [(r["n"], r["c"]) for r in per_task] == [(1, 1)]
+        assert [(o["ran_ok"], o["match_fraction"]) for o in outcomes] == [(True, 1.0)]
+
     def test_unknown_task_in_candidates(self, tmp_path, echo_toolchain_file):
         candidates = tmp_path / "c.jsonl"
         candidates.write_text(json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n")
@@ -565,6 +582,7 @@ class TestEvaluate:
             "--output-dir", outdir,
         )
         assert result.exit_code == 2
+        assert result.stderr == "error: toolchain binary not found: 'missing-sim'\n"
         assert not (outdir / "per_task.jsonl").exists()
 
     def test_rerun_byte_identical(self, tmp_path, echo_toolchain_file):

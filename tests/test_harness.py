@@ -508,6 +508,20 @@ class TestToolchainConfig:
         with pytest.raises(ToolchainMissing):
             missing.check_available()
 
+    def test_binary_on_the_env_overlay_path_is_available(self, tmp_path):
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        mysim = bindir / "mysim"
+        mysim.write_text("#!/bin/sh\necho tick\n")
+        mysim.chmod(0o755)
+        tc = ToolchainConfig(
+            compile_cmd="mysim {out}", run_cmd="mysim {out}",
+            env={"PATH": f"{bindir}:/usr/bin:/bin"},
+        )
+        tc.check_available()
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert out.ran_ok and out.stdout_lines == ("tick",)
+
     def test_placeholders_required(self):
         with pytest.raises(ValueError):
             ToolchainConfig(compile_cmd="cc {design} {tb}", run_cmd="run {out}")
