@@ -2,7 +2,9 @@
 
 This is NOT a Verilog simulator. It exists so the compile/run/score plumbing
 can be exercised end to end on machines with no HDL toolchain installed.
-Compile records the input files; run replays directive lines found in them.
+Compile writes its image as plain text, the design, a newline and the
+testbench, so neither step imports anything beyond ``sys`` and ``time``;
+run replays the directive lines found in that text, design lines first.
 
 Directives (one per line, anywhere in a file):
     // EMIT: <text>     print <text> on stdout (design lines first, then tb)
@@ -19,7 +21,6 @@ Usage (run by path, as ``ToolchainConfig.echo()`` does; standard library only):
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
@@ -54,24 +55,19 @@ def _compile(out_path: str, design_path: str, tb_path: str) -> int:
             print(f"echosim: syntax error in {label}", file=sys.stderr)
             return 1
     with open(out_path, "w", encoding="utf-8") as f:
-        json.dump({"design": design, "tb": tb}, f)
+        f.write(design + "\n" + tb)
     return 0
 
 
 def _run(out_path: str) -> int:
     with open(out_path, encoding="utf-8") as f:
-        image = json.load(f)
-    for text in (image["design"], image["tb"]):
-        for value in _directives(text, "SLEEP"):
-            time.sleep(float(value))
-    for text in (image["design"], image["tb"]):
-        for value in _directives(text, "EMIT"):
-            print(value)
-    for text in (image["design"], image["tb"]):
-        codes = _directives(text, "EXITCODE")
-        if codes:
-            return int(codes[0])
-    return 0
+        image = f.read()
+    for value in _directives(image, "SLEEP"):
+        time.sleep(float(value))
+    for value in _directives(image, "EMIT"):
+        print(value)
+    codes = _directives(image, "EXITCODE")
+    return int(codes[0]) if codes else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -102,6 +102,12 @@ class TestEchoLane:
         assert out.match_fraction is None
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("design_code, want", [("// EXITCODE: 3\n", 3), ("", 4)])
+    def test_design_exit_code_wins_over_the_testbench(self, design_code, want):
+        out = outcome_for(GOOD_DESIGN + design_code, tb=GOOD_TB + "// EXITCODE: 4\n")
+        assert out.returncode == want
+        assert out.stdout_lines == ("alpha 1", "beta 2", "gamma 3")
+
     def test_timeout(self):
         sleeper = "// SLEEP: 30\n" + GOOD_DESIGN
         out = outcome_for(sleeper, reference=["alpha 1"], timeout_ms=300)
