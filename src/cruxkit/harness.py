@@ -206,13 +206,14 @@ def _run_child(
     The binary is resolved by ``_find_binary`` before the spawn, as
     ``check_available`` resolves it; under ``sh`` a missing one would only
     exit 127. ``sh`` sets the step's limits and execs it, keeping the pid;
-    if a limit cannot be set, the step does not run. No file the step writes can hold
-    more bytes than ``OUTPUT_LIMIT`` characters can take: a writer past that
-    gets ``EFBIG`` or dies of ``SIGXFSZ``. Output goes to unnamed temporary
-    files, so the step never stalls on a full pipe, and only its leader is
-    waited for. When it exits or at the timeout, the step's whole process
-    group is killed before the leader is reaped: the unreaped leader still
-    holds the group id, so the signal reaches only processes the step started.
+    if a limit cannot be set, the step does not run. No file the step
+    writes can hold more bytes than ``OUTPUT_LIMIT`` characters can take: a
+    writer past that gets ``EFBIG`` or dies of ``SIGXFSZ``. Output goes to
+    unnamed temporary files, so the step never stalls on a full pipe, and
+    only its leader is waited for. When it exits or at the timeout, the
+    step's whole process group is killed before the leader is reaped: the
+    unreaped leader still holds the group id, so the signal reaches only
+    processes the step started.
     """
     binary = _find_binary(cmd[0], cwd, env)
     # in 512-byte blocks; over 4 * (OUTPUT_LIMIT + 1) bytes decode to over
