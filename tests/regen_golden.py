@@ -123,6 +123,29 @@ def _evaluate_error_order(workdir: Path) -> tuple[list, Path]:
     return args, outdir
 
 
+def _reward_error_order(workdir: Path) -> tuple[list, Path]:
+    """``reward``'s twin of ``evaluate-error-order``: a valid group, then a
+    group naming an unknown task, then a line that is not JSON."""
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    valid = write_groups(workdir, [p for p in pairs if p["id"] == "mux2to1"], step=0)
+    groups = workdir / "groups-error-order.jsonl"
+    ghost = {**json.loads(valid.read_text()), "task_id": "ghost"}
+    groups.write_text(
+        valid.read_text() + json.dumps(ghost) + "\n" + '{"task_id": "count4", "rollouts": [\n'
+    )
+    outdir = workdir / "out"
+    outdir.mkdir()
+    args = [
+        "reward",
+        "--groups", groups,
+        "--tasks", TOY / "pairs.jsonl",
+        "--testbenches", TOY / "testbenches",
+        "--toolchain", _toolchain_file(workdir),
+        "--output", outdir / "rewards.jsonl",
+    ]
+    return args, outdir
+
+
 def _evaluate_failures(workdir: Path) -> tuple[list, Path]:
     """Every task's reference, plus mux2to1 candidates that crash (exit 3),
     time out (sleep 5 s under a 300 ms run timeout) and print one line
@@ -310,6 +333,7 @@ CASES = {
     "categorize-live": _categorize_live,
     "evaluate-error-order": _evaluate_error_order,
     "evaluate-failures": _evaluate_failures,
+    "reward-error-order": _reward_error_order,
     "categorize": _categorize,
     "build-dataset": _build_dataset,
     "grpo-check": _grpo_check,
