@@ -34,11 +34,7 @@ from . import __version__, harness, jsonl
 from .grpo import (
     GroupTooSmall,
     MissingRefLogprobs,
-    Rollout,
-    RolloutGroup,
     check_coefficients,
-    clipped_objective,
-    group_advantages,
     objective_gradient_check,
     random_toy_instance,
 )
@@ -48,8 +44,9 @@ from .harness import (
     ToolchainConfig,
     ToolchainMissing,
     aggregate_report,
+    pass_at_k_table,
+    render_table,
     report_csv,
-    report_lines,
     report_rows,
     report_table,
 )
@@ -115,10 +112,7 @@ def load_config(path: str | None, seed: int | None) -> dict:
             if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key {key} must be an object")
-                known = _section_fields(key)
-                if known is None:
-                    known = set(cfg[key])
-                unknown = set(value) - known
+                unknown = set(value) - (_section_fields(key) or set(cfg[key]))
                 if unknown:
                     raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
                 cfg[key].update(value)
@@ -174,9 +168,7 @@ def _load_tasks(path: str) -> dict[str, dict]:
     """Task rows by id; a row without an id or reference code is a usage error."""
     rows = _load_pairs(path)
     for row in rows:
-        for key in ("id", "reference_code"):
-            if key not in row:
-                raise ConfigError(f"task row {row.get('id')!r} has no {key!r}")
+        _checked(row, f"task row {row.get('id')!r}", id=object, reference_code=object)
     return {row["id"]: row for row in rows}
 
 
@@ -245,7 +237,8 @@ class _Simulator:
     waits for that job, then simulates the batch's distinct designs once on
     the same pool, and outcomes come back in candidate order, one per
     candidate. A candidate equal to the reference reuses the reference's
-    outcome, and a blank one is a compile failure. Errors of a reference job
+    outcome, a blank one is a compile failure, and any other comes back
+    without its transcript. Errors of a reference job
     (a missing testbench, a reference that fails its own testbench) are
     raised by ``run``, in the turn of the batch that needs it. On exit,
     queued jobs are cancelled and running ones waited for, so no thread or
@@ -297,13 +290,19 @@ class _Simulator:
         lines = list(reference.stdout_lines)
         futures = [
             self._pool.submit(
-                harness.run_sim, SimJob(code, tb_source, task_id, self.timeout_ms),
+                _candidate_sim, SimJob(code, tb_source, task_id, self.timeout_ms),
                 self.toolchain, lines,
             )
             for code in distinct
         ]
         known.update(zip(distinct, (f.result() for f in futures)))
         return [known.get(code, _EMPTY_DESIGN) for code in codes]
+
+
+def _candidate_sim(job: SimJob, toolchain: ToolchainConfig, lines: list[str]) -> SimOutcome:
+    """A candidate's outcome without its transcript: once its match fraction
+    is set nothing reads it, so a row holds at most ``workers`` transcripts."""
+    return dataclasses.replace(harness.run_sim(job, toolchain, lines), stdout_lines=())
 
 
 _END = object()
@@ -352,9 +351,49 @@ def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
     }
 
 
-pass_exit_codes = {
-    ConfigError: 2, ToolchainMissing: 2, GroupTooSmall: 2, MissingRefLogprobs: 2,
-}
+def _checked(row, what: str, **kinds: type) -> None:
+    """A usage error naming ``what`` unless ``row`` is an object holding a
+    value of type ``kinds[key]`` under each key."""
+    if not isinstance(row, dict):
+        raise ConfigError(f"{what} is not an object")
+    for key, kind in kinds.items():
+        if key not in row:
+            raise ConfigError(f"{what} has no {key!r}")
+        if not isinstance(row[key], kind):
+            raise ConfigError(f"{what}: {key!r} must be a {kind.__name__}")
+
+
+def _group_row(row, what: str, global_step: int) -> tuple[str, int, list[dict]]:
+    """A groups row's task id, step and rollouts; a row without them, or a
+    rollout without the fields scoring reads, is a usage error naming it."""
+    _checked(row, what, task_id=object, rollouts=list)
+    for i, rollout in enumerate(row["rollouts"]):
+        _checked(rollout, f"{what} rollout {i}", code_text=str, crux_text=str,
+                 logprobs_new=dict, logprobs_old=dict)
+    try:
+        return row["task_id"], int(row.get("step", global_step)), row["rollouts"]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} has a bad 'step': {row['step']!r}") from exc
+
+
+def step_means(rows: Iterable[dict]) -> list[tuple[int, float, int]]:
+    """(step, mean mixed reward, rollouts) for each step of ``reward``'s
+    output rows, in step order."""
+    by_step: dict[int, list[float]] = defaultdict(list)
+    for row in rows:
+        by_step[row["step"]].extend(r["mixed"] for r in row["rewards"])
+    return [(step, sum(v) / len(v), len(v)) for step, v in sorted(by_step.items())]
+
+
+def _write_table(path: str, table: str, echo: bool = False) -> None:
+    """Writes a rendered table to ``path`` and, if ``echo``, to stdout."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(table)
+    if echo:
+        click.echo(table, nl=False)
+
+
+_USAGE_ERRORS = (ConfigError, ToolchainMissing, GroupTooSmall, MissingRefLogprobs)
 
 
 def _run_command(fn) -> None:
@@ -362,7 +401,7 @@ def _run_command(fn) -> None:
         fn()
     except click.ClickException:
         raise
-    except tuple(pass_exit_codes) as exc:
+    except _USAGE_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 1
@@ -382,12 +421,8 @@ def _run_command(fn) -> None:
 def main(ctx: click.Context, config_path: str | None, seed: int | None) -> None:
     """Dataset, evaluation, and reward tooling for structured Verilog generation."""
     ctx.ensure_object(dict)
-
-    def _load():
-        return load_config(config_path, seed)
-
     try:
-        ctx.obj["config"] = _load()
+        ctx.obj["config"] = load_config(config_path, seed)
     except (ConfigError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(2)
@@ -670,13 +705,17 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         samples: dict[str, list[SimOutcome]] = {}
         outcome_rows = []
         with sims:
-            for row in _one_ahead(cand_rows, lambda r: _prefetch_task_row(sims, tasks, r)):
+            rows = _one_ahead(cand_rows, lambda r: _prefetch_task_row(sims, tasks, r))
+            for number, row in enumerate(rows, 1):
+                what = f"candidates row {number}"
+                _checked(row, what, task_id=object)
+                codes = row.get("candidates", [])
+                if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+                    raise ConfigError(f"{what}: 'candidates' must be a list of strings")
                 task_id = row["task_id"]
                 if task_id not in tasks:
                     raise ConfigError(f"candidates reference unknown task {task_id!r}")
-                outcomes = sims.run(
-                    task_id, tasks[task_id]["reference_code"], row.get("candidates", [])
-                )
+                outcomes = sims.run(task_id, tasks[task_id]["reference_code"], codes)
                 # rows repeating a task add samples to it, numbered on from its last
                 task_samples = samples.setdefault(task_id, [])
                 outcome_rows.extend(
@@ -687,22 +726,10 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         meta = meta_for(cfg, k_values=list(ks), threshold=thr)
         jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
         jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), report_rows(report), meta=meta)
-        with open(os.path.join(output_dir, "summary.txt"), "w", encoding="utf-8") as f:
-            f.write(report_table(report))
-        with open(os.path.join(output_dir, "summary.csv"), "w", encoding="utf-8") as f:
-            f.write(report_csv(report))
-        click.echo(report_table(report), nl=False)
+        _write_table(os.path.join(output_dir, "summary.txt"), report_table(report), echo=True)
+        _write_table(os.path.join(output_dir, "summary.csv"), report_csv(report))
 
     _run_command(run)
-
-
-def _seq_from_payload(payload: dict) -> TokenLogProbSeq:
-    from .gateway import TokenLogProbSeq
-
-    return TokenLogProbSeq(
-        tuple(int(t) for t in payload["tokens"]),
-        tuple(float(x) for x in payload["logprobs"]),
-    )
 
 
 @main.command()
@@ -722,14 +749,7 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
     from .corpus import extract_verilog
     from .gateway import Gateway, GatewayError, ScoreRequest
     from .interface import parse_module_header
-    from .rewards import (
-        WeightSchedule,
-        code_reward,
-        compile_reward,
-        crux_reward,
-        format_reward,
-        reward_vector,
-    )
+    from .rewards import WeightSchedule, score_group
 
     cfg = ctx.obj["config"]
 
@@ -738,100 +758,40 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
         tasks = _load_tasks(tasks_path)
         schedule = WeightSchedule(**cfg["schedule"])
         gateway = Gateway(_provider(provider_path, mock_script))
-        epsilon = cfg["grpo"]["epsilon"]
-        beta = cfg["grpo"]["beta"]
-        eps_std = cfg["grpo"]["eps_std"]
+        grpo = cfg["grpo"]
         out_rows = []
-        step_mix: dict[int, list[float]] = defaultdict(list)
         group_rows = jsonl.read_rows(_require_file(groups_path, "groups file"))
+
+        def crux_score(task: dict, crux_text: str) -> TokenLogProbSeq | str:
+            realspec = task.get("realspec") or task.get("description") or ""
+            prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
+            try:
+                return gateway.score_continuation(ScoreRequest(prompt, task["reference_code"]))
+            except GatewayError as exc:
+                return str(exc)
+
         with sims:
-            for row in _one_ahead(group_rows, lambda r: _prefetch_task_row(sims, tasks, r)):
-                task_id = row["task_id"]
+            rows = _one_ahead(group_rows, lambda r: _prefetch_task_row(sims, tasks, r))
+            for number, row in enumerate(rows, 1):
+                task_id, step, payloads = _group_row(row, f"groups row {number}", global_step)
                 if task_id not in tasks:
                     raise ConfigError(f"groups reference unknown task {task_id!r}")
                 task = tasks[task_id]
-                step = int(row.get("step", global_step))
                 reference_iface = parse_module_header(task["reference_code"])
-                codes = [r["code_text"] for r in row["rollouts"]]
+                codes = [r["code_text"] for r in payloads]
                 codes = [(extract_verilog(c) or c) if "```" in c else c for c in codes]
                 outcomes = sims.run(task_id, task["reference_code"], codes)
-                realspec = task.get("realspec") or task.get("description") or ""
-                rollouts = []
-                reward_rows = []
-                mixed = []
-                for r, code_text, outcome in zip(row["rollouts"], codes, outcomes):
-                    crux_text = r["crux_text"]
-                    fmt = format_reward(crux_text, reference_iface)
-                    diagnostics = []
-                    if "crux_score" in r:
-                        score_seq = _seq_from_payload(r["crux_score"])
-                    else:
-                        prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
-                        try:
-                            score_seq = gateway.score_continuation(
-                                ScoreRequest(prompt, task["reference_code"])
-                            )
-                        except GatewayError as exc:
-                            score_seq = None
-                            diagnostics.append(f"scoring failed: {exc}")
-                    parts = (
-                        fmt,
-                        compile_reward(outcome),
-                        crux_reward(score_seq),
-                        code_reward(outcome),
-                    )
-                    vec = reward_vector(parts, schedule, step)
-                    mixed.append(vec.mixed)
-                    reward_rows.append(
-                        {
-                            "format_r": vec.format_r,
-                            "compile_r": vec.compile_r,
-                            "crux_r": vec.crux_r,
-                            "code_r": vec.code_r,
-                            "mixed": vec.mixed,
-                            "weights_phase": vec.weights_phase,
-                            "diagnostics": diagnostics,
-                        }
-                    )
-                    rollouts.append(
-                        Rollout(
-                            crux_text=crux_text,
-                            code_text=code_text,
-                            token_logprobs_new=_seq_from_payload(r["logprobs_new"]),
-                            token_logprobs_old=_seq_from_payload(r["logprobs_old"]),
-                            token_logprobs_ref=(
-                                _seq_from_payload(r["logprobs_ref"])
-                                if "logprobs_ref" in r
-                                else None
-                            ),
-                        )
-                    )
-                advantages = group_advantages(mixed, eps_std)
-                group = RolloutGroup(task_id, tuple(rollouts))
-                breakdown = clipped_objective(group, advantages, epsilon, beta)
-                step_mix[step].extend(mixed)
-                out_rows.append(
-                    {
-                        "task_id": task_id,
-                        "step": step,
-                        "rewards": reward_rows,
-                        "advantages": list(advantages.per_rollout),
-                        "degenerate": advantages.degenerate,
-                        "objective": {
-                            "surrogate": breakdown.surrogate,
-                            "kl_term": breakdown.kl_term,
-                            "total": breakdown.total,
-                            "clip_fraction": breakdown.clip_fraction,
-                        },
-                    }
-                )
+                # a rollout with a crux_score of its own needs no scoring call
+                scores = [None if "crux_score" in r else crux_score(task, r["crux_text"])
+                          for r in payloads]
+                out_rows.append(score_group(task_id, step, payloads, codes, outcomes, scores,
+                                            reference_iface, schedule, **grpo))
         jsonl.write_rows(
             output_path, out_rows,
-            meta=meta_for(cfg, global_step=global_step, epsilon=epsilon, beta=beta),
+            meta=meta_for(cfg, global_step=global_step, epsilon=grpo["epsilon"], beta=grpo["beta"]),
         )
-        for step in sorted(step_mix):
-            values = step_mix[step]
-            click.echo(f"step {step}: mean mixed reward {sum(values) / len(values):.4f}")
+        for step, mean, _ in step_means(out_rows):
+            click.echo(f"step {step}: mean mixed reward {mean:.4f}")
 
     _run_command(run)
 
@@ -887,29 +847,17 @@ def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
 @click.pass_context
 def report(ctx, reward_path, evaluate_dir, output_dir):
     """Render summary tables (text + CSV) from pipeline outputs."""
-    cfg = ctx.obj["config"]
 
     def run():
         if reward_path is None and evaluate_dir is None:
             raise ConfigError("need --reward or --evaluate-dir")
         os.makedirs(output_dir, exist_ok=True)
         if reward_path is not None:
-            rows = list(jsonl.read_rows(_require_file(reward_path, "reward output")))
-            by_step: dict[int, list[float]] = defaultdict(list)
-            for row in rows:
-                by_step[row["step"]].extend(r["mixed"] for r in row["rewards"])
-            lines_csv = ["step,mean_mixed_reward,rollouts"]
-            lines_txt = ["step\tmean_mixed_reward\trollouts"]
-            for step in sorted(by_step):
-                values = by_step[step]
-                mean = sum(values) / len(values)
-                lines_csv.append(f"{step},{mean!r},{len(values)}")
-                lines_txt.append(f"{step}\t{mean:.4f}\t{len(values)}")
-            with open(os.path.join(output_dir, "reward_by_step.csv"), "w", encoding="utf-8") as f:
-                f.write("\n".join(lines_csv) + "\n")
-            with open(os.path.join(output_dir, "reward_by_step.txt"), "w", encoding="utf-8") as f:
-                f.write("\n".join(lines_txt) + "\n")
-            click.echo("\n".join(lines_txt))
+            means = step_means(jsonl.read_rows(_require_file(reward_path, "reward output")))
+            header = ["step", "mean_mixed_reward", "rollouts"]
+            for name, csv in (("reward_by_step.csv", True), ("reward_by_step.txt", False)):
+                _write_table(os.path.join(output_dir, name), render_table(header, means, csv),
+                             echo=not csv)
         if evaluate_dir is not None:
             per_task = os.path.join(evaluate_dir, "per_task.jsonl")
             rows = list(jsonl.read_rows(_require_file(per_task, "per-task report")))
@@ -921,10 +869,8 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
             ks = meta.get("k_values") or sorted(
                 int(key.split("@")[1]) for key in rows[0] if key.startswith("pass@")
             )
-            lines = report_lines(rows, ks)
-            with open(os.path.join(output_dir, "evaluation.txt"), "w", encoding="utf-8") as f:
-                f.write("\n".join(lines) + "\n")
-            click.echo("\n".join(lines))
+            _write_table(os.path.join(output_dir, "evaluation.txt"), pass_at_k_table(rows, ks),
+                         echo=True)
 
     _run_command(run)
 

@@ -43,6 +43,11 @@ class TokenLogProbSeq:
     def __len__(self) -> int:
         return len(self.tokens)
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "TokenLogProbSeq":
+        """The sequence a ``{"tokens": [...], "logprobs": [...]}`` row field holds."""
+        return cls(tuple(map(int, payload["tokens"])), tuple(map(float, payload["logprobs"])))
+
 
 class GatewayError(RuntimeError):
     pass

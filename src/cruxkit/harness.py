@@ -25,8 +25,9 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor  # the sim pool's class; see cli._Simulator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 # characters kept of each step's stdout and stderr; a run with longer stdout fails
@@ -75,11 +76,7 @@ class ToolchainConfig:
     def from_file(cls, path: str) -> "ToolchainConfig":
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-        allowed = {
-            "compile_cmd", "run_cmd", "env", "compile_timeout_ms",
-            "keep_artifacts", "workers",
-        }
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown toolchain config keys: {sorted(unknown)}")
         return cls(**data)
@@ -110,19 +107,19 @@ class ToolchainConfig:
         """Raises ``ToolchainMissing`` unless both binaries are found by the
         lookup each step makes (``_find_binary``): on ``PATH`` after the
         ``env`` overlay, so a toolchain whose ``env`` puts the simulator on
-        ``PATH`` passes. A name with a slash is looked up from the current
-        directory here but from the scratch directory in a step, so such a
-        binary is best given as an absolute path."""
+        ``PATH`` passes, and from the command's own directory for a name
+        with a slash, such as ``./mysim``."""
         env = {**os.environ, **self.env}
         for binary in self.binaries():
-            _find_binary(binary, os.getcwd(), env)
+            _find_binary(binary, env)
 
 
-def _find_binary(name: str, cwd: str, env: dict[str, str]) -> str:
-    """The path a toolchain step execs for ``name``, looked up as ``Popen``
-    would: on ``env``'s ``PATH``, or from ``cwd`` for a name with a slash.
-    Raises ``ToolchainMissing`` when there is none."""
-    binary = shutil.which(os.path.join(cwd, name) if os.sep in name else name,
+def _find_binary(name: str, env: dict[str, str]) -> str:
+    """The path a toolchain step execs for ``name``: looked up on ``env``'s
+    ``PATH``, or, for a name with a slash, from the command's own directory
+    (not the step's scratch directory). Raises ``ToolchainMissing`` when
+    there is none."""
+    binary = shutil.which(os.path.abspath(name) if os.sep in name else name,
                           path=env.get("PATH"))
     if binary is None:
         raise ToolchainMissing(f"toolchain binary not found: {name!r}")
@@ -215,7 +212,7 @@ def _run_child(
     unreaped leader still holds the group id, so the signal reaches only
     processes the step started.
     """
-    binary = _find_binary(cmd[0], cwd, env)
+    binary = _find_binary(cmd[0], env)
     # in 512-byte blocks; over 4 * (OUTPUT_LIMIT + 1) bytes decode to over
     # OUTPUT_LIMIT characters
     blocks = math.ceil(4 * (OUTPUT_LIMIT + 1) / 512)
@@ -408,38 +405,44 @@ def report_rows(report: PassAtKReport) -> list[dict]:
     return rows
 
 
-def report_lines(
-    rows: list[dict], k_values: list[int] | tuple[int, ...], csv: bool = False
-) -> list[str]:
-    """Header and one line per ``report_rows`` row: tab-separated with
-    4-decimal estimates and ``-`` for a skipped k, or CSV with exact
-    (``repr``) estimates and an empty cell."""
+def render_table(header: list[str], rows: Iterable[Sequence], csv: bool = False) -> str:
+    """Header and one line per row, each ending in a newline: tab-separated,
+    with floats to 4 decimals and ``-`` for a missing value, or CSV, with
+    exact (``repr``) floats and an empty cell. Every report table is
+    rendered here."""
+
+    def cell(value) -> str:
+        if value is None:
+            return "" if csv else "-"
+        if isinstance(value, float):
+            return repr(value) if csv else f"{value:.4f}"
+        return str(value)
+
     sep = "," if csv else "\t"
-    header = ["task_id" if csv else "task", "n", "c"] + [f"pass@{k}" for k in k_values]
-    lines = [sep.join(header)]
-    for row in rows:
-        cells = [str(row["task_id"]), str(row["n"]), str(row["c"])]
-        for k in k_values:
-            est = row[f"pass@{k}"]
-            if est is None:
-                cells.append("" if csv else "-")
-            else:
-                cells.append(repr(est) if csv else f"{est:.4f}")
-        lines.append(sep.join(cells))
-    return lines
+    return "".join(sep.join(line) + "\n" for line in [header, *(map(cell, row) for row in rows)])
+
+
+def pass_at_k_table(
+    rows: list[dict],
+    k_values: list[int] | tuple[int, ...],
+    csv: bool = False,
+    aggregate: dict[int, float] | None = None,
+) -> str:
+    """The pass@k table of ``report_rows`` rows, with an ``aggregate`` row
+    last when one is given."""
+    header = ["task_id" if csv else "task", "n", "c", *(f"pass@{k}" for k in k_values)]
+    cells = [[row["task_id"], row["n"], row["c"], *(row[f"pass@{k}"] for k in k_values)]
+             for row in rows]
+    if aggregate is not None:
+        cells.append(["aggregate", "", "", *(aggregate[k] for k in k_values)])
+    return render_table(header, cells, csv)
 
 
 def report_table(report: PassAtKReport) -> str:
-    """Plain-text summary table."""
-    lines = report_lines(report_rows(report), report.k_values)
-    agg_cells = ["aggregate", "", ""]
-    for k in report.k_values:
-        agg_cells.append(f"{report.aggregate[k]:.4f}")
-    lines.append("\t".join(agg_cells))
-    for w in report.warnings:
-        lines.append(f"# warning: {w}")
-    return "\n".join(lines) + "\n"
+    """Plain-text summary table, then one line per warning."""
+    table = pass_at_k_table(report_rows(report), report.k_values, aggregate=report.aggregate)
+    return table + "".join(f"# warning: {w}\n" for w in report.warnings)
 
 
 def report_csv(report: PassAtKReport) -> str:
-    return "\n".join(report_lines(report_rows(report), report.k_values, csv=True)) + "\n"
+    return pass_at_k_table(report_rows(report), report.k_values, csv=True)

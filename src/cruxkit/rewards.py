@@ -1,4 +1,5 @@
-"""The four reward components and the progressive mixing schedule.
+"""The four reward components, the progressive mixing schedule, and the
+scoring of one rollout group.
 
 A rollout produces a CRUX document followed by Verilog code. Rewards:
 format (does the CRUX have the right shape, scored on a four-check rubric),
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
 
 from .cruxdoc import ALL_SECTIONS, interface_mismatches, parse_crux
 from .gateway import TokenLogProbSeq
+from .grpo import Rollout, RolloutGroup, clipped_objective, group_advantages
 from .harness import SimOutcome
 from .interface import ModuleInterface
 
@@ -128,26 +131,60 @@ class RewardVector:
             raise ValueError(f"unknown weights_phase: {self.weights_phase!r}")
 
 
-def mix(
-    parts: tuple[float, float, float, float],
-    schedule: WeightSchedule,
-    global_step: int,
-) -> float:
-    """Weighted sum of (format, compile, crux, code) at this step."""
-    weights = schedule.weights_at(global_step)
-    return math.fsum(w * p for w, p in zip(weights, parts))
-
-
 def reward_vector(
     parts: tuple[float, float, float, float],
     schedule: WeightSchedule,
     global_step: int,
 ) -> RewardVector:
+    """The four parts and their weighted sum at this step."""
+    weights = schedule.weights_at(global_step)
     return RewardVector(
         format_r=parts[0],
         compile_r=parts[1],
         crux_r=parts[2],
         code_r=parts[3],
-        mixed=mix(parts, schedule, global_step),
+        mixed=math.fsum(w * p for w, p in zip(weights, parts)),
         weights_phase=schedule.phase_at(global_step),
     )
+
+
+def score_group(
+    task_id: str,
+    step: int,
+    payloads: Sequence[dict],
+    codes: Sequence[str],
+    outcomes: Sequence[SimOutcome],
+    scores: Sequence[TokenLogProbSeq | str | None],
+    reference_interface: ModuleInterface,
+    schedule: WeightSchedule,
+    epsilon: float,
+    beta: float,
+    eps_std: float,
+) -> dict:
+    """The output row of one rollout group: each rollout's four rewards and
+    their mix, the group-standardized advantages and the clipped objective.
+
+    ``payloads`` are the group's rollout rows, ``codes`` the code each one
+    simulated and ``outcomes`` those sims. ``scores`` holds each rollout's
+    CRUX score sequence from a scoring call, or the message of the call's
+    failure, which scores 0 and is kept as a diagnostic; ``None`` for a
+    rollout scored by its own ``crux_score``. No I/O, no sims, no gateway.
+    """
+    seq = TokenLogProbSeq.from_payload
+    rows, mixed, rollouts = [], [], []
+    for payload, code, outcome, score in zip(payloads, codes, outcomes, scores):
+        score = seq(payload["crux_score"]) if score is None else score
+        failed = isinstance(score, str)
+        parts = (format_reward(payload["crux_text"], reference_interface), compile_reward(outcome),
+                 crux_reward(None if failed else score), code_reward(outcome))
+        vec = reward_vector(parts, schedule, step)
+        mixed.append(vec.mixed)
+        rows.append({**asdict(vec), "diagnostics": [f"scoring failed: {score}"] if failed else []})
+        ref = payload.get("logprobs_ref")
+        rollouts.append(Rollout(payload["crux_text"], code, seq(payload["logprobs_new"]),
+                                seq(payload["logprobs_old"]), None if ref is None else seq(ref)))
+    advantages = group_advantages(mixed, eps_std)
+    breakdown = clipped_objective(RolloutGroup(task_id, tuple(rollouts)), advantages, epsilon, beta)
+    return {"task_id": task_id, "step": step, "rewards": rows,
+            "advantages": list(advantages.per_rollout), "degenerate": advantages.degenerate,
+            "objective": asdict(breakdown)}

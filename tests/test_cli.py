@@ -19,6 +19,7 @@ from cruxkit.harness import SimOutcome
 TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_corpus"
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
 NO_SIM_TINY = Path(__file__).resolve().parent / "fixtures" / "no-sim-tiny"
+GOLDEN_REWARDS = Path(__file__).resolve().parent / "golden" / "reward" / "rewards.jsonl"
 
 
 def run_cli(*args, **kwargs):
@@ -532,6 +533,19 @@ class TestEvaluate:
         assert [(r["n"], r["c"]) for r in per_task] == [(1, 1)]
         assert [(o["ran_ok"], o["match_fraction"]) for o in outcomes] == [(True, 1.0)]
 
+    def test_simulator_named_with_a_slash(self, tmp_path, monkeypatch):
+        mysim = tmp_path / "mysim"
+        mysim.write_text("#!/bin/sh\necho tick\n")
+        mysim.chmod(0o755)
+        toolchain = tmp_path / "tc.json"
+        toolchain.write_text(json.dumps({"compile_cmd": "./mysim {out}", "run_cmd": "./mysim {out}"}))
+        monkeypatch.chdir(tmp_path)
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, toolchain, "mux2to1", [toy_reference("mux2to1"), "module m; endmodule"]
+        )
+        assert [(r["n"], r["c"]) for r in per_task] == [(2, 2)]
+        assert [(o["ran_ok"], o["match_fraction"]) for o in outcomes] == [(True, 1.0)] * 2
+
     def test_unknown_task_in_candidates(self, tmp_path, echo_toolchain_file):
         candidates = tmp_path / "c.jsonl"
         candidates.write_text(json.dumps({"task_id": "ghost", "candidates": ["module m; endmodule"]}) + "\n")
@@ -805,6 +819,48 @@ class TestReward:
         assert parts == [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
 
 
+_ROLLOUT = {"crux_text": "", "code_text": "module m; endmodule",
+            "logprobs_new": payload([-0.1]), "logprobs_old": payload([-0.1])}
+
+
+def _without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+@pytest.mark.parametrize("command, row, message", [
+    ("reward", {"rollouts": [_ROLLOUT, _ROLLOUT]}, "groups row 2 has no 'task_id'"),
+    ("reward", {"task_id": "mux2to1"}, "groups row 2 has no 'rollouts'"),
+    ("reward", {"task_id": "mux2to1", "rollouts": [_without(_ROLLOUT, "crux_text"), _ROLLOUT]},
+     "groups row 2 rollout 0 has no 'crux_text'"),
+    ("reward", {"task_id": "mux2to1", "rollouts": [_ROLLOUT, _without(_ROLLOUT, "logprobs_new")]},
+     "groups row 2 rollout 1 has no 'logprobs_new'"),
+    ("reward", {"task_id": "mux2to1", "rollouts": 3}, "groups row 2: 'rollouts' must be a list"),
+    ("reward", {"task_id": "mux2to1", "step": "x", "rollouts": [_ROLLOUT, _ROLLOUT]},
+     "groups row 2 has a bad 'step': 'x'"),
+    ("evaluate", {"candidates": ["module m; endmodule"]}, "candidates row 2 has no 'task_id'"),
+    ("evaluate", {"task_id": "mux2to1", "candidates": "ab"},
+     "candidates row 2: 'candidates' must be a list of strings"),
+])
+def test_malformed_row_is_usage_error_naming_it(
+    tmp_path, echo_toolchain_file, command, row, message
+):
+    # a valid row first, so the error names the second
+    valid = {"task_id": "mux2to1"}
+    if command == "reward":
+        valid["rollouts"] = [_ROLLOUT, _ROLLOUT]
+        out = tmp_path / "rewarded.jsonl"
+        args = ["--groups", tmp_path / "rows.jsonl", "--output", out]
+    else:
+        valid["candidates"] = [toy_reference("mux2to1")]
+        out = tmp_path / "eval" / "outcomes.jsonl"
+        args = ["--candidates", tmp_path / "rows.jsonl", "--output-dir", tmp_path / "eval"]
+    (tmp_path / "rows.jsonl").write_text(json.dumps(valid) + "\n" + json.dumps(row) + "\n")
+    result = run_cli(command, *args, "--tasks", TOY / "pairs.jsonl",
+                     "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file)
+    assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
 def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchain_file, command):
     _, pairs = read_jsonl(TOY / "pairs.jsonl")
@@ -892,6 +948,14 @@ def _command_args(tmp_path, command, toolchain, task_ids):
             write_probe_mock(tmp_path), "--output", tmp_path / "cat.jsonl", *common]
 
 
+# Runs argv[1:] as a child and prints the child's peak RSS in MB.
+_PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+"""
+
+
 class TestSimulator:
     """One pool per command: the next row's reference starts early, ``workers``
     bounds every sim, and no thread outlives the command."""
@@ -977,19 +1041,49 @@ class TestSimulator:
         assert list(_one_ahead([], events.append)) == []
 
     def test_outcomes_keep_candidate_order(self, tmp_path):
-        # distinct outputs per design prove scratch dirs do not collide
+        # candidate i prints the first i of the reference's 32 lines; distinct
+        # outputs per design prove scratch dirs do not collide
         from cruxkit.cli import _Simulator
         from cruxkit.harness import ToolchainConfig
 
-        (tmp_path / "m_tb.v").write_text("// EMIT: gamma 3\nmodule tb;\nendmodule\n")
-        reference = "// EMIT: job ref\nmodule m(input clk);\nendmodule\n"
-        codes = [f"// EMIT: job {i}\nmodule m(input clk);\nendmodule\n" for i in range(32)]
+        (tmp_path / "m_tb.v").write_text("module tb;\nendmodule\n")
+        emits = [f"// EMIT: line {j}\n" for j in range(32)]
+        reference = "".join(emits) + "module m(input clk);\nendmodule\n"
+        codes = ["".join(emits[:i]) + f"module m{i}(input clk);\nendmodule\n" for i in range(32)]
         with _Simulator(ToolchainConfig.echo(), str(tmp_path), 10_000) as sims:
             outs = sims.run("m", reference, codes)
-        assert len(outs) == 32
-        for i, out in enumerate(outs):
-            assert out.stdout_lines == (f"job {i}", "gamma 3")
-            assert out.match_fraction == 0.5
+        assert [out.match_fraction for out in outs] == [i / 32 for i in range(32)]
+        # a candidate's transcript is dropped once it is scored
+        assert all(out.stdout_lines == () for out in outs)
+
+    def test_candidate_transcripts_leave_the_simulator(self, tmp_path):
+        """Four candidates that each print 2.8 MB of short lines, on one
+        worker: only the reference's transcript is kept, so peak RSS stays
+        near two transcripts' worth (about 250 MB), not five (about 530 MB)."""
+        toolchain = tmp_path / "tc.json"
+        toolchain.write_text(json.dumps({
+            "compile_cmd": "true {out}",
+            "run_cmd": "sh -c 'yes 10 | head -n 1390000' {out}",
+            "workers": 1,
+        }))
+        tasks, _ = _tasks_file(tmp_path, ["mux2to1"])
+        candidates = tmp_path / "c.jsonl"
+        codes = [f"module m{i}; endmodule" for i in range(4)]
+        candidates.write_text(json.dumps({"task_id": "mux2to1", "candidates": codes}) + "\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_PROBE, sys.executable, "-m", "cruxkit.cli",
+             "evaluate", "--tasks", str(tasks), "--candidates", str(candidates),
+             "--testbenches", str(TOY / "testbenches"), "--toolchain", str(toolchain),
+             "--output-dir", str(tmp_path / "eval")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        peak_mb = int(result.stdout.split()[-1])
+        assert peak_mb < 350
+        _, outcomes = read_jsonl(tmp_path / "eval" / "outcomes.jsonl")
+        assert [o["match_fraction"] for o in outcomes] == [1.0] * 4
 
 
 class TestReport:
@@ -1249,12 +1343,15 @@ class TestLayerImportBoundary:
              "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
              "--output-dir", tmp_path / "eval"],
             ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
+            # loaded modules only accumulate, so the one "report" step covers both
+            ["report", "--reward", GOLDEN_REWARDS, "--output-dir", tmp_path / "report"],
         ])
         light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.harness", "cruxkit.jsonl"]
         assert steps == {
             step: light for step in ["import cruxkit.cli", "load_config", "evaluate", "report"]
         }
         assert (tmp_path / "report" / "evaluation.txt").exists()
+        assert (tmp_path / "report" / "reward_by_step.txt").exists()
 
     @pytest.mark.parametrize("module", ["cruxkit.gateway", "cruxkit.grpo"])
     def test_module_imports_no_other_cruxkit_module(self, module):

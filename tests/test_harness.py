@@ -528,6 +528,20 @@ class TestToolchainConfig:
         out = outcome_for(GOOD_DESIGN, toolchain=tc)
         assert out.ran_ok and out.stdout_lines == ("tick",)
 
+    def test_binary_named_with_a_slash_runs_from_the_command_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # the check and every step resolve ./mysim from here, not from the
+        # step's scratch directory
+        mysim = tmp_path / "mysim"
+        mysim.write_text("#!/bin/sh\necho tick\n")
+        mysim.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        tc = ToolchainConfig(compile_cmd="./mysim {out}", run_cmd="./mysim {out}")
+        tc.check_available()
+        out = outcome_for(GOOD_DESIGN, toolchain=tc)
+        assert (out.ran_ok, out.stdout_lines, out.match_fraction) == (True, ("tick",), 1.0)
+
     def test_placeholders_required(self):
         with pytest.raises(ValueError):
             ToolchainConfig(compile_cmd="cc {design} {tb}", run_cmd="run {out}")

@@ -1,9 +1,11 @@
 """The four reward channels and the two-phase weight schedule."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cruxkit.cruxdoc import CruxDoc, render_crux
 from cruxkit.harness import SimOutcome
@@ -20,6 +22,7 @@ from cruxkit.rewards import (
     crux_reward,
     format_reward,
     reward_vector,
+    score_group,
 )
 
 REF = parse_module_header(
@@ -186,3 +189,78 @@ class TestRewardVector:
         sched = WeightSchedule(520)
         vec = reward_vector(parts, sched, step)
         assert 0.0 <= vec.mixed <= 14.0
+
+
+RL_GROUPS_TINY = Path(__file__).resolve().parent / "fixtures" / "rl-groups-tiny"
+
+
+def _rl_groups_tiny():
+    """(groups row, reference interface) for each group of the committed batch."""
+    def rows(name):
+        lines = (RL_GROUPS_TINY / name).read_text().splitlines()
+        return [json.loads(line) for line in lines if line.strip()]
+
+    tasks = {task["id"]: task for task in rows("tasks.jsonl")}
+    return [(row, parse_module_header(tasks[row["task_id"]]["reference_code"]))
+            for row in rows("groups.jsonl")]
+
+
+GROUPS = _rl_groups_tiny()
+CONFIG = json.loads((RL_GROUPS_TINY / "config.json").read_text())
+
+OUTCOMES = st.one_of(
+    st.just(SimOutcome(compile_ok=False, ran_ok=False, returncode=1)),
+    st.just(SimOutcome(compile_ok=True, ran_ok=False, timed_out=True)),
+    st.floats(min_value=0.0, max_value=1.0).map(
+        lambda f: SimOutcome(compile_ok=True, ran_ok=True, match_fraction=f, returncode=0)
+    ),
+)
+SCORES = st.one_of(
+    st.just("provider unreachable after 3 attempts"),
+    st.lists(st.floats(min_value=-8.0, max_value=0.0), min_size=1, max_size=12).map(
+        lambda lps: TokenLogProbSeq(tuple(range(len(lps))), tuple(lps))
+    ),
+)
+
+
+class TestScoreGroup:
+    def _score(self, row, interface, order, outcomes, scores):
+        rollouts = [row["rollouts"][i] for i in order]
+        return score_group(
+            row["task_id"], row["step"], rollouts, [r["code_text"] for r in rollouts],
+            [outcomes[i] for i in order], [scores[i] for i in order], interface,
+            WeightSchedule(**CONFIG["schedule"]),
+            epsilon=0.2, beta=CONFIG["grpo"]["beta"], eps_std=1e-8,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=st.sampled_from(range(len(GROUPS))), data=st.data())
+    def test_permuting_rollouts_permutes_the_row(self, group, data):
+        """Group standardization is permutation-equivariant: permuting the
+        rollouts with their outcomes and scores permutes the reward rows and
+        advantages, and leaves the objective and degeneracy as they were."""
+        row, interface = GROUPS[group]
+        n = len(row["rollouts"])
+        outcomes = data.draw(st.lists(OUTCOMES, min_size=n, max_size=n))
+        # a rollout with a crux_score of its own is scored from it
+        scores = [None if "crux_score" in r else data.draw(SCORES) for r in row["rollouts"]]
+        perm = data.draw(st.permutations(range(n)))
+        base = self._score(row, interface, range(n), outcomes, scores)
+        permuted = self._score(row, interface, perm, outcomes, scores)
+        assert permuted["rewards"] == [base["rewards"][i] for i in perm]
+        for got, i in zip(permuted["advantages"], perm):
+            assert abs(got - base["advantages"][i]) <= 1e-12
+        for name, value in base["objective"].items():
+            assert abs(permuted["objective"][name] - value) <= 1e-12
+        assert permuted["degenerate"] == base["degenerate"]
+        assert (permuted["task_id"], permuted["step"]) == (base["task_id"], base["step"])
+
+    def test_failed_scoring_call_scores_zero_with_a_diagnostic(self):
+        row, interface = GROUPS[0]
+        n = len(row["rollouts"])
+        outcome = SimOutcome(compile_ok=True, ran_ok=True, match_fraction=1.0, returncode=0)
+        scores = ["boom"] + [TokenLogProbSeq((0,), (-0.5,))] * (n - 1)
+        out = self._score(row, interface, range(n), [outcome] * n, scores)
+        assert out["rewards"][0]["crux_r"] == 0.0
+        assert out["rewards"][0]["diagnostics"] == ["scoring failed: boom"]
+        assert all(r["diagnostics"] == [] for r in out["rewards"][1:])
