@@ -1,4 +1,4 @@
-"""Simulation harness and pass@k scoring.
+"""Simulation harness, pass@k scoring, and the one report-table renderer.
 
 Candidate Verilog is compiled and run against a task's testbench with an
 external toolchain described by command templates. Correctness is judged by

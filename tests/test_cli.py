@@ -1058,8 +1058,8 @@ class TestSimulator:
 
     def test_candidate_transcripts_leave_the_simulator(self, tmp_path):
         """Four candidates that each print 2.8 MB of short lines, on one
-        worker: only the reference's transcript is kept, so peak RSS stays
-        near two transcripts' worth (about 250 MB), not five (about 530 MB)."""
+        worker: only the reference's transcript is kept past its match, so
+        peak RSS stays under 350 MB; keeping all five took over 500 MB."""
         toolchain = tmp_path / "tc.json"
         toolchain.write_text(json.dumps({
             "compile_cmd": "true {out}",
