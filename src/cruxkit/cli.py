@@ -23,9 +23,9 @@ import hashlib
 import json
 import os
 import sys
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future
+from collections import defaultdict, deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import TYPE_CHECKING
 
 import click
@@ -227,20 +227,19 @@ _EMPTY_DESIGN = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
 
 
 class _Simulator:
-    """Simulates a command's candidate designs against their tasks' testbenches.
+    """Simulates a command's batches of designs on one pool of the
+    toolchain's ``workers`` threads, so ``workers`` bounds every sim.
 
-    A context manager that owns one pool of the toolchain's ``workers``
-    threads for the whole command, so ``workers`` bounds every sim the
-    command runs. ``prefetch`` submits a task's first and only reference
-    job: it reads the task's testbench and simulates the reference design,
-    whose transcript scores every batch of the task's candidates. ``run``
-    waits for that job, then simulates the batch's distinct designs once on
-    the same pool, and outcomes come back in candidate order, one per
-    candidate. A candidate equal to the reference reuses the reference's
-    outcome, a blank one is a compile failure, and any other comes back
-    without its transcript. Errors of a reference job
-    (a missing testbench, a reference that fails its own testbench) are
-    raised by ``run``, in the turn of the batch that needs it. On exit,
+    ``stream`` reads ``(row, task_id, reference_code, codes)`` batches ahead
+    while fewer than 2 x ``workers`` sims are queued or running, and
+    submits each batch's sims as it is read: the task's reference, once
+    per command, then the batch's distinct designs. The pool is FIFO, so a
+    candidate starts only once its reference runs; it is matched against
+    the reference's transcript in its worker and comes back without its
+    own. ``(row, outcomes)`` pairs come back in batch order, outcomes in
+    candidate order. An error of a batch (an unreadable or malformed row,
+    a missing testbench, a failing reference) is raised in its turn, after
+    every batch before it, and no batch after a bad one is read. On exit,
     queued jobs are cancelled and running ones waited for, so no thread or
     child process outlives the command.
     """
@@ -250,7 +249,7 @@ class _Simulator:
         self.toolchain = toolchain
         self.tb_dir = tb_dir
         self.timeout_ms = timeout_ms
-        self._references: dict[str, Future[tuple[str, SimOutcome]]] = {}
+        self._references: dict[str, tuple[str, Future[SimOutcome]]] = {}
 
     def __enter__(self) -> "_Simulator":
         self._pool = harness.ThreadPoolExecutor(max_workers=self.toolchain.workers)
@@ -259,96 +258,71 @@ class _Simulator:
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
 
-    def _reference(self, task_id: str, reference_code: str) -> tuple[str, SimOutcome]:
-        with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
-            tb_source = f.read()
-        outcome = harness.run_sim(
-            SimJob(reference_code, tb_source, task_id, self.timeout_ms), self.toolchain
-        )
-        if not outcome.ran_ok:
-            raise ConfigError(
-                f"reference design for task {task_id!r} failed its own testbench "
-                f"(compile_ok={outcome.compile_ok}, timed_out={outcome.timed_out}): "
-                f"{outcome.log.strip()[:300]}"
-            )
-        return tb_source, outcome
-
-    def prefetch(self, task_id: str, reference_code: str) -> None:
-        """Starts the task's reference job unless it has one; never raises."""
+    def _submit(self, batch: tuple) -> dict[str, Future[SimOutcome]]:
+        """A batch's sims by design: its task's reference, then the rest."""
+        _, task_id, reference_code, codes = batch
         if task_id not in self._references:
-            self._references[task_id] = self._pool.submit(
-                self._reference, task_id, reference_code
-            )
-
-    def run(self, task_id: str, reference_code: str, codes: list[str]) -> list[SimOutcome]:
-        self.prefetch(task_id, reference_code)
-        tb_source, reference = self._references[task_id].result()
+            with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
+                tb = f.read()
+            job = SimJob(reference_code, tb, task_id, self.timeout_ms)
+            self._references[task_id] = tb, self._pool.submit(harness.run_sim, job, self.toolchain)
+        tb, reference = self._references[task_id]
         # within a batch the testbench, timeout and toolchain are fixed, so the
-        # design text alone keys a sim; the reference matches itself exactly
-        known = {reference_code: reference}
-        distinct = [c for c in dict.fromkeys(codes) if c not in known and c.strip()]
-        lines = list(reference.stdout_lines)
-        futures = [
-            self._pool.submit(
-                _candidate_sim, SimJob(code, tb_source, task_id, self.timeout_ms),
-                self.toolchain, lines,
-            )
-            for code in distinct
-        ]
-        known.update(zip(distinct, (f.result() for f in futures)))
-        return [known.get(code, _EMPTY_DESIGN) for code in codes]
+        # design text alone keys a sim; the reference matches itself exactly,
+        # and a blank design is a compile failure without a sim
+        sims = {reference_code: reference}
+        for code in dict.fromkeys(codes):
+            if code not in sims and code.strip():
+                job = SimJob(code, tb, task_id, self.timeout_ms)
+                sims[code] = self._pool.submit(_candidate_sim, job, self.toolchain,
+                                               lambda: reference.result().stdout_lines)
+        return sims
+
+    def stream(self, batches: Iterable[tuple]) -> Iterator[tuple[object, list[SimOutcome]]]:
+        batches, window, running, error = iter(batches), deque(), set(), None
+        while True:
+            running = {f for f in running if not f.done()}
+            while batches and len(running) < 2 * self.toolchain.workers:
+                try:
+                    batch = next(batches)
+                    sims = self._submit(batch)
+                except StopIteration:
+                    batches = None
+                except Exception as exc:  # noqa: BLE001 - raised in its batch's turn
+                    batches, error = None, exc
+                else:
+                    window.append((batch, sims))
+                    running.update(sims.values())
+            if not window:
+                if error is not None:
+                    raise error
+                return
+            (row, task_id, reference_code, codes), sims = window[0]
+            if not all(f.done() for f in sims.values()):
+                wait(running, return_when=FIRST_COMPLETED)
+                continue
+            window.popleft()
+            reference = sims[reference_code].result()
+            if not reference.ran_ok:
+                raise ConfigError(
+                    f"reference design for task {task_id!r} failed its own testbench "
+                    f"(compile_ok={reference.compile_ok}, timed_out={reference.timed_out}): "
+                    f"{reference.log.strip()[:300]}"
+                )
+            known = {code: f.result() for code, f in sims.items()}
+            yield row, [known.get(code, _EMPTY_DESIGN) for code in codes]
 
 
-def _candidate_sim(job: SimJob, toolchain: ToolchainConfig, lines: list[str]) -> SimOutcome:
+def _candidate_sim(job: SimJob, toolchain: ToolchainConfig, lines) -> SimOutcome:
     """A candidate's outcome without its transcript: once its match fraction
-    is set nothing reads it, so a row holds at most ``workers`` transcripts."""
+    is set nothing reads it, so at most ``workers`` transcripts are held."""
     return dataclasses.replace(harness.run_sim(job, toolchain, lines), stdout_lines=())
-
-
-_END = object()
-
-
-def _one_ahead(rows: Iterable, prefetch: Callable[[object], None]) -> Iterator:
-    """Yields ``rows`` in order, calling ``prefetch`` on each row before the
-    one ahead of it is yielded, so the next row's work starts while this one
-    is handled. Holds at most one row beyond the one yielded; an error
-    reading a row is raised in that row's turn, after the row before it."""
-    rows = iter(rows)
-    current = next(rows, _END)
-    if current is not _END:
-        prefetch(current)
-    while current is not _END:
-        try:
-            upcoming = next(rows, _END)
-        except Exception:
-            yield current
-            raise
-        if upcoming is not _END:
-            prefetch(upcoming)
-        yield current
-        current = upcoming
-
-
-def _prefetch_task_row(sims: _Simulator, tasks: dict[str, dict], row) -> None:
-    """Starts the reference job of the task a candidates or groups row names.
-    A row that names no known task is skipped; it fails in its own turn."""
-    try:
-        sims.prefetch(row["task_id"], tasks[row["task_id"]]["reference_code"])
-    except (KeyError, TypeError):
-        pass
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
     # scratch paths stay out of files so reruns are byte-identical
-    return {
-        "task_id": task_id,
-        "index": index,
-        "compile_ok": outcome.compile_ok,
-        "ran_ok": outcome.ran_ok,
-        "timed_out": outcome.timed_out,
-        "returncode": outcome.returncode,
-        "match_fraction": outcome.match_fraction,
-    }
+    fields = ("compile_ok", "ran_ok", "timed_out", "returncode", "match_fraction")
+    return {"task_id": task_id, "index": index, **{f: getattr(outcome, f) for f in fields}}
 
 
 def _checked(row, what: str, **kinds: type) -> None:
@@ -363,17 +337,55 @@ def _checked(row, what: str, **kinds: type) -> None:
             raise ConfigError(f"{what}: {key!r} must be a {kind.__name__}")
 
 
-def _group_row(row, what: str, global_step: int) -> tuple[str, int, list[dict]]:
-    """A groups row's task id, step and rollouts; a row without them, or a
-    rollout without the fields scoring reads, is a usage error naming it."""
+def _candidate_batch(number: int, row, tasks: dict[str, dict]) -> tuple:
+    """Candidates row ``number``'s sim batch; a row without a task id or a
+    list of code strings, or naming an unknown task, is a usage error."""
+    what = f"candidates row {number}"
+    _checked(row, what, task_id=object)
+    codes = row.get("candidates", [])
+    if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+        raise ConfigError(f"{what}: 'candidates' must be a list of strings")
+    task_id = row["task_id"]
+    if task_id not in tasks:
+        raise ConfigError(f"candidates reference unknown task {task_id!r}")
+    return task_id, task_id, tasks[task_id]["reference_code"], codes
+
+
+def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict]) -> tuple:
+    """A groups row's sim batch, whose row holds the task id, step, rollouts,
+    each rollout's own CRUX score or None, and the reference interface. A
+    malformed row or rollout, or an unknown task, is a usage error naming it."""
+    from .corpus import extract_verilog
+    from .interface import parse_module_header
+    from .rewards import parse_rollout
+
+    what = f"groups row {number}"
     _checked(row, what, task_id=object, rollouts=list)
-    for i, rollout in enumerate(row["rollouts"]):
-        _checked(rollout, f"{what} rollout {i}", code_text=str, crux_text=str,
+    rollouts, scores = [], []
+    for i, payload in enumerate(row["rollouts"]):
+        where = f"{what} rollout {i}"
+        _checked(payload, where, code_text=str, crux_text=str,
                  logprobs_new=dict, logprobs_old=dict)
+        code = payload["code_text"]
+        code = (extract_verilog(code) or code) if "```" in code else code
+        try:
+            rollout, score = parse_rollout(payload, code)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        rollouts.append(rollout)
+        scores.append(score)
     try:
-        return row["task_id"], int(row.get("step", global_step)), row["rollouts"]
+        step = int(row.get("step", global_step))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} has a bad 'step': {row['step']!r}") from exc
+    if step < 0:
+        raise ConfigError(f"{what} has a bad 'step': {row['step']!r}")
+    task_id = row["task_id"]
+    if task_id not in tasks:
+        raise ConfigError(f"groups reference unknown task {task_id!r}")
+    reference_code = tasks[task_id]["reference_code"]
+    group = (task_id, step, rollouts, scores, parse_module_header(reference_code))
+    return group, task_id, reference_code, [r.code_text for r in rollouts]
 
 
 def step_means(rows: Iterable[dict]) -> list[tuple[int, float, int]]:
@@ -393,7 +405,7 @@ def _write_table(path: str, table: str, echo: bool = False) -> None:
         click.echo(table, nl=False)
 
 
-_USAGE_ERRORS = (ConfigError, ToolchainMissing, GroupTooSmall, MissingRefLogprobs)
+_USAGE_ERRORS = (ConfigError, jsonl.BadJson, ToolchainMissing, GroupTooSmall, MissingRefLogprobs)
 
 
 def _run_command(fn) -> None:
@@ -458,18 +470,20 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 
             sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
             gateway = Gateway(_provider(provider_path, mock_script))
-            verdicts = {}
-            with sims:
-                for pair in _one_ahead(pairs, lambda p: sims.prefetch(p.id, p.reference_code)):
+
+            def probes():
+                for pair in pairs:
                     req = GenRequest(pair.description, n=cfg["probe_n"],
                                      seed=derive_seed(cfg["seed"], pair.id, "probe"))
-                    codes = [extract_verilog(text) for text in gateway.generate(req)]
-                    # a completion with no Verilog scores 0 without a sim
-                    outcomes = iter(sims.run(
-                        pair.id, pair.reference_code, [c for c in codes if c is not None]
-                    ))
-                    fractions = [0.0 if c is None else code_reward(next(outcomes)) for c in codes]
-                    verdicts[pair.id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
+                    # a completion with no Verilog is blank: it scores 0 without a sim
+                    codes = [extract_verilog(text) or "" for text in gateway.generate(req)]
+                    yield pair.id, pair.id, pair.reference_code, codes
+
+            verdicts = {}
+            with sims:
+                for pair_id, outcomes in sims.stream(probes()):
+                    fractions = [code_reward(o) for o in outcomes]
+                    verdicts[pair_id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
         else:
             if verdicts_path is None:
                 raise ConfigError("need --verdicts or --live")
@@ -705,17 +719,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         samples: dict[str, list[SimOutcome]] = {}
         outcome_rows = []
         with sims:
-            rows = _one_ahead(cand_rows, lambda r: _prefetch_task_row(sims, tasks, r))
-            for number, row in enumerate(rows, 1):
-                what = f"candidates row {number}"
-                _checked(row, what, task_id=object)
-                codes = row.get("candidates", [])
-                if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-                    raise ConfigError(f"{what}: 'candidates' must be a list of strings")
-                task_id = row["task_id"]
-                if task_id not in tasks:
-                    raise ConfigError(f"candidates reference unknown task {task_id!r}")
-                outcomes = sims.run(task_id, tasks[task_id]["reference_code"], codes)
+            batches = (_candidate_batch(*r, tasks) for r in enumerate(cand_rows, 1))
+            for task_id, outcomes in sims.stream(batches):
                 # rows repeating a task add samples to it, numbered on from its last
                 task_samples = samples.setdefault(task_id, [])
                 outcome_rows.extend(
@@ -740,15 +745,13 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
 @click.option("--toolchain", "toolchain_path", type=str, default=None)
 @click.option("--provider", "provider_path", type=str, default=None)
 @click.option("--mock-provider", "mock_script", type=str, default=None)
-@click.option("--global-step", "global_step", type=int, default=0)
+@click.option("--global-step", "global_step", type=click.IntRange(min=0), default=0)
 @click.option("--output", "output_path", required=True, type=str)
 @click.pass_context
 def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
            mock_script, global_step, output_path):
     """Score rollout groups: four rewards, advantages, clipped objective."""
-    from .corpus import extract_verilog
     from .gateway import Gateway, GatewayError, ScoreRequest
-    from .interface import parse_module_header
     from .rewards import WeightSchedule, score_group
 
     cfg = ctx.obj["config"]
@@ -770,22 +773,14 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
             except GatewayError as exc:
                 return str(exc)
 
+        groups = (_group_batch(*r, global_step, tasks) for r in enumerate(group_rows, 1))
         with sims:
-            rows = _one_ahead(group_rows, lambda r: _prefetch_task_row(sims, tasks, r))
-            for number, row in enumerate(rows, 1):
-                task_id, step, payloads = _group_row(row, f"groups row {number}", global_step)
-                if task_id not in tasks:
-                    raise ConfigError(f"groups reference unknown task {task_id!r}")
-                task = tasks[task_id]
-                reference_iface = parse_module_header(task["reference_code"])
-                codes = [r["code_text"] for r in payloads]
-                codes = [(extract_verilog(c) or c) if "```" in c else c for c in codes]
-                outcomes = sims.run(task_id, task["reference_code"], codes)
+            for (task_id, step, rollouts, scores, iface), outcomes in sims.stream(groups):
                 # a rollout with a crux_score of its own needs no scoring call
-                scores = [None if "crux_score" in r else crux_score(task, r["crux_text"])
-                          for r in payloads]
-                out_rows.append(score_group(task_id, step, payloads, codes, outcomes, scores,
-                                            reference_iface, schedule, **grpo))
+                scores = [crux_score(tasks[task_id], r.crux_text) if s is None else s
+                          for r, s in zip(rollouts, scores)]
+                out_rows.append(score_group(task_id, step, rollouts, outcomes, scores, iface,
+                                            schedule, **grpo))
         jsonl.write_rows(
             output_path, out_rows,
             meta=meta_for(cfg, global_step=global_step, epsilon=grpo["epsilon"], beta=grpo["beta"]),

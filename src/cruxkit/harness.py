@@ -25,8 +25,8 @@ import signal
 import subprocess
 import sys
 import tempfile
-from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor  # the sim pool's class; see cli._Simulator
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor  # cli._Simulator's pool is built from here
 from dataclasses import dataclass, field, fields
 
 
@@ -169,7 +169,7 @@ def normalize_line(line: str) -> str:
     return " ".join(line.split())
 
 
-def match_outputs(candidate_lines: list[str], reference_lines: list[str]) -> float:
+def match_outputs(candidate_lines: Sequence[str], reference_lines: Sequence[str]) -> float:
     """Fraction of reference lines the candidate reproduces, position by
     position after whitespace normalization. A short candidate counts its
     missing lines as mismatches; extra candidate lines are ignored."""
@@ -239,16 +239,18 @@ def _run_child(
 def run_sim(
     job: SimJob,
     toolchain: ToolchainConfig = ToolchainConfig(),
-    reference_lines: list[str] | None = None,
+    reference_lines: Sequence[str] | Callable[[], Sequence[str]] | None = None,
 ) -> SimOutcome:
     """Compile and run one design+testbench pair in a fresh scratch directory.
 
     When ``reference_lines`` is given, ``match_fraction`` scores the run's
     transcript against it; without it a completed run scores 1.0 (used when
-    producing the reference transcript itself). Compile failures, crashes,
+    producing the reference transcript itself). It may be a function that
+    returns them, called only once the run has completed, so the sim can
+    start before its reference's finishes. Compile failures, crashes,
     timeouts and over-limit output are outcomes, not exceptions; only a
-    missing toolchain raises. The scratch directory is removed on every exit
-    unless ``keep_artifacts`` is set.
+    missing toolchain, or that function, raises. The scratch directory is
+    removed on every exit unless ``keep_artifacts`` is set.
     """
     scratch = tempfile.mkdtemp(prefix="cruxsim-")
     try:
@@ -294,9 +296,9 @@ def run_sim(
                 compile_ok=True, ran_ok=False, stdout_lines=lines, returncode=code,
                 log=stderr[-4000:], scratch_dir=scratch,
             )
-        fraction = match_outputs(
-            list(lines), reference_lines if reference_lines is not None else list(lines)
-        )
+        if callable(reference_lines):
+            reference_lines = reference_lines()
+        fraction = match_outputs(lines, lines if reference_lines is None else reference_lines)
         return SimOutcome(
             compile_ok=True, ran_ok=True, stdout_lines=lines,
             match_fraction=fraction, returncode=0, scratch_dir=scratch,

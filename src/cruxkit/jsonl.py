@@ -11,6 +11,10 @@ import json
 from typing import Iterable, Iterator
 
 
+class BadJson(ValueError):
+    """A line of an input file that is not JSON."""
+
+
 def read_rows(path: str) -> Iterator[dict]:
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -20,7 +24,7 @@ def read_rows(path: str) -> Iterator[dict]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from exc
+                raise BadJson(f"{path}:{line_no}: bad JSON: {exc}") from exc
             if isinstance(row, dict) and set(row) == {"meta"}:
                 continue
             yield row

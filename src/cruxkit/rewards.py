@@ -148,13 +148,31 @@ def reward_vector(
     )
 
 
+def parse_rollout(payload: dict, code: str) -> tuple[Rollout, TokenLogProbSeq | None]:
+    """A rollout row's payloads, each parsed once: the rollout that simulated
+    ``code`` and the row's own CRUX score or None. ``ValueError`` names a bad one."""
+    seqs = {}
+    for key in ("logprobs_new", "logprobs_old", "logprobs_ref", "crux_score"):
+        if payload.get(key) is None:
+            continue
+        try:
+            seqs[key] = TokenLogProbSeq.from_payload(payload[key])
+        except KeyError as exc:
+            raise ValueError(f"bad {key!r}: no {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {key!r}: {exc}") from exc
+        if not seqs[key]:
+            raise ValueError(f"bad {key!r}: no tokens")
+    return Rollout(payload["crux_text"], code, seqs["logprobs_new"], seqs["logprobs_old"],
+                   seqs.get("logprobs_ref")), seqs.get("crux_score")
+
+
 def score_group(
     task_id: str,
     step: int,
-    payloads: Sequence[dict],
-    codes: Sequence[str],
+    rollouts: Sequence[Rollout],
     outcomes: Sequence[SimOutcome],
-    scores: Sequence[TokenLogProbSeq | str | None],
+    scores: Sequence[TokenLogProbSeq | str],
     reference_interface: ModuleInterface,
     schedule: WeightSchedule,
     epsilon: float,
@@ -164,25 +182,19 @@ def score_group(
     """The output row of one rollout group: each rollout's four rewards and
     their mix, the group-standardized advantages and the clipped objective.
 
-    ``payloads`` are the group's rollout rows, ``codes`` the code each one
-    simulated and ``outcomes`` those sims. ``scores`` holds each rollout's
-    CRUX score sequence from a scoring call, or the message of the call's
-    failure, which scores 0 and is kept as a diagnostic; ``None`` for a
-    rollout scored by its own ``crux_score``. No I/O, no sims, no gateway.
+    Each rollout carries the code it simulated, and ``outcomes`` holds
+    those sims. ``scores`` holds each rollout's CRUX score sequence, its own
+    or a scoring call's, or the message of a failed scoring call, which
+    scores 0 and is kept as a diagnostic. No I/O, no sims, no gateway.
     """
-    seq = TokenLogProbSeq.from_payload
-    rows, mixed, rollouts = [], [], []
-    for payload, code, outcome, score in zip(payloads, codes, outcomes, scores):
-        score = seq(payload["crux_score"]) if score is None else score
+    rows, mixed = [], []
+    for rollout, outcome, score in zip(rollouts, outcomes, scores):
         failed = isinstance(score, str)
-        parts = (format_reward(payload["crux_text"], reference_interface), compile_reward(outcome),
+        parts = (format_reward(rollout.crux_text, reference_interface), compile_reward(outcome),
                  crux_reward(None if failed else score), code_reward(outcome))
         vec = reward_vector(parts, schedule, step)
         mixed.append(vec.mixed)
         rows.append({**asdict(vec), "diagnostics": [f"scoring failed: {score}"] if failed else []})
-        ref = payload.get("logprobs_ref")
-        rollouts.append(Rollout(payload["crux_text"], code, seq(payload["logprobs_new"]),
-                                seq(payload["logprobs_old"]), None if ref is None else seq(ref)))
     advantages = group_advantages(mixed, eps_std)
     breakdown = clipped_objective(RolloutGroup(task_id, tuple(rollouts)), advantages, epsilon, beta)
     return {"task_id": task_id, "step": step, "rewards": rows,

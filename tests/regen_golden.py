@@ -347,10 +347,14 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
+def run_case(name: str, workdir: Path, workers: int | None = None) -> dict[str, bytes]:
     """Run one case in ``workdir``; returns file name -> bytes, output files
-    plus ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``."""
+    plus ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``. A simulating
+    case runs on ``workers`` threads when it is given."""
     args, outdir = CASES[name](workdir)
+    if workers is not None:
+        toolchain = workdir / "toolchain.json"
+        toolchain.write_text(json.dumps({**json.loads(toolchain.read_text()), "workers": workers}))
     # a cruxkit process starts with no logging handlers, so a warning reaches
     # stderr through logging's last-resort handler; a test runner's root
     # handlers would take it instead

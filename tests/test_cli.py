@@ -726,6 +726,21 @@ class TestReward:
         )
         assert result.exit_code == 2
 
+    def test_negative_global_step_is_usage_error(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        result = run_cli(
+            "reward",
+            "--groups", write_groups(tmp_path, pairs[:1], step=0),
+            "--tasks", TOY / "pairs.jsonl",
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--global-step", -1,
+            "--output", tmp_path / "out.jsonl",
+        )
+        assert result.exit_code == 2
+        assert "--global-step" in result.stderr
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_task_without_reference_code_is_usage_error(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         tasks = tmp_path / "tasks.jsonl"
@@ -840,6 +855,22 @@ def _without(row, key):
     ("evaluate", {"candidates": ["module m; endmodule"]}, "candidates row 2 has no 'task_id'"),
     ("evaluate", {"task_id": "mux2to1", "candidates": "ab"},
      "candidates row 2: 'candidates' must be a list of strings"),
+    ("reward", {"task_id": "mux2to1", "step": -1, "rollouts": [_ROLLOUT, _ROLLOUT]},
+     "groups row 2 has a bad 'step': -1"),
+    ("reward", {"task_id": "mux2to1",
+                "rollouts": [_ROLLOUT, {**_ROLLOUT, "logprobs_new": {"tokens": [0]}}]},
+     "groups row 2 rollout 1: bad 'logprobs_new': no 'logprobs'"),
+    ("reward", {"task_id": "mux2to1",
+                "rollouts": [{**_ROLLOUT, "logprobs_old": payload([-0.1, -0.2])}, _ROLLOUT]},
+     "groups row 2 rollout 0: logprob sequences must cover identical tokens"),
+    ("reward", {"task_id": "mux2to1",
+                "rollouts": [_ROLLOUT, {**_ROLLOUT, "logprobs_ref": {"tokens": [0], "logprobs": 1}}]},
+     "groups row 2 rollout 1: bad 'logprobs_ref': 'int' object is not iterable"),
+    ("reward", {"task_id": "mux2to1",
+                "rollouts": [{**_ROLLOUT, "crux_score": payload([0.5])}, _ROLLOUT]},
+     "groups row 2 rollout 0: bad 'crux_score': logprobs must be finite and <= 0, got 0.5"),
+    ("reward", {"task_id": "mux2to1", "rollouts": [_ROLLOUT, {**_ROLLOUT, "crux_score": payload([])}]},
+     "groups row 2 rollout 1: bad 'crux_score': no tokens"),
 ])
 def test_malformed_row_is_usage_error_naming_it(
     tmp_path, echo_toolchain_file, command, row, message
@@ -859,6 +890,23 @@ def test_malformed_row_is_usage_error_naming_it(
                      "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file)
     assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reward"])
+def test_line_that_is_not_json_is_usage_error(tmp_path, echo_toolchain_file, command):
+    rows = tmp_path / "rows.jsonl"
+    if command == "reward":
+        valid = write_groups(tmp_path, [{"id": "mux2to1", "reference_code": toy_reference("mux2to1")}],
+                             step=0).read_text()
+        args = ["--groups", rows, "--output", tmp_path / "rewarded.jsonl"]
+    else:
+        valid = json.dumps({"task_id": "mux2to1", "candidates": [toy_reference("mux2to1")]}) + "\n"
+        args = ["--candidates", rows, "--output-dir", tmp_path / "eval"]
+    rows.write_text(valid + '{"task_id": "mux2to1", "candidates": [\n')
+    result = run_cli(command, *args, "--tasks", TOY / "pairs.jsonl",
+                     "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {rows}:2: bad JSON: ")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
@@ -1020,25 +1068,78 @@ class TestSimulator:
             assert result.exit_code == 0, result.output
         assert set(threading.enumerate()) <= baseline
 
-    def test_one_ahead_prefetches_the_next_row_and_raises_in_order(self):
-        from cruxkit.cli import _one_ahead
+    def test_stream_reads_ahead_within_the_window_and_raises_in_order(self, monkeypatch):
+        import cruxkit.harness as harness
+        from cruxkit.cli import _Simulator
+        from cruxkit.harness import ToolchainConfig
 
+        release = threading.Event()
+
+        def hook(task_id, is_ref):
+            if task_id == "mux2to1":
+                release.wait(timeout=5)
+
+        monkeypatch.setattr(harness, "run_sim", FakeSims(seconds=0, hook=hook))
         events = []
 
-        def rows():
-            yield from ("a", "b")
-            raise ValueError("row c is unreadable")
+        def batches():
+            for task_id in ("dff8p", "mux2to1", "count4"):
+                events.append(f"read {task_id}")
+                yield task_id, task_id, toy_reference(task_id), [f"module {task_id}_c; endmodule"]
+            raise ValueError("row 4 is unreadable")
 
-        it = _one_ahead(rows(), lambda row: events.append(f"prefetch {row}"))
-        for row in it:
-            events.append(f"handle {row}")
-            if row == "b":
-                break
-        assert events == ["prefetch a", "prefetch b", "handle a", "handle b"]
-        # the read error of the third row comes only when it is asked for
-        with pytest.raises(ValueError, match="row c"):
-            next(it)
-        assert list(_one_ahead([], events.append)) == []
+        toolchain = ToolchainConfig.echo(workers=1)
+        with _Simulator(toolchain, str(TOY / "testbenches"), 10_000) as sims:
+            with pytest.raises(ValueError, match="row 4"):
+                for task_id, outcomes in sims.stream(batches()):
+                    events.append(f"handle {task_id}")
+                    assert [o.match_fraction for o in outcomes] == [1.0]
+                    if task_id == "dff8p":
+                        # mux2to1's reference and candidate fill the window of
+                        # 2 x workers sims, so count4 is not read yet
+                        assert events == ["read dff8p", "read mux2to1", "handle dff8p"]
+                        release.set()
+        # each row is read before the one ahead of it is handled, and the
+        # read error comes only after every row before it is handled
+        assert events == ["read dff8p", "read mux2to1", "handle dff8p", "read count4",
+                          "handle mux2to1", "handle count4"]
+
+    def test_later_rows_fill_the_pool(self, tmp_path, monkeypatch):
+        """8 tasks x 2 distinct candidates on 8 workers: candidates start
+        before their reference finishes and later rows start before earlier
+        ones are handled, so 8 of the 24 sims run at once. Each sim waits
+        (at most 0.5 s) for the eighth to start."""
+        import cruxkit.harness as harness
+
+        all_running = threading.Event()
+        fake = FakeSims(seconds=0)
+
+        def hook(task_id, is_ref):
+            if fake.peak == 8:
+                all_running.set()
+            all_running.wait(timeout=0.5)
+
+        fake.hook = hook
+        monkeypatch.setattr(harness, "run_sim", fake)
+        ids = [f"task{i}" for i in range(8)]
+        (tmp_path / "tb").mkdir()
+        tb = (TOY / "testbenches" / "mux2to1_tb.v").read_text()
+        tasks = tmp_path / "tasks.jsonl"
+        candidates = tmp_path / "c.jsonl"
+        with open(tasks, "w") as t, open(candidates, "w") as c:
+            for task_id in ids:
+                (tmp_path / "tb" / f"{task_id}_tb.v").write_text(tb)
+                t.write(json.dumps({"id": task_id, "reference_code": toy_reference("mux2to1")}) + "\n")
+                codes = [f"module {task_id}_{j}; endmodule" for j in range(2)]
+                c.write(json.dumps({"task_id": task_id, "candidates": codes}) + "\n")
+        result = run_cli(
+            "evaluate", "--tasks", tasks, "--candidates", candidates,
+            "--testbenches", tmp_path / "tb", "--toolchain", _workers_toolchain(tmp_path, 8),
+            "--output-dir", tmp_path / "eval",
+        )
+        assert result.exit_code == 0, result.output
+        assert len(fake.started) == 24
+        assert fake.peak == 8
 
     def test_outcomes_keep_candidate_order(self, tmp_path):
         # candidate i prints the first i of the reference's 32 lines; distinct
@@ -1051,7 +1152,7 @@ class TestSimulator:
         reference = "".join(emits) + "module m(input clk);\nendmodule\n"
         codes = ["".join(emits[:i]) + f"module m{i}(input clk);\nendmodule\n" for i in range(32)]
         with _Simulator(ToolchainConfig.echo(), str(tmp_path), 10_000) as sims:
-            outs = sims.run("m", reference, codes)
+            [(_, outs)] = sims.stream([(None, "m", reference, codes)])
         assert [out.match_fraction for out in outs] == [i / 32 for i in range(32)]
         # a candidate's transcript is dropped once it is scored
         assert all(out.stdout_lines == () for out in outs)

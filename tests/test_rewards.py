@@ -21,6 +21,7 @@ from cruxkit.rewards import (
     compile_reward,
     crux_reward,
     format_reward,
+    parse_rollout,
     reward_vector,
     score_group,
 )
@@ -225,10 +226,13 @@ SCORES = st.one_of(
 
 class TestScoreGroup:
     def _score(self, row, interface, order, outcomes, scores):
-        rollouts = [row["rollouts"][i] for i in order]
+        payloads = [row["rollouts"][i] for i in order]
+        parsed = [parse_rollout(p, p["code_text"]) for p in payloads]
+        # a None score is the rollout's own crux_score
+        scores = [own if scores[i] is None else scores[i] for i, (_, own) in zip(order, parsed)]
         return score_group(
-            row["task_id"], row["step"], rollouts, [r["code_text"] for r in rollouts],
-            [outcomes[i] for i in order], [scores[i] for i in order], interface,
+            row["task_id"], row["step"], [r for r, _ in parsed], [outcomes[i] for i in order],
+            scores, interface,
             WeightSchedule(**CONFIG["schedule"]),
             epsilon=0.2, beta=CONFIG["grpo"]["beta"], eps_std=1e-8,
         )
