@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__, harness, jsonl
-from .grpo import (
-    GroupTooSmall,
-    MissingRefLogprobs,
-    check_coefficients,
-    objective_gradient_check,
-    random_toy_instance,
-)
+from .grpo import check_coefficients, objective_gradient_check, random_toy_instance
 from .harness import (
     SimJob,
     SimOutcome,
@@ -351,10 +345,13 @@ def _candidate_batch(number: int, row, tasks: dict[str, dict]) -> tuple:
     return task_id, task_id, tasks[task_id]["reference_code"], codes
 
 
-def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict]) -> tuple:
+def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict],
+                 beta: float) -> tuple:
     """A groups row's sim batch, whose row holds the task id, step, rollouts,
     each rollout's own CRUX score or None, and the reference interface. A
-    malformed row or rollout, or an unknown task, is a usage error naming it."""
+    malformed row or rollout, an unknown task, a group too small to
+    standardize, or a rollout without ref logprobs under ``beta`` > 0 is a
+    usage error naming it, raised before any of the row's sims start."""
     from .corpus import extract_verilog
     from .interface import parse_module_header
     from .rewards import parse_rollout
@@ -374,17 +371,21 @@ def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict]) -> 
             raise ConfigError(f"{where}: {exc}") from exc
         rollouts.append(rollout)
         scores.append(score)
-    try:
-        step = int(row.get("step", global_step))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} has a bad 'step': {row['step']!r}") from exc
-    if step < 0:
-        raise ConfigError(f"{what} has a bad 'step': {row['step']!r}")
+    step = row.get("step", global_step)
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise ConfigError(f"{what} has a bad 'step': {step!r}")
     task_id = row["task_id"]
     if task_id not in tasks:
         raise ConfigError(f"groups reference unknown task {task_id!r}")
     reference_code = tasks[task_id]["reference_code"]
     group = (task_id, step, rollouts, scores, parse_module_header(reference_code))
+    # the checks score_group would make, made before the group's sims
+    if len(rollouts) < 2:
+        raise ConfigError(f"need at least 2 rollouts, got {len(rollouts)} ({what})")
+    for i, rollout in enumerate(rollouts if beta > 0 else ()):
+        if rollout.token_logprobs_ref is None:
+            raise ConfigError(f"beta > 0 requires ref logprobs on every rollout "
+                              f"({what} rollout {i} has none)")
     return group, task_id, reference_code, [r.code_text for r in rollouts]
 
 
@@ -405,7 +406,7 @@ def _write_table(path: str, table: str, echo: bool = False) -> None:
         click.echo(table, nl=False)
 
 
-_USAGE_ERRORS = (ConfigError, jsonl.BadJson, ToolchainMissing, GroupTooSmall, MissingRefLogprobs)
+_USAGE_ERRORS = (ConfigError, jsonl.BadJson, ToolchainMissing)
 
 
 def _run_command(fn) -> None:
@@ -608,6 +609,15 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                     ) from exc
         degradation = DegradationPolicy(**cfg["degradation"])
         augmentation = AugmentationPolicy(**cfg["augmentation"])
+        # the same for every row; records share them, and nothing mutates them
+        policies = {
+            "degradation": dataclasses.asdict(degradation),
+            "augmentation": {
+                "p_middle_insert": augmentation.p_middle_insert,
+                "p_prefix": augmentation.p_prefix,
+                "p_suffix": augmentation.p_suffix,
+            },
+        }
         records, reclassified = [], []
         for row in rows:
             pair = _as_pair(row)
@@ -646,12 +656,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 "master_seed": cfg["seed"],
                 "seed_degrade": seed_degrade,
                 "seed_augment": seed_augment,
-                "degradation": dataclasses.asdict(degradation),
-                "augmentation": {
-                    "p_middle_insert": augmentation.p_middle_insert,
-                    "p_prefix": augmentation.p_prefix,
-                    "p_suffix": augmentation.p_suffix,
-                },
+                **policies,
             }
             result = assemble_record(
                 pair, category, realspec, reference_iface, crux, verdict, provenance
@@ -773,7 +778,8 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
             except GatewayError as exc:
                 return str(exc)
 
-        groups = (_group_batch(*r, global_step, tasks) for r in enumerate(group_rows, 1))
+        groups = (_group_batch(*r, global_step, tasks, grpo["beta"])
+                  for r in enumerate(group_rows, 1))
         with sims:
             for (task_id, step, rollouts, scores, iface), outcomes in sims.stream(groups):
                 # a rollout with a crux_score of its own needs no scoring call

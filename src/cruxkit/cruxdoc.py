@@ -38,17 +38,24 @@ _SECTION_NAMES = {
 }
 
 
+# whitespace beside a line break: a blank line, or a line left unstripped
+_UNSTRIPPED_LINE_RE = re.compile(r"\s\n|\n\s")
+
+
 def _validate_block(block: str, label: str) -> None:
-    lines = block.split("\n")
-    if not block or any(not ln or ln != ln.strip() for ln in lines):
+    # each check reads the block whole; a line's start is the block's start
+    # or a line break
+    multi = "\n" in block
+    if not block or block != block.strip() or (multi and _UNSTRIPPED_LINE_RE.search(block)):
         raise ValueError(
             f"{label} block lines must be individually stripped and nonempty: {block!r}"
         )
-    if any(ln.startswith("#") for ln in lines):
+    if block.startswith("#") or (multi and "\n#" in block):
         raise ValueError(f"{label} block lines must not look like headings: {block!r}")
-    if any(_FENCE_RE.match(ln) for ln in lines):
+    # the lines are stripped, so a fence opens at a line's first character
+    if block.startswith("```") or (multi and "\n```" in block):
         raise ValueError(f"{label} block lines must not open code fences: {block!r}")
-    if len(lines) > 1 and all(ln.startswith("- ") for ln in lines):
+    if multi and all(ln.startswith("- ") for ln in block.split("\n")):
         raise ValueError(
             f"{label} multi-line block reads as a bullet list; pass items separately"
         )
@@ -192,43 +199,39 @@ def parse_crux(text: str) -> CruxParseReport:
     """Parse ``text`` as a CRUX document. Total: never raises."""
     diagnostics: list[Diagnostic] = []
     sections: dict[str, list[tuple[int, str]]] = {}
-    current: str | None = None
+    # the lines of the section being read; None before the first heading,
+    # and under an unknown heading
+    body: list[tuple[int, str]] | None = None
+    preamble = True  # no heading or content seen yet
     in_fence = False
     for no, raw in enumerate(text.split("\n"), start=1):
-        heading = None
         # only a line starting with '#' or '`' after its indent can be either
         if raw.lstrip(" ")[:1] in ("#", "`"):
             if _FENCE_RE.match(raw):
                 in_fence = not in_fence
-            if not in_fence:
-                heading = _HEADING_RE.match(raw)
-        if heading is not None:
-            section = _SECTION_NAMES.get(heading.group(2).strip().lower())
-            if section is None:
-                # unknown heading: ignore its content rather than polluting
-                # the section we were in
-                diagnostics.append(
-                    Diagnostic("warning", f"unrecognized heading: {raw.strip()}", no)
-                )
-                current = "_ignored"
+            heading = None if in_fence else _HEADING_RE.match(raw)
+            if heading is not None:
+                preamble = False
+                section = _SECTION_NAMES.get(heading.group(2).strip().lower())
+                if section is None:
+                    # unknown heading: ignore its content rather than polluting
+                    # the section we were in
+                    diagnostics.append(
+                        Diagnostic("warning", f"unrecognized heading: {raw.strip()}", no)
+                    )
+                    body = None
+                    continue
+                if section in sections:
+                    diagnostics.append(
+                        Diagnostic("warning", f"duplicate section heading: {raw.strip()}", no)
+                    )
+                body = sections.setdefault(section, [])
                 continue
-            if section in sections:
-                diagnostics.append(
-                    Diagnostic("warning", f"duplicate section heading: {raw.strip()}", no)
-                )
-            sections.setdefault(section, [])
-            current = section
-            continue
-        if current is None:
-            if raw.strip():
-                diagnostics.append(
-                    Diagnostic("info", "content before first recognized section", no)
-                )
-                current = "_preamble"
-            continue
-        if current in ("_preamble", "_ignored"):
-            continue
-        sections[current].append((no, raw))
+        if body is not None:
+            body.append((no, raw))
+        elif preamble and raw.strip():
+            diagnostics.append(Diagnostic("info", "content before first recognized section", no))
+            preamble = False
 
     found = frozenset(sections) & ALL_SECTIONS
     for missing in sorted(ALL_SECTIONS - found):

@@ -4,10 +4,11 @@ Two calls: ``generate`` (n sampled completions for a prompt) and
 ``score_continuation`` (per-token logprobs of a fixed continuation after a
 prompt, via the echo-logprobs convention). Transient failures retry with
 exponential backoff; every call appends one line to a JSONL audit log when
-one is configured. The mock provider answers from canned tables keyed by
-prompt substrings and is fully deterministic under its seed, so pipelines
-can run hermetically. This module imports no other cruxkit module, so the
-commands that call a provider pay only for the client.
+one is configured, and only then is its request digested. The mock
+provider answers from canned tables keyed by prompt substrings and is
+fully deterministic under its seed, so pipelines can run hermetically.
+This module imports no other cruxkit module, so the commands that call a
+provider pay only for the client.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -315,12 +316,14 @@ class Gateway:
         self._sleep = sleep
         self._audit_lock = threading.Lock()
 
-    def _audit(self, kind: str, req_digest: str, attempts: int, extra: dict) -> None:
+    def _audit(self, kind: str, req: GenRequest | ScoreRequest, attempts: int,
+               extra: dict) -> None:
         if not self.config.audit_path:
             return
+        digest = hashlib.sha256(json.dumps(asdict(req), sort_keys=True).encode()).hexdigest()
         entry = {
             "kind": kind,
-            "request_sha256": req_digest,
+            "request_sha256": digest,
             "attempts": attempts,
             "timestamp": time.time(),
             **extra,
@@ -341,27 +344,13 @@ class Gateway:
         raise ProviderUnreachable(str(last)) from last
 
     def generate(self, req: GenRequest) -> list[str]:
-        digest = hashlib.sha256(
-            json.dumps(
-                {
-                    "prompt": req.prompt, "n": req.n, "temperature": req.temperature,
-                    "top_p": req.top_p, "max_tokens": req.max_tokens, "seed": req.seed,
-                },
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()
         texts, attempts = self._with_retries(lambda: self.backend.generate(req))
         if len(texts) != req.n:
             raise TruncatedResponse(f"asked for {req.n} completions, got {len(texts)}")
-        self._audit("generate", digest, attempts, {"n": req.n})
+        self._audit("generate", req, attempts, {"n": req.n})
         return texts
 
     def score_continuation(self, req: ScoreRequest) -> TokenLogProbSeq:
-        digest = hashlib.sha256(
-            json.dumps(
-                {"prompt": req.prompt, "continuation": req.continuation}, sort_keys=True
-            ).encode()
-        ).hexdigest()
         seq, attempts = self._with_retries(lambda: self.backend.score(req))
-        self._audit("score", digest, attempts, {"tokens": len(seq)})
+        self._audit("score", req, attempts, {"tokens": len(seq)})
         return seq

@@ -9,6 +9,15 @@ Comments are read left to right, as a lexer would: whichever of ``//`` and
 ``/*`` opens first wins, so a ``/*`` inside a line comment opens nothing.
 The scanners step from delimiter to delimiter with compiled patterns and
 string methods, never one character at a time.
+
+A port list is read in one pass when every entry has the common shape: a
+direction, net words, a constant range and one name, or a bare name that
+continues the previous declaration. One compiled pattern matches one such
+declaration and the comma after it, and ``PortSpec`` checks its facts. A
+list with any other entry, or one that fails a check, is read again by the
+tokenizer, which splits the list at its top-level commas and classifies
+each entry token by token; every error comes from it. Both paths give the
+same ports for every list the pattern reads.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum, Flag, auto
+from functools import lru_cache
 from random import Random
 
 
@@ -71,6 +81,7 @@ def _valid_identifier(name: str) -> bool:
     return bool(_IDENTIFIER_RE.match(name)) and name not in VERILOG_KEYWORDS
 
 
+@lru_cache(maxsize=1024)
 def range_width(range_text: str) -> int:
     """Width in bits of a numeric ``[H:L]`` range. Raises on anything else."""
     m = _RANGE_RE.match(range_text.strip())
@@ -124,13 +135,13 @@ class ModuleInterface:
     def __post_init__(self) -> None:
         if not _valid_identifier(self.module_name):
             raise ValueError(f"illegal module name: {self.module_name!r}")
-        port_names = [p.name for p in self.ports]
-        if len(set(port_names)) != len(port_names):
+        port_names = {p.name for p in self.ports}
+        if len(port_names) != len(self.ports):
             raise ValueError("duplicate port names")
-        param_names = [n for n, _ in self.parameters]
-        if len(set(param_names)) != len(param_names):
+        param_names = {n for n, _ in self.parameters}
+        if len(param_names) != len(self.parameters):
             raise ValueError("duplicate parameter names")
-        if set(param_names) & set(port_names):
+        if not param_names.isdisjoint(port_names):
             raise ValueError("parameter name collides with port name")
 
     def port(self, name: str) -> PortSpec:
@@ -216,9 +227,55 @@ def _parse_parameters(text: str) -> tuple[tuple[str, str], ...]:
 
 _PORT_TOKEN_RE = re.compile(r"\[[^\[\]]*\]|[A-Za-z_$][A-Za-z0-9_$]*|\S")
 _DIRECTIONS = {d.value: d for d in Direction}
+# One declaration of the common shape and the comma or end after it: a
+# direction, net words, a constant range and a name, or a bare name. A word
+# must not run on into an identifier character, and the name must end at
+# the separator, so each word is the token the tokenizer would read.
+_PORT_DECL_RE = re.compile(
+    r"\s*(?:(input|output|inout)(?![\w$])"
+    r"((?:\s+(?:wire|reg|logic|tri|wand|wor|signed|unsigned)(?![\w$]))*)"
+    r"\s*(\[\s*[+-]?\d+\s*:\s*[+-]?\d+\s*\])?\s*)?"
+    r"([A-Za-z_][A-Za-z0-9_$]*)\s*(,|\Z)"
+)
 
 
 def _parse_ports(text: str) -> tuple[PortSpec, ...]:
+    """The ports of a port list: scanned in one pass if it can be, else
+    tokenized."""
+    ports = _scan_ports(text)
+    return _tokenize_ports(text) if ports is None else ports
+
+
+def _scan_ports(text: str) -> tuple[PortSpec, ...] | None:
+    """The ports of a list whose entries all have the common shape, read one
+    declaration at a time; None for any other list."""
+    ports: list[PortSpec] = []
+    prev: PortSpec | None = None
+    pos = 0
+    while m := _PORT_DECL_RE.match(text, pos):
+        direction, words, range_text, name, comma = m.groups()
+        try:
+            if direction is not None:
+                # no net word contains "reg", so this finds the word itself
+                port = PortSpec(name, _DIRECTIONS[direction], None, "reg" in words,
+                                "".join(range_text.split()) if range_text else "")
+            elif prev is not None:
+                port = PortSpec(name, prev.direction, None, prev.is_reg, prev.range_text)
+            else:
+                return None
+        except ValueError:
+            # a keyword for a name, or an input reg: the tokenizer raises the error
+            return None
+        ports.append(port)
+        if not comma:
+            return tuple(ports)
+        prev = port
+        pos = m.end()
+    return None
+
+
+def _tokenize_ports(text: str) -> tuple[PortSpec, ...]:
+    """The ports of any port list, or the error that names its first bad entry."""
     ports: list[PortSpec] = []
     prev: PortSpec | None = None
     for chunk in _split_top_level(text):
@@ -411,6 +468,17 @@ class DegradedInterface:
                 raise ValueError("fully_retained requires every field kept")
 
 
+# each set of fields a port can keep, by (direction kept, width kept), and
+# back: Flag arithmetic and membership tests are slow per port
+_KEPT = {
+    (False, False): KeptFields.NAME,
+    (True, False): KeptFields.NAME | KeptFields.DIRECTION,
+    (False, True): KeptFields.NAME | KeptFields.WIDTH,
+    (True, True): KEEP_ALL,
+}
+_SHOWN = {kept: facts for facts, kept in _KEPT.items()}
+
+
 def degrade_interface(
     iface: ModuleInterface,
     policy: DegradationPolicy = DegradationPolicy(),
@@ -426,18 +494,13 @@ def degrade_interface(
     if rng.random() < policy.p_full_retain:
         retained = tuple((p, KEEP_ALL) for p in iface.ports)
         return DegradedInterface(iface, retained, fully_retained=True)
+    p_keep = policy.p_keep_element
     retained_list: list[tuple[PortSpec, KeptFields]] = []
     for port in iface.ports:
-        if rng.random() >= policy.p_keep_element:
+        if rng.random() >= p_keep:
             continue
-        kept = KeptFields.NAME
-        if port.direction is Direction.INOUT:
-            kept |= KeptFields.DIRECTION
-        elif rng.random() < policy.p_keep_element:
-            kept |= KeptFields.DIRECTION
-        if rng.random() < policy.p_keep_element:
-            kept |= KeptFields.WIDTH
-        retained_list.append((port, kept))
+        keep_direction = port.direction is Direction.INOUT or rng.random() < p_keep
+        retained_list.append((port, _KEPT[keep_direction, rng.random() < p_keep]))
     return DegradedInterface(iface, tuple(retained_list), fully_retained=False)
 
 
@@ -449,12 +512,9 @@ def render_degraded_interface(degraded: DegradedInterface) -> str:
     if degraded.retained_ports:
         lines.append("Ports (one bit unless stated otherwise):")
     for port, kept in degraded.retained_ports:
-        parts = []
-        if KeptFields.DIRECTION in kept:
-            parts.append(port.direction.value)
-        parts.append(port.name)
-        suffix = ""
-        if KeptFields.WIDTH in kept and port.width_bits > 1:
-            suffix = f" ({port.width_bits} bits)"
-        lines.append("- " + " ".join(parts) + suffix)
+        show_direction, show_width = _SHOWN[kept]
+        line = f"- {port.direction.value} {port.name}" if show_direction else f"- {port.name}"
+        if show_width and port.width_bits > 1:
+            line += f" ({port.width_bits} bits)"
+        lines.append(line)
     return "\n".join(lines)

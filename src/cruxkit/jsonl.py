@@ -25,7 +25,7 @@ def read_rows(path: str) -> Iterator[dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BadJson(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            if isinstance(row, dict) and set(row) == {"meta"}:
+            if isinstance(row, dict) and len(row) == 1 and "meta" in row:
                 continue
             yield row
 
@@ -37,7 +37,7 @@ def read_meta(path: str) -> dict | None:
             if not line:
                 continue
             row = json.loads(line)
-            if isinstance(row, dict) and set(row) == {"meta"}:
+            if isinstance(row, dict) and len(row) == 1 and "meta" in row:
                 return row["meta"]
             return None
     return None

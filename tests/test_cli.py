@@ -776,6 +776,34 @@ class TestReward:
         assert result.stderr.startswith("error: beta > 0 requires ref logprobs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta, rollouts, message", [
+        (0.0, 1, "need at least 2 rollouts, got 1 (groups row 1)"),
+        (0.04, 2,
+         "beta > 0 requires ref logprobs on every rollout (groups row 1 rollout 0 has none)"),
+    ])
+    def test_group_error_known_from_its_row_runs_no_sim(
+        self, tmp_path, echo_toolchain_file, sim_log, beta, rollouts, message
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grpo": {"beta": beta}}))
+        mux = {"id": "mux2to1", "reference_code": toy_reference("mux2to1")}
+        groups = write_groups(tmp_path, [mux], step=0)
+        row = json.loads(groups.read_text())
+        groups.write_text(json.dumps({**row, "rollouts": row["rollouts"][:rollouts]}) + "\n")
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli(
+            "--config", config,
+            "reward",
+            "--groups", groups,
+            "--tasks", TOY / "pairs.jsonl",
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output", out,
+        )
+        assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+        assert sim_log == []
+        assert not out.exists()
+
     def _reward_group(self, tmp_path, toolchain, codes, name):
         """Scores one mux2to1 group of ``codes``; returns the rewards file."""
         ln_half = math.log(0.5)
@@ -871,6 +899,14 @@ def _without(row, key):
      "groups row 2 rollout 0: bad 'crux_score': logprobs must be finite and <= 0, got 0.5"),
     ("reward", {"task_id": "mux2to1", "rollouts": [_ROLLOUT, {**_ROLLOUT, "crux_score": payload([])}]},
      "groups row 2 rollout 1: bad 'crux_score': no tokens"),
+    ("reward", {"task_id": "mux2to1", "step": 2.5, "rollouts": [_ROLLOUT, _ROLLOUT]},
+     "groups row 2 has a bad 'step': 2.5"),
+    ("reward", {"task_id": "mux2to1", "step": True, "rollouts": [_ROLLOUT, _ROLLOUT]},
+     "groups row 2 has a bad 'step': True"),
+    ("reward", {"task_id": "mux2to1", "step": "3", "rollouts": [_ROLLOUT, _ROLLOUT]},
+     "groups row 2 has a bad 'step': '3'"),
+    ("reward", {"task_id": "mux2to1", "rollouts": [_ROLLOUT]},
+     "need at least 2 rollouts, got 1 (groups row 2)"),
 ])
 def test_malformed_row_is_usage_error_naming_it(
     tmp_path, echo_toolchain_file, command, row, message

@@ -1,5 +1,6 @@
 """Provider gateway: mock determinism, retries, scoring, audit trail."""
 
+import hashlib
 import http.server
 import json
 import math
@@ -144,6 +145,26 @@ class TestRetries:
         assert entries[0]["attempts"] == 2
         assert "request_sha256" in entries[0]
         assert "timestamp" in entries[0]
+
+    def test_audit_digest_is_sha256_of_sorted_request_fields(self, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        gateway = Gateway(
+            ProviderConfig(kind="mock", mock={"completions": [{"match": "", "texts": ["ok"]}]},
+                           audit_path=str(audit)),
+            sleep=lambda s: None,
+        )
+        gateway.generate(GenRequest("p", n=2, temperature=0.5, top_p=0.9, max_tokens=7, seed=11))
+        gateway.score_continuation(ScoreRequest("p", "tok"))
+
+        def sha(fields):
+            return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+        digests = [json.loads(line)["request_sha256"] for line in audit.read_text().splitlines()]
+        assert digests == [
+            sha({"prompt": "p", "n": 2, "temperature": 0.5, "top_p": 0.9, "max_tokens": 7,
+                 "seed": 11}),
+            sha({"prompt": "p", "continuation": "tok"}),
+        ]
 
     def test_audit_log_accumulates(self, tmp_path):
         audit = tmp_path / "audit.jsonl"

@@ -20,6 +20,7 @@ from cruxkit.interface import (
     VERILOG_KEYWORDS,
     DegradedInterface,
     _balanced_parens,
+    _parse_ports,
     _skip_ws,
     _split_top_level,
     degrade_interface,
@@ -552,6 +553,58 @@ def oracle_strip_comments(text):
     return "".join(out)
 
 
+_ORACLE_PORT_TOKEN_RE = re.compile(r"\[[^\[\]]*\]|[A-Za-z_$][A-Za-z0-9_$]*|\S")
+_ORACLE_DIRECTIONS = {d.value: d for d in Direction}
+
+
+def oracle_parse_ports(text):
+    """The port-list tokenizer: split at top-level commas, then read each
+    entry token by token."""
+    ports, prev = [], None
+    for chunk in oracle_split_top_level(text):
+        chunk = chunk.strip()
+        if not chunk:
+            raise MalformedHeader("empty port entry")
+        tokens = _ORACLE_PORT_TOKEN_RE.findall(chunk)
+        direction, is_reg, range_text, name = None, False, "", None
+        for tok in tokens:
+            if tok in _ORACLE_DIRECTIONS:
+                if direction is not None or name is not None:
+                    raise MalformedHeader(f"cannot parse port: {chunk!r}")
+                direction = _ORACLE_DIRECTIONS[tok]
+            elif tok == "reg":
+                is_reg = True
+            elif tok in {"wire", "logic", "tri", "wand", "wor", "signed", "unsigned"}:
+                continue
+            elif tok.startswith("["):
+                if name is not None:
+                    raise UnsupportedSyntax(f"unpacked array port not supported: {chunk!r}")
+                if range_text:
+                    raise UnsupportedSyntax(f"multi-dimensional port not supported: {chunk!r}")
+                range_text = "".join(tok.split())
+            elif re.match(r"^[A-Za-z_][A-Za-z0-9_$]*$", tok) and tok not in VERILOG_KEYWORDS:
+                if name is not None:
+                    raise MalformedHeader(f"cannot parse port: {chunk!r}")
+                name = tok
+            else:
+                raise MalformedHeader(f"unexpected token {tok!r} in port: {chunk!r}")
+        if name is None:
+            raise MalformedHeader(f"port entry has no name: {chunk!r}")
+        if direction is None:
+            if prev is None:
+                raise UnsupportedSyntax(
+                    "port list without directions (non-ANSI header not supported)"
+                )
+            direction = prev.direction
+            if not range_text and not is_reg and len(tokens) == 1:
+                is_reg, range_text = prev.is_reg, prev.range_text
+        if direction is Direction.INPUT and is_reg:
+            raise MalformedHeader(f"input ports cannot be reg: {chunk!r}")
+        prev = PortSpec(name, direction, None, is_reg, range_text)
+        ports.append(prev)
+    return tuple(ports)
+
+
 def outcome(fn, *args):
     try:
         return "returned", fn(*args)
@@ -599,3 +652,62 @@ def test_strip_keeps_length_and_newline_offsets(text):
 @example("// /*\n*/ a")
 def test_strip_matches_left_to_right_lexer(text):
     assert strip_comments_and_attributes(text) == oracle_strip_comments(text)
+
+
+@st.composite
+def port_ranges(draw):
+    pad = st.sampled_from(["", " ", "\t "])
+    high = draw(st.sampled_from(["7", "0", "-1", "+3", "15"] * 3
+                                + ["١", "W-1", "3,2", "(1)", "3 2"]))
+    low = draw(st.sampled_from(["0", "7", "-2", "+0", "3"]))
+    return f"[{draw(pad)}{high}{draw(pad)}:{draw(pad)}{low}{draw(pad)}]"
+
+
+DIRECTION_WORDS = st.sampled_from(["input", "output", "inout"])
+NET_WORDS = st.sampled_from(["wire", "logic", "tri", "signed", "unsigned", "reg"])
+PORT_NAMES = st.sampled_from(["a", "b_1", "x$y", "clk", "q", "_n"] * 3
+                             + ["$z", "module", "input", "1a", "é"])
+STRAY = st.sampled_from(["[", "]", "(", ")", "{", "}", ";", "#", ","])
+
+
+@st.composite
+def port_entries(draw):
+    """One entry of a port list: mostly a declaration's words in their usual
+    order, sometimes with a word missing or a stray token put in, or empty."""
+    tokens = []
+    if draw(st.integers(0, 3)):
+        tokens.append(draw(DIRECTION_WORDS))
+    tokens += draw(st.lists(NET_WORDS, max_size=2))
+    if draw(st.booleans()):
+        tokens.append(draw(port_ranges()))
+    if draw(st.integers(0, 7)):
+        tokens.append(draw(PORT_NAMES))
+    if not draw(st.integers(0, 7)):
+        extra = draw(st.one_of(STRAY, DIRECTION_WORDS, NET_WORDS, port_ranges(), PORT_NAMES))
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    # an empty gap can run two words into one identifier
+    gaps = draw(st.lists(st.sampled_from(["", " ", "  ", "\n    ", "\t"]),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+
+
+PORT_LISTS = st.lists(port_entries(), min_size=1, max_size=4).map(",".join)
+
+
+def port_facts(result):
+    # range_text is left out of PortSpec equality, so compare it too
+    if result[0] != "returned":
+        return result
+    return [(p.name, p.direction, p.width_bits, p.is_reg, p.range_text) for p in result[1]]
+
+
+@given(PORT_LISTS, PORT_LISTS)
+@example("input [7:0] a, b", "c, output q")
+@example("output reg [0:3] q, r", "inputa, b")
+@example("input wire[3 : 0]x,\n  y", "input reg x")
+def test_parse_ports_matches_tokenizer(first, second):
+    # one list after another: nothing read from the first may reach the second
+    for text in (first, second):
+        assert port_facts(outcome(_parse_ports, text)) == port_facts(
+            outcome(oracle_parse_ports, text)
+        )
