@@ -349,11 +349,12 @@ def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict],
                  beta: float) -> tuple:
     """A groups row's sim batch, whose row holds the task id, step, rollouts,
     each rollout's own CRUX score or None, and the reference interface. A
-    malformed row or rollout, an unknown task, a group too small to
-    standardize, or a rollout without ref logprobs under ``beta`` > 0 is a
-    usage error naming it, raised before any of the row's sims start."""
+    malformed row or rollout, an unknown task or one whose reference header
+    cannot be read, a group too small to standardize, or a rollout without
+    ref logprobs under ``beta`` > 0 is a usage error naming it, raised before
+    any of the row's sims start."""
     from .corpus import extract_verilog
-    from .interface import parse_module_header
+    from .interface import HeaderError, parse_module_header
     from .rewards import parse_rollout
 
     what = f"groups row {number}"
@@ -378,7 +379,11 @@ def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict],
     if task_id not in tasks:
         raise ConfigError(f"groups reference unknown task {task_id!r}")
     reference_code = tasks[task_id]["reference_code"]
-    group = (task_id, step, rollouts, scores, parse_module_header(reference_code))
+    try:
+        group = (task_id, step, rollouts, scores, parse_module_header(reference_code))
+    except HeaderError as exc:
+        raise ConfigError(f"{what}: reference design for task {task_id!r} "
+                          f"has an unsupported header: {exc}") from exc
     # the checks score_group would make, made before the group's sims
     if len(rollouts) < 2:
         raise ConfigError(f"need at least 2 rollouts, got {len(rollouts)} ({what})")

@@ -104,7 +104,7 @@ def render_crux(doc: CruxDoc) -> str:
         "## Module Interface",
         "",
         "```verilog",
-        render_interface(doc.interface, style="header_block"),
+        render_interface(doc.interface),
         "```",
         "",
         "## Core Functions",

@@ -10,21 +10,23 @@ Comments are read left to right, as a lexer would: whichever of ``//`` and
 The scanners step from delimiter to delimiter with compiled patterns and
 string methods, never one character at a time.
 
-A port list is read in one pass when every entry has the common shape: a
-direction, net words, a constant range and one name, or a bare name that
-continues the previous declaration. One compiled pattern matches one such
-declaration and the comma after it, and ``PortSpec`` checks its facts. A
-list with any other entry, or one that fails a check, is read again by the
-tokenizer, which splits the list at its top-level commas and classifies
-each entry token by token; every error comes from it. Both paths give the
-same ports for every list the pattern reads.
+A port list is read once, by one reader, from its first entry to its last.
+While the entries have the common shape (a direction, net words, a constant
+range and one name, or a bare name that continues the previous declaration),
+one compiled pattern reads each with the comma after it, and ``PortSpec``
+checks its facts. At the first entry the pattern cannot read, or whose facts
+fail a check, the reader hands over: it splits the rest of the list at its
+top-level commas and classifies each remaining entry token by token, still
+continuing the previous declaration. Every error about an entry comes from
+that second part. The entries read before the hand-over hold no bracket but a
+constant range, so the rest starts outside any nesting.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum, Flag, auto
+from enum import Enum
 from functools import lru_cache
 from random import Random
 
@@ -50,16 +52,6 @@ class Direction(str, Enum):
     OUTPUT = "output"
     INOUT = "inout"
 
-
-class KeptFields(Flag):
-    """Which facts about a port survive degradation. NAME is always kept."""
-
-    NAME = auto()
-    DIRECTION = auto()
-    WIDTH = auto()
-
-
-KEEP_ALL = KeptFields.NAME | KeptFields.DIRECTION | KeptFields.WIDTH
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 _RANGE_RE = re.compile(r"^\[\s*([+-]?\d+)\s*:\s*([+-]?\d+)\s*\]$")
@@ -95,33 +87,26 @@ def range_width(range_text: str) -> int:
 class PortSpec:
     """One port of a module header.
 
-    ``range_text`` carries the original range annotation for diagnostics and
-    faithful re-rendering; it is excluded from equality so that semantically
-    identical ports compare equal regardless of spelling. A ``width_bits``
-    left as ``None`` is read off ``range_text`` (1 without one); a given one
-    must agree with it.
+    ``width_bits`` is not given: it is read off ``range_text``, and is 1
+    without a range. ``range_text`` keeps the range as written, whitespace
+    removed, for faithful re-rendering; it is left out of equality, so ports
+    of one width compare equal however their ranges are spelled.
     """
 
     name: str
     direction: Direction
-    width_bits: int | None = None
     is_reg: bool = False
     range_text: str = field(default="", compare=False)
+    width_bits: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not _valid_identifier(self.name):
             raise ValueError(f"illegal port name: {self.name!r}")
-        range_bits = range_width(self.range_text) if self.range_text else None
-        if self.width_bits is None:
-            object.__setattr__(self, "width_bits", range_bits or 1)
-        if self.width_bits < 1:
-            raise ValueError(f"width_bits must be >= 1, got {self.width_bits}")
+        object.__setattr__(
+            self, "width_bits", range_width(self.range_text) if self.range_text else 1
+        )
         if self.is_reg and self.direction is Direction.INPUT:
             raise ValueError("input ports cannot be reg")
-        if range_bits is not None and range_bits != self.width_bits:
-            raise ValueError(
-                f"range {self.range_text!r} disagrees with width {self.width_bits}"
-            )
 
 
 @dataclass(frozen=True)
@@ -230,7 +215,7 @@ _DIRECTIONS = {d.value: d for d in Direction}
 # One declaration of the common shape and the comma or end after it: a
 # direction, net words, a constant range and a name, or a bare name. A word
 # must not run on into an identifier character, and the name must end at
-# the separator, so each word is the token the tokenizer would read.
+# the separator, so each word is the token a hand-over would read.
 _PORT_DECL_RE = re.compile(
     r"\s*(?:(input|output|inout)(?![\w$])"
     r"((?:\s+(?:wire|reg|logic|tri|wand|wor|signed|unsigned)(?![\w$]))*)"
@@ -240,15 +225,11 @@ _PORT_DECL_RE = re.compile(
 
 
 def _parse_ports(text: str) -> tuple[PortSpec, ...]:
-    """The ports of a port list: scanned in one pass if it can be, else
-    tokenized."""
-    ports = _scan_ports(text)
-    return _tokenize_ports(text) if ports is None else ports
+    """The ports of a port list, or the error that names its first bad entry.
 
-
-def _scan_ports(text: str) -> tuple[PortSpec, ...] | None:
-    """The ports of a list whose entries all have the common shape, read one
-    declaration at a time; None for any other list."""
+    Entries of the common shape are read one declaration at a time; from the
+    first other entry on, the rest of the list is split at its top-level
+    commas and each entry is classified token by token."""
     ports: list[PortSpec] = []
     prev: PortSpec | None = None
     pos = 0
@@ -257,28 +238,21 @@ def _scan_ports(text: str) -> tuple[PortSpec, ...] | None:
         try:
             if direction is not None:
                 # no net word contains "reg", so this finds the word itself
-                port = PortSpec(name, _DIRECTIONS[direction], None, "reg" in words,
+                port = PortSpec(name, _DIRECTIONS[direction], "reg" in words,
                                 "".join(range_text.split()) if range_text else "")
             elif prev is not None:
-                port = PortSpec(name, prev.direction, None, prev.is_reg, prev.range_text)
+                port = PortSpec(name, prev.direction, prev.is_reg, prev.range_text)
             else:
-                return None
+                break
         except ValueError:
-            # a keyword for a name, or an input reg: the tokenizer raises the error
-            return None
+            # a keyword for a name, or an input reg: the tokens below say which
+            break
         ports.append(port)
         if not comma:
             return tuple(ports)
         prev = port
         pos = m.end()
-    return None
-
-
-def _tokenize_ports(text: str) -> tuple[PortSpec, ...]:
-    """The ports of any port list, or the error that names its first bad entry."""
-    ports: list[PortSpec] = []
-    prev: PortSpec | None = None
-    for chunk in _split_top_level(text):
+    for chunk in _split_top_level(text[pos:]):
         chunk = chunk.strip()
         if not chunk:
             raise MalformedHeader("empty port entry")
@@ -323,7 +297,7 @@ def _tokenize_ports(text: str) -> tuple[PortSpec, ...]:
         if direction is Direction.INPUT and is_reg:
             raise MalformedHeader(f"input ports cannot be reg: {chunk!r}")
         # no other PortSpec check can fail here; it reads the width off the range
-        port = PortSpec(name, direction, None, is_reg, range_text)
+        port = PortSpec(name, direction, is_reg, range_text)
         ports.append(port)
         prev = port
     return tuple(ports)
@@ -390,40 +364,29 @@ def _port_decl(port: PortSpec) -> str:
     parts = [port.direction.value]
     if port.is_reg:
         parts.append("reg")
-    rng = port.range_text or (f"[{port.width_bits - 1}:0]" if port.width_bits > 1 else "")
-    if rng:
-        parts.append(rng)
+    if port.range_text:
+        parts.append(port.range_text)
     parts.append(port.name)
     return " ".join(parts)
 
 
-def render_interface(iface: ModuleInterface, style: str = "header_block") -> str:
-    """Render an interface as a Verilog header block or a prose port list.
-
-    ``header_block`` output re-parses to an equal interface (round-trip).
-    """
-    if style == "header_block":
-        lines = []
-        if iface.parameters:
-            lines.append(f"module {iface.module_name} #(")
-            for i, (pname, default) in enumerate(iface.parameters):
-                comma = "," if i < len(iface.parameters) - 1 else ""
-                lines.append(f"    parameter {pname} = {default}{comma}")
-            lines.append(")(")
-        else:
-            lines.append(f"module {iface.module_name} (")
-        for i, port in enumerate(iface.ports):
-            comma = "," if i < len(iface.ports) - 1 else ""
-            lines.append(f"    {_port_decl(port)}{comma}")
-        lines.append(");")
-        return "\n".join(lines)
-    if style == "prose_list":
-        out = []
-        for port in iface.ports:
-            suffix = f" ({port.width_bits} bits)" if port.width_bits > 1 else ""
-            out.append(f"- {port.direction.value} {port.name}{suffix}")
-        return "\n".join(out)
-    raise ValueError(f"unknown render style: {style!r}")
+def render_interface(iface: ModuleInterface) -> str:
+    """Render an interface as a Verilog header block; it re-parses to an
+    equal interface (round-trip)."""
+    lines = []
+    if iface.parameters:
+        lines.append(f"module {iface.module_name} #(")
+        for i, (pname, default) in enumerate(iface.parameters):
+            comma = "," if i < len(iface.parameters) - 1 else ""
+            lines.append(f"    parameter {pname} = {default}{comma}")
+        lines.append(")(")
+    else:
+        lines.append(f"module {iface.module_name} (")
+    for i, port in enumerate(iface.ports):
+        comma = "," if i < len(iface.ports) - 1 else ""
+        lines.append(f"    {_port_decl(port)}{comma}")
+    lines.append(");")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -444,39 +407,28 @@ class DegradationPolicy:
 class DegradedInterface:
     """A lossy view of an interface: some ports dropped, some facts elided.
 
-    ``fully_retained`` marks interfaces kept wholesale (nothing dropped).
-    Port names are never elided and inout ports never lose their direction.
+    Each retained port is ``(port, shows_direction, shows_width)``, in
+    declaration order. A retained port always shows its name, and an inout
+    port always shows its direction. ``fully_retained`` marks interfaces
+    kept wholesale: every port, with every fact shown.
     """
 
     source: ModuleInterface
-    retained_ports: tuple[tuple[PortSpec, KeptFields], ...]
+    retained_ports: tuple[tuple[PortSpec, bool, bool], ...]
     fully_retained: bool
 
     def __post_init__(self) -> None:
         source_names = {p.name for p in self.source.ports}
-        for port, kept in self.retained_ports:
+        for port, shows_direction, _ in self.retained_ports:
             if port.name not in source_names:
                 raise ValueError(f"retained port {port.name!r} not in source interface")
-            if KeptFields.NAME not in kept:
-                raise ValueError("port names are always kept")
-            if port.direction is Direction.INOUT and KeptFields.DIRECTION not in kept:
+            if port.direction is Direction.INOUT and not shows_direction:
                 raise ValueError("inout ports never lose their direction")
         if self.fully_retained:
             if len(self.retained_ports) != len(self.source.ports):
                 raise ValueError("fully_retained requires every port present")
-            if any(kept != KEEP_ALL for _, kept in self.retained_ports):
+            if not all(d and w for _, d, w in self.retained_ports):
                 raise ValueError("fully_retained requires every field kept")
-
-
-# each set of fields a port can keep, by (direction kept, width kept), and
-# back: Flag arithmetic and membership tests are slow per port
-_KEPT = {
-    (False, False): KeptFields.NAME,
-    (True, False): KeptFields.NAME | KeptFields.DIRECTION,
-    (False, True): KeptFields.NAME | KeptFields.WIDTH,
-    (True, True): KEEP_ALL,
-}
-_SHOWN = {kept: facts for facts, kept in _KEPT.items()}
 
 
 def degrade_interface(
@@ -492,15 +444,15 @@ def degrade_interface(
     """
     rng = Random(rng_seed)
     if rng.random() < policy.p_full_retain:
-        retained = tuple((p, KEEP_ALL) for p in iface.ports)
+        retained = tuple((p, True, True) for p in iface.ports)
         return DegradedInterface(iface, retained, fully_retained=True)
     p_keep = policy.p_keep_element
-    retained_list: list[tuple[PortSpec, KeptFields]] = []
+    retained_list: list[tuple[PortSpec, bool, bool]] = []
     for port in iface.ports:
         if rng.random() >= p_keep:
             continue
-        keep_direction = port.direction is Direction.INOUT or rng.random() < p_keep
-        retained_list.append((port, _KEPT[keep_direction, rng.random() < p_keep]))
+        shows_direction = port.direction is Direction.INOUT or rng.random() < p_keep
+        retained_list.append((port, shows_direction, rng.random() < p_keep))
     return DegradedInterface(iface, tuple(retained_list), fully_retained=False)
 
 
@@ -511,10 +463,9 @@ def render_degraded_interface(degraded: DegradedInterface) -> str:
         lines.append(f"Parameter: {pname} = {default}")
     if degraded.retained_ports:
         lines.append("Ports (one bit unless stated otherwise):")
-    for port, kept in degraded.retained_ports:
-        show_direction, show_width = _SHOWN[kept]
-        line = f"- {port.direction.value} {port.name}" if show_direction else f"- {port.name}"
-        if show_width and port.width_bits > 1:
+    for port, shows_direction, shows_width in degraded.retained_ports:
+        line = f"- {port.direction.value} {port.name}" if shows_direction else f"- {port.name}"
+        if shows_width and port.width_bits > 1:
             line += f" ({port.width_bits} bits)"
         lines.append(line)
     return "\n".join(lines)

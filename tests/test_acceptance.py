@@ -37,7 +37,6 @@ from cruxkit.grpo import (
 )
 from cruxkit.harness import SimJob, ToolchainConfig, ToolchainMissing, pass_at_k, run_sim
 from cruxkit.interface import (
-    KeptFields,
     DegradationPolicy,
     Direction,
     degrade_interface,
@@ -227,18 +226,18 @@ def test_criterion_6_degradation_statistics():
             if deg.fully_retained:
                 full += 1
                 continue
-            kept = {p.name: k for p, k in deg.retained_ports}
+            kept = {p.name: (d, w) for p, d, w in deg.retained_ports}
             for port in iface.ports:
                 include_trials += 1
                 if port.name not in kept:
                     continue
                 include_hits += 1
-                flags = kept[port.name]
+                shows_direction, shows_width = kept[port.name]
                 if port.direction is not Direction.INOUT:
                     dir_trials += 1
-                    dir_hits += bool(flags & KeptFields.DIRECTION)
+                    dir_hits += shows_direction
                 width_trials += 1
-                width_hits += bool(flags & KeptFields.WIDTH)
+                width_hits += shows_width
 
         def within(hits, trials, p):
             sigma = math.sqrt(p * (1 - p) / trials)

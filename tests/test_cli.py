@@ -776,17 +776,27 @@ class TestReward:
         assert result.stderr.startswith("error: beta > 0 requires ref logprobs")
         assert not out.exists()
 
+    NON_ANSI_MUX = ("module mux2to1 (a, b, sel, y);\n    input a;\n    input b;\n"
+                    "    input sel;\n    output y;\n    assign y = sel ? b : a;\nendmodule\n")
+
     @pytest.mark.parametrize("beta, rollouts, message", [
         (0.0, 1, "need at least 2 rollouts, got 1 (groups row 1)"),
         (0.04, 2,
          "beta > 0 requires ref logprobs on every rollout (groups row 1 rollout 0 has none)"),
+        (0.0, 2,
+         "groups row 1: reference design for task 'mux2to1' has an unsupported header: "
+         "port list without directions (non-ANSI header not supported)"),
     ])
     def test_group_error_known_from_its_row_runs_no_sim(
         self, tmp_path, echo_toolchain_file, sim_log, beta, rollouts, message
     ):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"grpo": {"beta": beta}}))
-        mux = {"id": "mux2to1", "reference_code": toy_reference("mux2to1")}
+        # the header case runs on a non-ANSI reference, the others on the toy one
+        reference = self.NON_ANSI_MUX if "header" in message else toy_reference("mux2to1")
+        mux = {"id": "mux2to1", "reference_code": reference}
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps(mux) + "\n")
         groups = write_groups(tmp_path, [mux], step=0)
         row = json.loads(groups.read_text())
         groups.write_text(json.dumps({**row, "rollouts": row["rollouts"][:rollouts]}) + "\n")
@@ -795,7 +805,7 @@ class TestReward:
             "--config", config,
             "reward",
             "--groups", groups,
-            "--tasks", TOY / "pairs.jsonl",
+            "--tasks", tasks,
             "--testbenches", TOY / "testbenches",
             "--toolchain", echo_toolchain_file,
             "--output", out,

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -30,6 +31,26 @@ def test_workers_do_not_change_output(name, tmp_path):
         (tmp_path / str(workers)).mkdir()
         runs.append(run_case(name, tmp_path / str(workers), workers))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["no-sim-tiny", "evaluate"])
+def test_working_directory_does_not_change_output(name, tmp_path, monkeypatch):
+    """Run from a fresh directory, with every path given relative to it, a
+    case writes its golden bytes: no path is resolved against another
+    directory, and no path as given reaches an output."""
+    import regen_golden
+
+    def relative_run_cli(*args, **kwargs):
+        args = [os.path.relpath(a) if isinstance(a, Path) else a for a in args]
+        assert not any(os.path.isabs(str(a)) for a in args), args
+        return run_cli(*args, **kwargs)
+
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setattr(regen_golden, "run_cli", relative_run_cli)
+    want = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
+    assert run_case(name, tmp_path / "work") == want
 
 
 PAIR_LINES = tuple((NO_SIM_TINY / "pairs.jsonl").read_text().splitlines())

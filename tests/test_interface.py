@@ -8,10 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cruxkit.interface import (
-    KEEP_ALL,
     DegradationPolicy,
     Direction,
-    KeptFields,
     MalformedHeader,
     ModuleInterface,
     NoModuleFound,
@@ -258,12 +256,8 @@ class TestDataModel:
     def test_portspec_validation(self):
         with pytest.raises(ValueError, match=exactly("illegal port name: '2bad'")):
             PortSpec("2bad", Direction.INPUT)
-        with pytest.raises(ValueError, match=exactly("width_bits must be >= 1, got 0")):
-            PortSpec("x", Direction.INPUT, width_bits=0)
         with pytest.raises(ValueError, match=exactly("input ports cannot be reg")):
             PortSpec("x", Direction.INPUT, is_reg=True)  # input reg is not legal
-        with pytest.raises(ValueError, match=exactly("range '[7:0]' disagrees with width 4")):
-            PortSpec("x", Direction.INPUT, width_bits=4, range_text="[7:0]")
 
     def test_range_width_runs_once_per_ranged_port(self, monkeypatch):
         import cruxkit.interface as interface
@@ -284,8 +278,8 @@ class TestDataModel:
         assert PortSpec("x", Direction.INPUT).width_bits == 1
 
     def test_range_text_is_metadata_only(self):
-        a = PortSpec("x", Direction.INPUT, 8, False, "[7:0]")
-        b = PortSpec("x", Direction.INPUT, 8, False, "")
+        a = PortSpec("x", Direction.INPUT, False, "[7:0]")
+        b = PortSpec("x", Direction.INPUT, False, "[ 7 : 0 ]")
         assert a == b
 
     def test_interface_collisions(self):
@@ -313,7 +307,7 @@ class TestRender:
             (("WIDTH", "4"),),
             (
                 PortSpec("clk", Direction.INPUT),
-                PortSpec("q", Direction.OUTPUT, 4, True, "[3:0]"),
+                PortSpec("q", Direction.OUTPUT, True, "[3:0]"),
             ),
         )
         assert render_interface(iface) == textwrap.dedent(
@@ -325,31 +319,6 @@ class TestRender:
                 output reg [3:0] q
             );"""
         )
-
-    def test_header_block_synthesizes_range(self):
-        iface = ModuleInterface(
-            "m", (), (PortSpec("d", Direction.INPUT, 8),)
-        )
-        assert "input [7:0] d" in render_interface(iface)
-
-    def test_prose_list(self):
-        iface = ModuleInterface(
-            "m",
-            (),
-            (
-                PortSpec("d", Direction.INPUT, 8, False, "[7:0]"),
-                PortSpec("q", Direction.OUTPUT),
-            ),
-        )
-        text = render_interface(iface, style="prose_list")
-        assert "- input d (8 bits)" in text
-        assert "- output q" in text
-        assert "(1 bit" not in text
-
-    def test_unknown_style(self):
-        iface = ModuleInterface("m", (), ())
-        with pytest.raises(ValueError, match=exactly("unknown render style: 'yaml'")):
-            render_interface(iface, style="yaml")
 
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True).filter(
@@ -366,7 +335,7 @@ def interfaces(draw):
         direction = draw(st.sampled_from(list(Direction)))
         width = draw(st.integers(min_value=1, max_value=64))
         is_reg = draw(st.booleans()) if direction is Direction.OUTPUT else False
-        ports.append(PortSpec(name, direction, width, is_reg))
+        ports.append(PortSpec(name, direction, is_reg, f"[{width - 1}:0]" if width > 1 else ""))
     n_params = draw(st.integers(min_value=0, max_value=2))
     params = []
     for i in range(n_params):
@@ -396,26 +365,20 @@ class TestDegradation:
     def test_full_retention_branch(self):
         deg = degrade_interface(self.IFACE, DegradationPolicy(p_full_retain=1.0), 7)
         assert deg.fully_retained
-        assert [p.name for p, _ in deg.retained_ports] == ["clk", "d", "q", "pad"]
-        assert all(kept == KEEP_ALL for _, kept in deg.retained_ports)
+        assert [p.name for p, _, _ in deg.retained_ports] == ["clk", "d", "q", "pad"]
+        assert all(d and w for _, d, w in deg.retained_ports)
 
     def test_keep_everything_without_full_branch(self):
         policy = DegradationPolicy(p_full_retain=0.0, p_keep_element=1.0)
         deg = degrade_interface(self.IFACE, policy, 7)
         assert not deg.fully_retained
-        assert [p.name for p, _ in deg.retained_ports] == ["clk", "d", "q", "pad"]
-        assert all(kept == KEEP_ALL for _, kept in deg.retained_ports)
+        assert [p.name for p, _, _ in deg.retained_ports] == ["clk", "d", "q", "pad"]
+        assert all(d and w for _, d, w in deg.retained_ports)
 
     def test_drop_everything(self):
         policy = DegradationPolicy(p_full_retain=0.0, p_keep_element=0.0)
         deg = degrade_interface(self.IFACE, policy, 7)
         assert deg.retained_ports == ()
-
-    def test_name_always_kept(self):
-        for seed in range(60):
-            deg = degrade_interface(self.IFACE, DegradationPolicy(), seed)
-            for _, kept in deg.retained_ports:
-                assert KeptFields.NAME in kept
 
     def test_inout_never_loses_direction(self):
         policy = DegradationPolicy(p_full_retain=0.0, p_keep_element=0.0)
@@ -424,9 +387,9 @@ class TestDegradation:
             deg = degrade_interface(
                 self.IFACE, DegradationPolicy(p_full_retain=0.0, p_keep_element=0.5), seed
             )
-            for port, kept in deg.retained_ports:
+            for port, shows_direction, _ in deg.retained_ports:
                 if port.direction is Direction.INOUT:
-                    assert KeptFields.DIRECTION in kept
+                    assert shows_direction
         deg = degrade_interface(self.IFACE, policy, 3)
         assert deg.retained_ports == ()
 
@@ -434,7 +397,7 @@ class TestDegradation:
         order = [p.name for p in self.IFACE.ports]
         for seed in range(40):
             deg = degrade_interface(self.IFACE, DegradationPolicy(), seed)
-            names = [p.name for p, _ in deg.retained_ports]
+            names = [p.name for p, _, _ in deg.retained_ports]
             assert names == [n for n in order if n in names]
 
     def test_render_degraded_golden(self):
@@ -458,9 +421,9 @@ class TestDegradation:
         seen = set()
         for seed in range(300):
             deg = degrade_interface(iface, policy, seed)
-            for port, kept in deg.retained_ports:
+            for port, shows_direction, shows_width in deg.retained_ports:
                 line = render_degraded_interface(deg).splitlines()[-1]
-                seen.add((bool(kept & KeptFields.DIRECTION), bool(kept & KeptFields.WIDTH)))
+                seen.add((shows_direction, shows_width))
                 assert port.name in line
         # all four direction/width keep combinations occur
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
@@ -469,11 +432,10 @@ class TestDegradation:
         clk, d, q, pad = self.IFACE.ports
         ghost = PortSpec("ghost", Direction.INPUT)
         cases = [
-            (((ghost, KEEP_ALL),), False, "retained port 'ghost' not in source interface"),
-            (((clk, KeptFields.DIRECTION),), False, "port names are always kept"),
-            (((pad, KeptFields.NAME),), False, "inout ports never lose their direction"),
-            (((clk, KEEP_ALL),), True, "fully_retained requires every port present"),
-            (((clk, KEEP_ALL), (d, KEEP_ALL), (q, KeptFields.NAME), (pad, KEEP_ALL)), True,
+            (((ghost, True, True),), False, "retained port 'ghost' not in source interface"),
+            (((pad, False, True),), False, "inout ports never lose their direction"),
+            (((clk, True, True),), True, "fully_retained requires every port present"),
+            (((clk, True, True), (d, True, True), (q, True, False), (pad, True, True)), True,
              "fully_retained requires every field kept"),
         ]
         for retained, fully, message in cases:
@@ -492,8 +454,7 @@ def test_degradation_invariants_any_seed(seed):
     iface = TestDegradation.IFACE
     deg = degrade_interface(iface, DegradationPolicy(), seed)
     assert deg.source == iface
-    for port, kept in deg.retained_ports:
-        assert KeptFields.NAME in kept
+    for port, _, _ in deg.retained_ports:
         assert port in iface.ports
 
 
@@ -600,7 +561,7 @@ def oracle_parse_ports(text):
                 is_reg, range_text = prev.is_reg, prev.range_text
         if direction is Direction.INPUT and is_reg:
             raise MalformedHeader(f"input ports cannot be reg: {chunk!r}")
-        prev = PortSpec(name, direction, None, is_reg, range_text)
+        prev = PortSpec(name, direction, is_reg, range_text)
         ports.append(prev)
     return tuple(ports)
 
@@ -705,9 +666,32 @@ def port_facts(result):
 @example("input [7:0] a, b", "c, output q")
 @example("output reg [0:3] q, r", "inputa, b")
 @example("input wire[3 : 0]x,\n  y", "input reg x")
+# hand-overs mid-list: the entries after it continue the declaration before it
+@example("output [3:0] a, b, reg c", "input [7:0] a, b, [W-1:0] c")
+@example("output reg [1:0] a, b, [3:0] c, d", "inout p, q r, s")
+@example("input a, output b, c,, d", "input clk, output reg [7:0] q, input reg d")
 def test_parse_ports_matches_tokenizer(first, second):
     # one list after another: nothing read from the first may reach the second
     for text in (first, second):
         assert port_facts(outcome(_parse_ports, text)) == port_facts(
             outcome(oracle_parse_ports, text)
         )
+
+
+@pytest.mark.parametrize("text", ["output [3:0] a, b, reg c", "input [7:0] a, b, [W-1:0] c"])
+def test_hand_over_reads_no_entry_twice(text, monkeypatch):
+    """Two entries are read by the pattern, the third by the tokens after the
+    hand-over: three ports made, and the same ports or error as before."""
+    import cruxkit.interface as interface
+
+    made = []
+
+    class CountingPortSpec(PortSpec):
+        def __post_init__(self):
+            made.append(self.name)
+            super().__post_init__()
+
+    want = port_facts(outcome(_parse_ports, text))
+    monkeypatch.setattr(interface, "PortSpec", CountingPortSpec)
+    assert port_facts(outcome(_parse_ports, text)) == want
+    assert made == ["a", "b", "c"]
