@@ -13,16 +13,25 @@ and ``corpus``, ``cruxdoc``, ``interface``, ``rewards`` and ``gateway`` are
 imported inside the commands and helpers that use them. So ``evaluate`` and
 ``report`` never load the corpus, parsing, reward or provider layers.
 
+``build-dataset`` computes each row from that row, the config and the
+transcripts alone, so it splits its rows over the CPUs the process may use
+(``_map_slices``): contiguous slices of at least ``MIN_SLICE_ROWS`` rows,
+the first built in this process and each other in a forked child. Output
+rows keep input order and the error reported is the first in row order, as
+in a serial loop. Forking this way is Linux-only, like the harness's pidfd.
+
 Exit codes: 0 success, 1 internal error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
+import threading
 from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -159,27 +168,33 @@ def _load_pairs(path: str) -> list[dict]:
 
 
 def _load_tasks(path: str) -> dict[str, dict]:
-    """Task rows by id; a row without an id or reference code is a usage error."""
+    """Task rows by id; a row without an id or a string reference code is a
+    usage error."""
     rows = _load_pairs(path)
     for row in rows:
-        _checked(row, f"task row {row.get('id')!r}", id=object, reference_code=object)
+        _checked(row, f"task row {row.get('id')!r}", id=object, reference_code=str)
     return {row["id"]: row for row in rows}
 
 
-def _as_pair(row: dict) -> RawPair:
-    from .corpus import RawPair
+@functools.cache
+def _corpus():
+    """The corpus layer, imported by the first call: ``evaluate`` and
+    ``report`` never load it, and a per-row caller pays no import."""
+    from . import corpus
 
+    return corpus
+
+
+def _as_pair(row: dict) -> RawPair:
     try:
-        return RawPair(row["id"], row["description"], row["reference_code"])
+        return _corpus().RawPair(row["id"], row["description"], row["reference_code"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad corpus row {row.get('id')!r}: {exc}") from exc
 
 
 def _category(row: dict) -> Category:
-    from .corpus import Category
-
     try:
-        return Category(row.get("category"))
+        return _corpus().Category(row.get("category"))
     except ValueError as exc:
         raise ConfigError(
             f"corpus row {row.get('id')!r} has no known category "
@@ -411,6 +426,74 @@ def _write_table(path: str, table: str, echo: bool = False) -> None:
         click.echo(table, nl=False)
 
 
+# the fewest rows build-dataset gives a slice: on a 2-vCPU host, building
+# 128 rows as two slices already took less time than as one
+MIN_SLICE_ROWS = 64
+
+
+def _run_slice(fn, rows: list) -> tuple[list, Exception | None]:
+    """``fn`` of each row up to the first that raises, and that error."""
+    results = []
+    try:
+        for row in rows:
+            results.append(fn(row))
+    except Exception as exc:  # noqa: BLE001 - raised by the caller in its row's turn
+        return results, exc
+    return results, None
+
+
+def _map_slices(fn, rows: list) -> list:
+    """``[fn(row) for row in rows]`` over contiguous slices, one per CPU
+    this process may use but none shorter than ``MIN_SLICE_ROWS``. The first
+    slice runs here and each other in a forked child, which pickles its
+    results and its slice's first error into an unnamed temporary file and
+    leaves through ``os._exit``. Every child is reaped before this returns or
+    raises. Results keep row order and the error raised is the first in row
+    order, so only a child that dies without its result (exit 1, as an
+    internal error) tells this apart from the serial loop. A process running
+    other threads builds every row itself: a child forked from it could wait
+    forever on a lock one of them held."""
+    count = min(len(os.sched_getaffinity(0)), len(rows) // MIN_SLICE_ROWS)
+    if count < 2 or threading.active_count() > 1:
+        return [fn(row) for row in rows]
+    import pickle
+    import tempfile
+    from contextlib import ExitStack
+
+    bounds = [len(rows) * i // count for i in range(count + 1)]
+    children = []
+    with ExitStack() as files:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                out = files.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        pickle.dump(_run_slice(fn, rows[lo:hi]), out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, out))
+            first = _run_slice(fn, rows[: bounds[1]])
+        finally:
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        results, error = first
+        for (_, out), status, lo, hi in zip(children, statuses, bounds[1:], bounds[2:]):
+            if error is not None:
+                break
+            if status != 0:
+                raise RuntimeError(f"the process building rows {lo + 1}-{hi} "
+                                   f"exited with status {status} and no result")
+            out.seek(0)
+            part, error = pickle.load(out)
+            results.extend(part)
+    if error is not None:
+        raise error
+    return results
+
+
 _USAGE_ERRORS = (ConfigError, jsonl.BadJson, ToolchainMissing)
 
 
@@ -623,17 +706,20 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 "p_suffix": augmentation.p_suffix,
             },
         }
-        records, reclassified = [], []
-        for row in rows:
+
+        def reclassify(r: Reclassification) -> tuple[bool, str]:
+            return False, jsonl.encode_row({"id": r.task_id, "to": r.to.value, "reason": r.reason})
+
+        def dataset_row(row: dict) -> tuple[bool, str]:
+            """(True, the row's record line) or (False, its reclassification line)."""
             pair = _as_pair(row)
             category = _category(row)
             try:
                 reference_iface = parse_module_header(pair.reference_code)
             except HeaderError as exc:
-                reclassified.append(
+                return reclassify(
                     Reclassification(pair.id, Category.NORMAL_DATA, f"reference: {exc}")
                 )
-                continue
             seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
             seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
             degraded = degrade_interface(reference_iface, degradation, seed_degrade)
@@ -653,47 +739,33 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                     pair, category, degraded, augmentation, seed_augment, diagram
                 )
             except MissingDiagram:
-                reclassified.append(
+                return reclassify(
                     Reclassification(pair.id, Category.NORMAL_DATA, "no usable diagram text")
                 )
-                continue
             provenance = {
                 "master_seed": cfg["seed"],
                 "seed_degrade": seed_degrade,
                 "seed_augment": seed_augment,
                 **policies,
             }
-            result = assemble_record(
-                pair, category, realspec, reference_iface, crux, verdict, provenance
-            )
-            if isinstance(result, Reclassification):
-                reclassified.append(result)
-            else:
-                records.append(result)
-        jsonl.write_rows(
-            output_path,
-            [
-                {
-                    "id": r.id,
-                    "category": r.category.value,
-                    "realspec": r.realspec,
-                    "crux": render_crux(r.crux),
-                    "reference_code": r.reference_code,
-                    "provenance": r.provenance,
-                }
-                for r in records
-            ],
-            meta=meta_for(cfg),
-        )
+            r = assemble_record(pair, category, realspec, reference_iface, crux, verdict, provenance)
+            if isinstance(r, Reclassification):
+                return reclassify(r)
+            return True, jsonl.encode_row({
+                "id": r.id,
+                "category": r.category.value,
+                "realspec": r.realspec,
+                "crux": render_crux(r.crux),
+                "reference_code": r.reference_code,
+                "provenance": r.provenance,
+            })
+
+        lines = _map_slices(dataset_row, rows)
+        records = [line for is_record, line in lines if is_record]
+        reclassified = [line for is_record, line in lines if not is_record]
+        jsonl.write_lines(output_path, records, meta=meta_for(cfg))
         recl_path = reclassified_path or output_path + ".reclassified.jsonl"
-        jsonl.write_rows(
-            recl_path,
-            [
-                {"id": r.task_id, "to": r.to.value, "reason": r.reason}
-                for r in reclassified
-            ],
-            meta=meta_for(cfg),
-        )
+        jsonl.write_lines(recl_path, reclassified, meta=meta_for(cfg))
         click.echo(f"records: {len(records)}  reclassified: {len(reclassified)}")
 
     _run_command(run)

@@ -43,9 +43,19 @@ def read_meta(path: str) -> dict | None:
     return None
 
 
-def write_rows(path: str, rows: Iterable[dict], meta: dict | None = None) -> None:
+def encode_row(row: dict) -> str:
+    """One output line without its newline; keys sorted for byte-identical reruns."""
+    return json.dumps(row, sort_keys=True)
+
+
+def write_lines(path: str, lines: Iterable[str], meta: dict | None = None) -> None:
+    """Writes the meta row, then rows already encoded by ``encode_row``."""
     with open(path, "w", encoding="utf-8") as f:
         if meta is not None:
-            f.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(encode_row({"meta": meta}) + "\n")
+        for line in lines:
+            f.write(line + "\n")
+
+
+def write_rows(path: str, rows: Iterable[dict], meta: dict | None = None) -> None:
+    write_lines(path, map(encode_row, rows), meta)

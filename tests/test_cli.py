@@ -578,6 +578,25 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert result.stderr == "error: task row 'mux2to1' has no 'reference_code'\n"
 
+    def test_non_string_reference_code_is_usage_error(self, tmp_path, echo_toolchain_file):
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps({"id": "mux2to1", "reference_code": 5}) + "\n")
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(
+            json.dumps({"task_id": "mux2to1", "candidates": ["module m; endmodule"]}) + "\n"
+        )
+        result = run_cli(
+            "evaluate",
+            "--tasks", tasks,
+            "--candidates", candidates,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output-dir", tmp_path / "eval",
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: task row 'mux2to1': 'reference_code' must be a str\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_simulator_exits_before_work(self, tmp_path):
         tc = tmp_path / "tc.json"
         tc.write_text(json.dumps({
@@ -756,6 +775,23 @@ class TestReward:
         )
         assert result.exit_code == 2
         assert result.stderr == f"error: task row {pairs[0]['id']!r} has no 'reference_code'\n"
+        assert not out.exists()
+
+    def test_non_string_reference_code_is_usage_error(self, tmp_path, echo_toolchain_file):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps({"id": pairs[0]["id"], "reference_code": 5}) + "\n")
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli(
+            "reward",
+            "--groups", write_groups(tmp_path, pairs[:1], step=0),
+            "--tasks", tasks,
+            "--testbenches", TOY / "testbenches",
+            "--toolchain", echo_toolchain_file,
+            "--output", out,
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: task row {pairs[0]['id']!r}: 'reference_code' must be a str\n"
         assert not out.exists()
 
     def test_kl_without_ref_logprobs_is_usage_error(self, tmp_path, echo_toolchain_file):
@@ -1405,12 +1441,15 @@ class TestConfig:
 
 
 # Imports cruxkit.cli, loads argv[1] as the config, then runs each command of
-# argv[2] through cli.main; prints whether numpy was loaded after each step.
+# argv[2] through cli.main; prints the cruxkit modules loaded after each step,
+# and whichever of numpy, pickle and the process-pool modules are.
 _IMPORT_PROBE = """
 import json, sys
 
+WATCHED = {"numpy", "pickle", "multiprocessing", "concurrent.futures.process"}
+
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("cruxkit"))
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith("cruxkit"))
 
 import cruxkit.cli as cli
 steps = {"import cruxkit.cli": loaded()}
@@ -1499,6 +1538,46 @@ class TestLayerImportBoundary:
         }
         assert (tmp_path / "report" / "evaluation.txt").exists()
         assert (tmp_path / "report" / "reward_by_step.txt").exists()
+
+    def test_no_command_loads_a_process_pool(self, tmp_path, echo_toolchain_file,
+                                             categorized_toy):
+        """Set-up loads no pickle, and no command loads multiprocessing or a
+        process pool: build-dataset forks its slices itself, and pickle loads
+        only when it does."""
+        from cruxkit.cli import MIN_SLICE_ROWS
+
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        _, rows = read_jsonl(categorized_toy)
+        # enough rows for two slices, so build-dataset forks on a host with 2 CPUs
+        many = tmp_path / "many.jsonl"
+        many.write_text("".join(
+            json.dumps({**rows[k % len(rows)], "id": f"{rows[k % len(rows)]['id']}_{k}"}) + "\n"
+            for k in range(2 * MIN_SLICE_ROWS)))
+        steps = modules_after(tmp_path, {"seed": 3}, [
+            ["categorize", "--input", TOY / "pairs.jsonl",
+             "--verdicts", TOY / "verdicts.jsonl", "--output", tmp_path / "categorized.jsonl"],
+            ["derive-crux", "--input", categorized_toy, "--live",
+             "--mock-provider", TOY / "mock_provider.json", "--output", tmp_path / "t.jsonl"],
+            ["build-dataset", "--input", many,
+             "--transcripts", TOY / "transcripts.jsonl", "--output", tmp_path / "records.jsonl"],
+            ["evaluate", "--tasks", TOY / "pairs.jsonl",
+             "--candidates", write_candidates(tmp_path, pairs),
+             "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+             "--output-dir", tmp_path / "eval"],
+            ["reward", "--groups", write_groups(tmp_path, pairs, step=0),
+             "--tasks", TOY / "pairs.jsonl", "--testbenches", TOY / "testbenches",
+             "--toolchain", echo_toolchain_file, "--output", tmp_path / "rewarded.jsonl"],
+            ["grpo-check", "--instances", 2],
+        ])
+        for step in ("import cruxkit.cli", "load_config"):
+            assert "pickle" not in steps[step], step
+        for step, modules in steps.items():
+            assert not {"multiprocessing", "concurrent.futures.process"} & set(modules), step
+        if len(os.sched_getaffinity(0)) > 1:
+            assert "pickle" in steps["build-dataset"]
+        _, records = read_jsonl(tmp_path / "records.jsonl")
+        _, reclassified = read_jsonl(tmp_path / "records.jsonl.reclassified.jsonl")
+        assert len(records) + len(reclassified) == 2 * MIN_SLICE_ROWS
 
     @pytest.mark.parametrize("module", ["cruxkit.gateway", "cruxkit.grpo"])
     def test_module_imports_no_other_cruxkit_module(self, module):
