@@ -748,16 +748,18 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 "seed_augment": seed_augment,
                 **policies,
             }
-            r = assemble_record(pair, category, realspec, reference_iface, crux, verdict, provenance)
-            if isinstance(r, Reclassification):
-                return reclassify(r)
+            result = assemble_record(
+                pair, category, realspec, reference_iface, crux, verdict, provenance
+            )
+            if isinstance(result, Reclassification):
+                return reclassify(result)
             return True, jsonl.encode_row({
-                "id": r.id,
-                "category": r.category.value,
-                "realspec": r.realspec,
-                "crux": render_crux(r.crux),
-                "reference_code": r.reference_code,
-                "provenance": r.provenance,
+                "id": result.id,
+                "category": result.category.value,
+                "realspec": result.realspec,
+                "crux": render_crux(result.crux),
+                "reference_code": result.reference_code,
+                "provenance": result.provenance,
             })
 
         lines = _map_slices(dataset_row, rows)
