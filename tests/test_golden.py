@@ -105,7 +105,6 @@ def test_row_permutation_permutes_output_rows(order):
         assert permuted[command] == base[command] and base[command][0] == 0
 
 
-
 SWEEP_ROW = json.loads((EVAL_SWEEP_TINY / "candidates.jsonl").read_text())
 SWEEP_GOLDEN = GOLDEN / "evaluate-sweep-tiny"
 
@@ -138,6 +137,7 @@ def test_candidate_order_and_row_split_change_only_outcome_indices(order, split)
     want = [meta] + [json.dumps({**json.loads(base[i]), "index": j}, sort_keys=True)
                      for j, i in enumerate(order)]
     assert got["outcomes.jsonl"].decode().splitlines() == want
+
 
 @pytest.fixture()
 def slices(monkeypatch):
