@@ -20,6 +20,11 @@ the first built in this process and each other in a forked child. Output
 rows keep input order and the error reported is the first in row order, as
 in a serial loop. Forking this way is Linux-only, like the harness's pidfd.
 
+Every input row is checked once, as it is read, against its kind in
+``ROW_KINDS`` (build-dataset checks each pair row as it builds it, so a bad
+row is still reported in row order): a row that is not an object, lacks a
+key or holds a value of another type is a usage error naming the row.
+
 Exit codes: 0 success, 1 internal error, 2 usage or configuration error.
 """
 
@@ -33,9 +38,9 @@ import os
 import sys
 import threading
 from collections import defaultdict, deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import click
 
@@ -55,12 +60,12 @@ from .harness import (
 )
 
 if TYPE_CHECKING:
-    from .corpus import Category, RawPair
+    from .corpus import RawPair
     from .gateway import ProviderConfig, TokenLogProbSeq
 
 
 class ConfigError(ValueError):
-    """Bad configuration or missing input files (exit code 2)."""
+    """Bad configuration, a missing input file or a malformed input row (exit code 2)."""
 
 
 DEFAULT_SCORING_TEMPLATE = "{realspec}\n\n{crux}\n\n"
@@ -105,10 +110,10 @@ def _section_fields(key: str) -> set[str] | None:
 def load_config(path: str | None, seed: int | None) -> dict:
     cfg = default_config()
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as f:
+        with open(_require_file(path, "config file"), encoding="utf-8") as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         for key, value in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key: {key}")
@@ -160,22 +165,6 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_pairs(path: str) -> list[dict]:
-    rows = list(jsonl.read_rows(_require_file(path, "input file")))
-    if not rows:
-        raise ConfigError(f"no rows in {path}")
-    return rows
-
-
-def _load_tasks(path: str) -> dict[str, dict]:
-    """Task rows by id; a row without an id or a string reference code is a
-    usage error."""
-    rows = _load_pairs(path)
-    for row in rows:
-        _checked(row, f"task row {row.get('id')!r}", id=object, reference_code=str)
-    return {row["id"]: row for row in rows}
-
-
 @functools.cache
 def _corpus():
     """The corpus layer, imported by the first call: ``evaluate`` and
@@ -185,21 +174,103 @@ def _corpus():
     return corpus
 
 
+class _Type(NamedTuple):
+    """What a row kind holds under a key: the type of its value, as errors
+    and README name it, and the type's test; whether the key may be absent;
+    and the errors for a bad value and for no key."""
+
+    name: str
+    test: Callable[[object], bool]
+    optional: bool = False
+    bad: str = "{what}: {key!r} must be a {name}"
+    absent: str = "{what} has no {key!r}"
+
+
+def _is(name: str, *types: type, optional: bool = False) -> _Type:
+    return _Type(name, lambda value: isinstance(value, types), optional)
+
+
+_SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
+_STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
+_NUMBER, _ANY = _is("number", int, float), _Type("any", lambda value: True)
+_PAYLOAD = _is("dict or null", dict, type(None), optional=True)
+_NO_CATEGORY = "{what} has no known category ({value!r}); run categorize first"
+_PAIR = {"id": _SCALAR, "description": _STR, "reference_code": _STR}
+# Each kind of input row: the label and the key that name a row in errors
+# ("<label> <its id>", or "<label> <its place>" when it has no id that is a
+# scalar other than null), and the keys it holds.
+ROW_KINDS = {
+    "pair": ("corpus row", "id", _PAIR),
+    "categorized pair": ("corpus row", "id", {**_PAIR, "category": _Type(
+        "EasyQuestion, NormalData or SpecialNonText",
+        lambda value: isinstance(value, str) and value in _corpus().CATEGORY_NAMES,
+        bad=_NO_CATEGORY, absent=_NO_CATEGORY)}),
+    "verdict": ("verdict row", "id", {"id": _SCALAR, "passed": _ANY}),
+    "transcript": ("transcript row", "id", {"id": _SCALAR, "stage": _SCALAR, "text": _STR}),
+    "task": ("task row", "id", {"id": _SCALAR, "reference_code": _STR}),
+    "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _Type(
+        "list of strings", lambda value: isinstance(value, list)
+        and all(isinstance(code, str) for code in value), optional=True)}),
+    "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST, "step": _Type(
+        "int >= 0", lambda value: type(value) is int and value >= 0, optional=True,
+        bad="{what} has a bad {key!r}: {value!r}")}),
+    "rollout": ("groups row", None, {"code_text": _STR, "crux_text": _STR, "logprobs_new": _DICT,
+                                  "logprobs_old": _DICT, "logprobs_ref": _PAYLOAD,
+                                  "crux_score": _PAYLOAD}),
+    "reward": ("reward row", None, {"step": _NUMBER, "rewards": _Type(
+        "list of objects with a number 'mixed'", lambda value: isinstance(value, list)
+        and all(isinstance(r, dict) and _NUMBER.test(r.get("mixed")) for r in value))}),
+    "per-task": ("per-task row", None, {"task_id": _ANY, "n": _ANY, "c": _ANY}),
+}
+
+
+def _check(kind: str, place: int | str, row):
+    """``row``, at ``place`` in its file, if it is an object holding each
+    key of its ``kind`` (an optional one may be absent) with a value of the
+    key's type; else a usage error naming the row."""
+    kind_label, named_by, keys = ROW_KINDS[kind]
+    if not isinstance(row, dict):
+        message, key, rule, row = "{what} is not an object", None, _ANY, {}
+    else:
+        for key, rule in keys.items():
+            if key in row:
+                if rule.test(row[key]):
+                    continue
+                message = rule.bad
+            elif rule.optional:
+                continue
+            else:
+                message = rule.absent
+            break
+        else:
+            return row
+    # the row's name is only worked out for its error
+    name = row.get(named_by) if named_by else None
+    named = name is not None and _SCALAR.test(name)
+    what = f"{kind_label} {repr(name) if named else place}"
+    raise ConfigError(message.format(what=what, key=key, value=row.get(key), name=rule.name))
+
+
+def _rows(kind: str | None, path: str, what: str) -> Iterator:
+    """The ``what`` file's rows, each checked as ``kind`` (unless None) as read."""
+    rows = jsonl.read_rows(_require_file(path, what))
+    return rows if kind is None else (_check(kind, place, row) for place, row in enumerate(rows, 1))
+
+
+def _load(path: str, kind: str | None, what: str = "input file") -> list:
+    """Every row of ``_rows``; none is a usage error."""
+    rows = list(_rows(kind, path, what))
+    if not rows:
+        raise ConfigError(f"no rows in {path}")
+    return rows
+
+
 def _as_pair(row: dict) -> RawPair:
+    """A checked pair row's pair; an empty id or blank text is a usage error."""
     try:
         return _corpus().RawPair(row["id"], row["description"], row["reference_code"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad corpus row {row.get('id')!r}: {exc}") from exc
-
-
-def _category(row: dict) -> Category:
-    try:
-        return _corpus().Category(row.get("category"))
     except ValueError as exc:
-        raise ConfigError(
-            f"corpus row {row.get('id')!r} has no known category "
-            f"({row.get('category')!r}); run categorize first"
-        ) from exc
+        raise ConfigError(f"bad corpus row {row['id']!r}: {exc}") from exc
 
 
 def _toolchain(path: str | None) -> ToolchainConfig:
@@ -214,13 +285,14 @@ def _toolchain(path: str | None) -> ToolchainConfig:
 def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
     from .gateway import ProviderConfig
 
-    if mock_script is not None:
-        with open(_require_file(mock_script, "mock provider script"), encoding="utf-8") as f:
-            return ProviderConfig(kind="mock", mock=json.load(f))
-    if path is None:
+    if mock_script is None and path is None:
         return ProviderConfig(kind="mock")
+    script = None if mock_script is None else _require_file(mock_script, "mock provider script")
     try:
-        return ProviderConfig.from_file(_require_file(path, "provider config"))
+        if script is None:
+            return ProviderConfig.from_file(_require_file(path, "provider config"))
+        with open(script, encoding="utf-8") as f:
+            return ProviderConfig(kind="mock", mock=json.load(f))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad provider config: {exc}") from exc
 
@@ -334,62 +406,38 @@ def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
     return {"task_id": task_id, "index": index, **{f: getattr(outcome, f) for f in fields}}
 
 
-def _checked(row, what: str, **kinds: type) -> None:
-    """A usage error naming ``what`` unless ``row`` is an object holding a
-    value of type ``kinds[key]`` under each key."""
-    if not isinstance(row, dict):
-        raise ConfigError(f"{what} is not an object")
-    for key, kind in kinds.items():
-        if key not in row:
-            raise ConfigError(f"{what} has no {key!r}")
-        if not isinstance(row[key], kind):
-            raise ConfigError(f"{what}: {key!r} must be a {kind.__name__}")
-
-
-def _candidate_batch(number: int, row, tasks: dict[str, dict]) -> tuple:
-    """Candidates row ``number``'s sim batch; a row without a task id or a
-    list of code strings, or naming an unknown task, is a usage error."""
-    what = f"candidates row {number}"
-    _checked(row, what, task_id=object)
-    codes = row.get("candidates", [])
-    if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-        raise ConfigError(f"{what}: 'candidates' must be a list of strings")
+def _candidate_batch(row: dict, tasks: dict[str, dict]) -> tuple:
+    """A checked candidates row's sim batch; an unknown task is a usage error."""
     task_id = row["task_id"]
     if task_id not in tasks:
         raise ConfigError(f"candidates reference unknown task {task_id!r}")
-    return task_id, task_id, tasks[task_id]["reference_code"], codes
+    return task_id, task_id, tasks[task_id]["reference_code"], row.get("candidates", [])
 
 
-def _group_batch(number: int, row, global_step: int, tasks: dict[str, dict],
+def _group_batch(number: int, row: dict, global_step: int, tasks: dict[str, dict],
                  beta: float) -> tuple:
-    """A groups row's sim batch, whose row holds the task id, step, rollouts,
-    each rollout's own CRUX score or None, and the reference interface. A
-    malformed row or rollout, an unknown task or one whose reference header
-    cannot be read, a group too small to standardize, or a rollout without
-    ref logprobs under ``beta`` > 0 is a usage error naming it, raised before
-    any of the row's sims start."""
+    """Checked groups row ``number``'s sim batch, whose row holds the task
+    id, step, rollouts, each rollout's own CRUX score or None, and the
+    reference interface. A malformed rollout, an unknown task or one whose
+    reference header cannot be read, a group too small to standardize, or a
+    rollout without ref logprobs under ``beta`` > 0 is a usage error naming
+    it, raised before any of the row's sims start."""
     from .corpus import extract_verilog
     from .interface import HeaderError, parse_module_header
     from .rewards import parse_rollout
 
     what = f"groups row {number}"
-    _checked(row, what, task_id=object, rollouts=list)
     rollouts, scores = [], []
     for i, payload in enumerate(row["rollouts"]):
-        where = f"{what} rollout {i}"
-        _checked(payload, where, code_text=str, crux_text=str,
-                 logprobs_new=dict, logprobs_old=dict)
-        code = payload["code_text"]
+        code = _check("rollout", f"{number} rollout {i}", payload)["code_text"]
         code = (extract_verilog(code) or code) if "```" in code else code
         try:
             rollout, score = parse_rollout(payload, code)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{what} rollout {i}: {exc}") from exc
         rollouts.append(rollout)
         scores.append(score)
     step = row.get("step", global_step)
-    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-        raise ConfigError(f"{what} has a bad 'step': {step!r}")
     task_id = row["task_id"]
     if task_id not in tasks:
         raise ConfigError(f"groups reference unknown task {task_id!r}")
@@ -548,7 +596,7 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
     cfg = ctx.obj["config"]
 
     def run():
-        rows = _load_pairs(input_path)
+        rows = _load(input_path, "pair")
         pairs = [_as_pair(r) for r in rows]
         if live:
             if tb_dir is None:
@@ -576,10 +624,8 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
         else:
             if verdicts_path is None:
                 raise ConfigError("need --verdicts or --live")
-            verdicts = {
-                r["id"]: bool(r["passed"])
-                for r in jsonl.read_rows(_require_file(verdicts_path, "verdicts file"))
-            }
+            verdicts = {r["id"]: bool(r["passed"])
+                        for r in _rows("verdict", verdicts_path, "verdicts file")}
         keywords = frozenset(cfg["keywords"]) if cfg.get("keywords") else None
         counts: dict[str, int] = defaultdict(int)
         out_rows = []
@@ -614,14 +660,14 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
     cfg = ctx.obj["config"]
 
     def run():
-        rows = _load_pairs(input_path)
+        rows = _load(input_path, "categorized pair")
         if not live and emit_path is None:
             raise ConfigError("need --emit or --live")
         if live and output_path is None:
             raise ConfigError("--live needs --output for transcripts")
         bundles = []
         for row in rows:
-            category = _category(row)
+            category = Category(row["category"])
             if category is Category.EASY_QUESTION:
                 continue
             bundles.append((row, make_crux_derivation_prompt(_as_pair(row), category)))
@@ -685,16 +731,11 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
     cfg = ctx.obj["config"]
 
     def run():
-        rows = _load_pairs(input_path)
-        transcripts: dict[tuple[str, str], str] = {}
-        if transcripts_path is not None:
-            for t in jsonl.read_rows(_require_file(transcripts_path, "transcripts file")):
-                try:
-                    transcripts[(t["id"], t["stage"])] = t["text"]
-                except KeyError as exc:
-                    raise ConfigError(
-                        f"transcript row {t.get('id')!r} has no {exc.args[0]!r}"
-                    ) from exc
+        rows = _load(input_path, None)
+        transcripts: dict[tuple[str, str], str] = {} if transcripts_path is None else {
+            (t["id"], t["stage"]): t["text"]
+            for t in _rows("transcript", transcripts_path, "transcripts file")
+        }
         degradation = DegradationPolicy(**cfg["degradation"])
         augmentation = AugmentationPolicy(**cfg["augmentation"])
         # the same for every row; records share them, and nothing mutates them
@@ -710,10 +751,12 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         def reclassify(r: Reclassification) -> tuple[bool, str]:
             return False, jsonl.encode_row({"id": r.task_id, "to": r.to.value, "reason": r.reason})
 
-        def dataset_row(row: dict) -> tuple[bool, str]:
-            """(True, the row's record line) or (False, its reclassification line)."""
+        def dataset_row(place_row: tuple[int, dict]) -> tuple[bool, str]:
+            """(True, the row's record line) or (False, its reclassification
+            line); the row is checked here, so a bad one fails in row order."""
+            row = _check("categorized pair", *place_row)
             pair = _as_pair(row)
-            category = _category(row)
+            category = Category(row["category"])
             try:
                 reference_iface = parse_module_header(pair.reference_code)
             except HeaderError as exc:
@@ -762,7 +805,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 "provenance": result.provenance,
             })
 
-        lines = _map_slices(dataset_row, rows)
+        lines = _map_slices(dataset_row, list(enumerate(rows, 1)))
         records = [line for is_record, line in lines if is_record]
         reclassified = [line for is_record, line in lines if not is_record]
         jsonl.write_lines(output_path, records, meta=meta_for(cfg))
@@ -795,15 +838,15 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         if keep_artifacts:
             toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
         sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
-        tasks = _load_tasks(tasks_path)
-        cand_rows = jsonl.read_rows(_require_file(candidates_path, "candidates file"))
+        tasks = {row["id"]: row for row in _load(tasks_path, "task")}
+        cand_rows = _rows("candidates", candidates_path, "candidates file")
         ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
         thr = cfg["threshold"] if threshold is None else threshold
         os.makedirs(output_dir, exist_ok=True)
         samples: dict[str, list[SimOutcome]] = {}
         outcome_rows = []
         with sims:
-            batches = (_candidate_batch(*r, tasks) for r in enumerate(cand_rows, 1))
+            batches = (_candidate_batch(row, tasks) for row in cand_rows)
             for task_id, outcomes in sims.stream(batches):
                 # rows repeating a task add samples to it, numbered on from its last
                 task_samples = samples.setdefault(task_id, [])
@@ -842,12 +885,12 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
     def run():
         sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
-        tasks = _load_tasks(tasks_path)
+        tasks = {row["id"]: row for row in _load(tasks_path, "task")}
         schedule = WeightSchedule(**cfg["schedule"])
         gateway = Gateway(_provider(provider_path, mock_script))
         grpo = cfg["grpo"]
         out_rows = []
-        group_rows = jsonl.read_rows(_require_file(groups_path, "groups file"))
+        group_rows = _rows("group", groups_path, "groups file")
 
         def crux_score(task: dict, crux_text: str) -> TokenLogProbSeq | str:
             realspec = task.get("realspec") or task.get("description") or ""
@@ -933,16 +976,14 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
             raise ConfigError("need --reward or --evaluate-dir")
         os.makedirs(output_dir, exist_ok=True)
         if reward_path is not None:
-            means = step_means(jsonl.read_rows(_require_file(reward_path, "reward output")))
+            means = step_means(_rows("reward", reward_path, "reward output"))
             header = ["step", "mean_mixed_reward", "rollouts"]
             for name, csv in (("reward_by_step.csv", True), ("reward_by_step.txt", False)):
                 _write_table(os.path.join(output_dir, name), render_table(header, means, csv),
                              echo=not csv)
         if evaluate_dir is not None:
             per_task = os.path.join(evaluate_dir, "per_task.jsonl")
-            rows = list(jsonl.read_rows(_require_file(per_task, "per-task report")))
-            if not rows:
-                raise ConfigError(f"no rows in {per_task}")
+            rows = _load(per_task, "per-task", "per-task report")
             # rows are written with sorted keys (pass@10 before pass@5); the
             # meta row keeps the k order of evaluate's own tables
             meta = jsonl.read_meta(per_task) or {}

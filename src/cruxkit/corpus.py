@@ -24,6 +24,9 @@ class Category(str, Enum):
     NORMAL_DATA = "NormalData"
 
 
+CATEGORY_NAMES = frozenset(c.value for c in Category)  # as a row spells each category
+
+
 class MissingDiagram(ValueError):
     """SpecialNonText RealSpec requested without diagram text."""
 

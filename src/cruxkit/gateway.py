@@ -121,6 +121,8 @@ class ProviderConfig:
             raise ValueError("http provider requires base_url")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.mock is not None and not isinstance(self.mock, dict):
+            raise ValueError("mock must be an object or null")
 
     @classmethod
     def from_file(cls, path: str) -> "ProviderConfig":

@@ -430,10 +430,10 @@ def pass_at_k_table(
     csv: bool = False,
     aggregate: dict[int, float] | None = None,
 ) -> str:
-    """The pass@k table of ``report_rows`` rows, with an ``aggregate`` row
-    last when one is given."""
+    """The pass@k table of ``report_rows`` rows, a missing estimate shown as
+    skipped, with an ``aggregate`` row last when one is given."""
     header = ["task_id" if csv else "task", "n", "c", *(f"pass@{k}" for k in k_values)]
-    cells = [[row["task_id"], row["n"], row["c"], *(row[f"pass@{k}"] for k in k_values)]
+    cells = [[row["task_id"], row["n"], row["c"], *(row.get(f"pass@{k}") for k in k_values)]
              for row in rows]
     if aggregate is not None:
         cells.append(["aggregate", "", "", *(aggregate[k] for k in k_values)])

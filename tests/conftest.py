@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,27 @@ def toy_verdicts() -> dict[str, bool]:
 @pytest.fixture(scope="session")
 def echo_toolchain() -> ToolchainConfig:
     return ToolchainConfig.echo()
+
+
+@pytest.fixture()
+def slices(monkeypatch):
+    """``slices(n)`` makes build-dataset split any input into ``n`` slices
+    (one per row at most); returns the pids of the children it forks."""
+    import cruxkit.cli as cli
+
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def force(n):
+        monkeypatch.setattr(cli, "MIN_SLICE_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forked
+
+    monkeypatch.setattr(os, "fork", fork)
+    return force

@@ -139,30 +139,6 @@ def test_candidate_order_and_row_split_change_only_outcome_indices(order, split)
     assert got["outcomes.jsonl"].decode().splitlines() == want
 
 
-@pytest.fixture()
-def slices(monkeypatch):
-    """``slices(n)`` makes build-dataset split any input into ``n`` slices
-    (one per row at most); returns the pids of the children it forks."""
-    import cruxkit.cli as cli
-
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def force(n):
-        monkeypatch.setattr(cli, "MIN_SLICE_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return forked
-
-    monkeypatch.setattr(os, "fork", fork)
-    return force
-
-
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("name", ["no-sim-tiny", "build-dataset"])
 def test_slice_count_does_not_change_output(name, count, slices, tmp_path):
@@ -172,7 +148,6 @@ def test_slice_count_does_not_change_output(name, count, slices, tmp_path):
     want = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
     assert run_case(name, tmp_path) == want
     assert len(forked) == count - 1
-
 
 
 def test_process_with_other_threads_forks_nothing(slices, tmp_path):
