@@ -7,11 +7,15 @@ reports. Every output file starts with a meta row carrying the config hash
 and seed, and reruns with identical inputs and the mock provider are
 byte-identical (wall-clock measurements are deliberately kept out of files).
 
-Each command loads only the layers it drives: ``harness``, ``jsonl`` and
-``grpo`` (which imports no other cruxkit module) are loaded with this one,
-and ``corpus``, ``cruxdoc``, ``interface``, ``rewards`` and ``gateway`` are
+Each command loads only the layers it drives: ``jsonl`` and ``grpo`` (which
+imports no other cruxkit module) are loaded with this one, and ``harness``,
+``corpus``, ``cruxdoc``, ``interface``, ``rewards`` and ``gateway`` are
 imported inside the commands and helpers that use them. So ``evaluate`` and
-``report`` never load the corpus, parsing, reward or provider layers.
+``report`` never load the corpus, parsing, reward or provider layers, and
+``categorize`` (offline), ``derive-crux``, ``build-dataset`` and
+``grpo-check`` never load the simulation layer, nor its ``subprocess`` and
+thread pool. A harness name is imported where it is used, not kept in this
+module's globals, so a patch of ``harness`` reaches every later call.
 
 ``build-dataset`` computes each row from that row, the config and the
 transcripts alone, so it splits its rows over the CPUs the process may use
@@ -39,29 +43,19 @@ import sys
 import threading
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import TYPE_CHECKING, NamedTuple
 
 import click
 
-from . import __version__, harness, jsonl
+from . import __version__, jsonl
 from .grpo import check_coefficients, objective_gradient_check, random_toy_instance
-from .harness import (
-    SimJob,
-    SimOutcome,
-    ToolchainConfig,
-    ToolchainMissing,
-    aggregate_report,
-    pass_at_k_table,
-    render_table,
-    report_csv,
-    report_rows,
-    report_table,
-)
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from .corpus import RawPair
     from .gateway import ProviderConfig, TokenLogProbSeq
+    from .harness import SimJob, SimOutcome, ToolchainConfig
 
 
 class ConfigError(ValueError):
@@ -218,7 +212,8 @@ ROW_KINDS = {
                                   "logprobs_old": _DICT, "logprobs_ref": _PAYLOAD,
                                   "crux_score": _PAYLOAD}),
     "reward": ("reward row", None, {"step": _NUMBER, "rewards": _Type(
-        "list of objects with a number 'mixed'", lambda value: isinstance(value, list)
+        "non-empty list of objects with a number 'mixed'",
+        lambda value: isinstance(value, list) and value != []
         and all(isinstance(r, dict) and _NUMBER.test(r.get("mixed")) for r in value))}),
     "per-task": ("per-task row", None, {"task_id": _ANY, "n": _ANY, "c": _ANY}),
 }
@@ -274,6 +269,8 @@ def _as_pair(row: dict) -> RawPair:
 
 
 def _toolchain(path: str | None) -> ToolchainConfig:
+    from .harness import ToolchainConfig
+
     if path is None:
         return ToolchainConfig()
     try:
@@ -304,9 +301,6 @@ def _testbench_path(directory: str, task_id: str) -> str:
     return path
 
 
-_EMPTY_DESIGN = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
-
-
 class _Simulator:
     """Simulates a command's batches of designs on one pool of the
     toolchain's ``workers`` threads, so ``workers`` bounds every sim.
@@ -333,7 +327,9 @@ class _Simulator:
         self._references: dict[str, tuple[str, Future[SimOutcome]]] = {}
 
     def __enter__(self) -> "_Simulator":
-        self._pool = harness.ThreadPoolExecutor(max_workers=self.toolchain.workers)
+        from .harness import ThreadPoolExecutor
+
+        self._pool = ThreadPoolExecutor(max_workers=self.toolchain.workers)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -341,12 +337,16 @@ class _Simulator:
 
     def _submit(self, batch: tuple) -> dict[str, Future[SimOutcome]]:
         """A batch's sims by design: its task's reference, then the rest."""
+        from .harness import SimJob, run_sim
+
         _, task_id, reference_code, codes = batch
         if task_id not in self._references:
+            if not reference_code.strip():
+                raise ConfigError(f"reference design for task {task_id!r} is blank")
             with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
                 tb = f.read()
             job = SimJob(reference_code, tb, task_id, self.timeout_ms)
-            self._references[task_id] = tb, self._pool.submit(harness.run_sim, job, self.toolchain)
+            self._references[task_id] = tb, self._pool.submit(run_sim, job, self.toolchain)
         tb, reference = self._references[task_id]
         # within a batch the testbench, timeout and toolchain are fixed, so the
         # design text alone keys a sim; the reference matches itself exactly,
@@ -360,6 +360,11 @@ class _Simulator:
         return sims
 
     def stream(self, batches: Iterable[tuple]) -> Iterator[tuple[object, list[SimOutcome]]]:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        from .harness import SimOutcome
+
+        empty_design = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
         batches, window, running, error = iter(batches), deque(), set(), None
         while True:
             running = {f for f in running if not f.done()}
@@ -391,13 +396,15 @@ class _Simulator:
                     f"{reference.log.strip()[:300]}"
                 )
             known = {code: f.result() for code, f in sims.items()}
-            yield row, [known.get(code, _EMPTY_DESIGN) for code in codes]
+            yield row, [known.get(code, empty_design) for code in codes]
 
 
 def _candidate_sim(job: SimJob, toolchain: ToolchainConfig, lines) -> SimOutcome:
     """A candidate's outcome without its transcript: once its match fraction
     is set nothing reads it, so at most ``workers`` transcripts are held."""
-    return dataclasses.replace(harness.run_sim(job, toolchain, lines), stdout_lines=())
+    from .harness import run_sim
+
+    return dataclasses.replace(run_sim(job, toolchain, lines), stdout_lines=())
 
 
 def _outcome_row(task_id: str, index: int, outcome: SimOutcome) -> dict:
@@ -464,6 +471,31 @@ def step_means(rows: Iterable[dict]) -> list[tuple[int, float, int]]:
     for row in rows:
         by_step[row["step"]].extend(r["mixed"] for r in row["rewards"])
     return [(step, sum(v) / len(v), len(v)) for step, v in sorted(by_step.items())]
+
+
+def _k_values(path: str, first_row: dict) -> list[int]:
+    """The k values of an ``evaluate`` per-task report at ``path``. Rows are
+    written with sorted keys (pass@10 before pass@5), so its meta row keeps
+    the k order of evaluate's own tables; without one, the k of each
+    ``pass@k`` key of its first row, in order. A meta row that is not an
+    object, ``k_values`` that are not integers, or a ``pass@`` key without
+    an integer k is a usage error naming it."""
+    meta = jsonl.read_meta(path)
+    if meta is not None and not isinstance(meta, dict):
+        raise ConfigError(f"per-task report {path}: meta row is not an object: {meta!r}")
+    ks = (meta or {}).get("k_values")
+    if ks is not None and not (isinstance(ks, list) and all(type(k) is int for k in ks)):
+        raise ConfigError(f"per-task report {path}: meta row has a bad 'k_values': {ks!r}")
+    if ks:
+        return ks
+    ks = []
+    for key in first_row:
+        if key.startswith("pass@"):
+            try:
+                ks.append(int(key[len("pass@"):]))
+            except ValueError:
+                raise ConfigError(f"per-task row 1 has a bad key {key!r}") from None
+    return sorted(ks)
 
 
 def _write_table(path: str, table: str, echo: bool = False) -> None:
@@ -542,7 +574,11 @@ def _map_slices(fn, rows: list) -> list:
     return results
 
 
-_USAGE_ERRORS = (ConfigError, jsonl.BadJson, ToolchainMissing)
+def _loaded_error(layer: str, name: str) -> tuple[type, ...]:
+    """``layer``'s error class ``name``, or none if no command loaded the
+    layer: only a command that loaded a layer can raise one of its errors."""
+    module = sys.modules.get(f"{__package__}.{layer}")
+    return () if module is None else (getattr(module, name),)
 
 
 def _run_command(fn) -> None:
@@ -550,13 +586,12 @@ def _run_command(fn) -> None:
         fn()
     except click.ClickException:
         raise
-    except _USAGE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 1
-        # only a command that loaded the gateway can raise one of its errors
-        gateway = sys.modules.get(f"{__package__}.gateway")
-        if gateway is not None and isinstance(exc, gateway.GatewayError):
+    except Exception as exc:  # noqa: BLE001 - every error maps to exit code 2 or 1
+        if isinstance(exc, (ConfigError, jsonl.BadJson,
+                            *_loaded_error("harness", "ToolchainMissing"))):
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        if isinstance(exc, _loaded_error("gateway", "GatewayError")):
             click.echo(f"gateway error: {exc}", err=True)
         else:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
@@ -831,6 +866,8 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_dir,
              k_values, threshold, keep_artifacts):
     """Simulate candidates against testbenches and report pass@k."""
+    from .harness import aggregate_report, report_csv, report_rows, report_table
+
     cfg = ctx.obj["config"]
 
     def run():
@@ -970,6 +1007,7 @@ def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
 @click.pass_context
 def report(ctx, reward_path, evaluate_dir, output_dir):
     """Render summary tables (text + CSV) from pipeline outputs."""
+    from .harness import pass_at_k_table, render_table
 
     def run():
         if reward_path is None and evaluate_dir is None:
@@ -984,14 +1022,8 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
         if evaluate_dir is not None:
             per_task = os.path.join(evaluate_dir, "per_task.jsonl")
             rows = _load(per_task, "per-task", "per-task report")
-            # rows are written with sorted keys (pass@10 before pass@5); the
-            # meta row keeps the k order of evaluate's own tables
-            meta = jsonl.read_meta(per_task) or {}
-            ks = meta.get("k_values") or sorted(
-                int(key.split("@")[1]) for key in rows[0] if key.startswith("pass@")
-            )
-            _write_table(os.path.join(output_dir, "evaluation.txt"), pass_at_k_table(rows, ks),
-                         echo=True)
+            _write_table(os.path.join(output_dir, "evaluation.txt"),
+                         pass_at_k_table(rows, _k_values(per_task, rows[0])), echo=True)
 
     _run_command(run)
 

@@ -123,6 +123,8 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 1")
         if self.mock is not None and not isinstance(self.mock, dict):
             raise ValueError("mock must be an object or null")
+        if self.kind == "mock":
+            MockProvider(self.mock)  # a bad mock value fails here, as the config is read
 
     @classmethod
     def from_file(cls, path: str) -> "ProviderConfig":
@@ -162,6 +164,8 @@ class MockProvider:
     def __init__(self, config: dict | None = None):
         cfg = dict(config or {})
         self.rules = list(cfg.get("completions", []))
+        if not all(isinstance(rule, dict) for rule in self.rules):
+            raise ValueError("mock completions must be objects")
         self.default_completions = list(cfg.get("default_completions", []))
         self.logprob_table = dict(cfg.get("logprob_table", {}))
         self.default_logprob = float(cfg.get("default_logprob", DEFAULT_MOCK_LOGPROB))

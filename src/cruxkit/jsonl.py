@@ -43,9 +43,13 @@ def read_meta(path: str) -> dict | None:
     return None
 
 
+# json.dumps(row, sort_keys=True) builds an encoder per call; this one is shared
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode_row(row: dict) -> str:
     """One output line without its newline; keys sorted for byte-identical reruns."""
-    return json.dumps(row, sort_keys=True)
+    return _ENCODER.encode(row)
 
 
 def write_lines(path: str, lines: Iterable[str], meta: dict | None = None) -> None:

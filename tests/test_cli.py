@@ -1442,11 +1442,12 @@ class TestConfig:
 
 # Imports cruxkit.cli, loads argv[1] as the config, then runs each command of
 # argv[2] through cli.main; prints the cruxkit modules loaded after each step,
-# and whichever of numpy, pickle and the process-pool modules are.
+# and whichever of numpy, pickle, subprocess and the pool modules are.
 _IMPORT_PROBE = """
 import json, sys
 
-WATCHED = {"numpy", "pickle", "multiprocessing", "concurrent.futures.process"}
+WATCHED = {"numpy", "pickle", "subprocess", "multiprocessing", "concurrent.futures",
+           "concurrent.futures.process"}
 
 def loaded():
     return sorted(m for m in sys.modules if m in WATCHED or m.startswith("cruxkit"))
@@ -1522,6 +1523,8 @@ class TestLayerImportBoundary:
     def test_evaluate_and_report_load_only_harness_jsonl_and_grpo(
         self, tmp_path, echo_toolchain_file
     ):
+        """Set-up loads jsonl and grpo; evaluate adds the harness, with its
+        subprocess and thread pool, and report nothing more."""
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         steps = modules_after(tmp_path, {"seed": 3}, [
             ["evaluate", "--tasks", TOY / "pairs.jsonl",
@@ -1532,12 +1535,30 @@ class TestLayerImportBoundary:
             # loaded modules only accumulate, so the one "report" step covers both
             ["report", "--reward", GOLDEN_REWARDS, "--output-dir", tmp_path / "report"],
         ])
-        light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.harness", "cruxkit.jsonl"]
-        assert steps == {
-            step: light for step in ["import cruxkit.cli", "load_config", "evaluate", "report"]
-        }
+        light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.jsonl"]
+        simulating = sorted([*light, "cruxkit.harness", "concurrent.futures", "subprocess"])
+        assert steps == {"import cruxkit.cli": light, "load_config": light,
+                         "evaluate": simulating, "report": simulating}
         assert (tmp_path / "report" / "evaluation.txt").exists()
         assert (tmp_path / "report" / "reward_by_step.txt").exists()
+
+    def test_no_sim_commands_never_load_the_simulation_layer(self, tmp_path, categorized_toy):
+        """Neither set-up nor a command that simulates nothing loads the
+        harness, subprocess or a thread pool."""
+        steps = modules_after(tmp_path, {"seed": 3}, [
+            ["categorize", "--input", TOY / "pairs.jsonl",
+             "--verdicts", TOY / "verdicts.jsonl", "--output", tmp_path / "categorized.jsonl"],
+            ["derive-crux", "--input", categorized_toy, "--live",
+             "--mock-provider", TOY / "mock_provider.json", "--output", tmp_path / "t.jsonl"],
+            ["build-dataset", "--input", categorized_toy,
+             "--transcripts", TOY / "transcripts.jsonl", "--output", tmp_path / "records.jsonl"],
+            ["grpo-check", "--instances", 2],
+        ])
+        assert list(steps) == ["import cruxkit.cli", "load_config", "categorize", "derive-crux",
+                               "build-dataset", "grpo-check"]
+        for step, modules in steps.items():
+            assert not {"cruxkit.harness", "subprocess", "concurrent.futures"} & set(modules), step
+        assert (tmp_path / "records.jsonl").exists()
 
     def test_no_command_loads_a_process_pool(self, tmp_path, echo_toolchain_file,
                                              categorized_toy):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from cruxkit import cli
+from cruxkit import cli, jsonl
 from cruxkit.harness import ToolchainConfig
 from test_cli import TOY, run_cli, toy_reference
 
@@ -102,18 +102,23 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 9)),
     st.tuples(st.just("retype"), st.integers(0, 9), st.sampled_from(VALUES)),
     st.tuples(st.just("replace"), st.sampled_from(VALUES[:-1])),
+    st.tuples(st.just("empty"), st.integers(0, 9)),
 )
 
 
 def _mutated(row: dict, mutation: tuple):
-    """``row`` with one key dropped or given a value of another JSON type,
-    or a JSON value that is not an object. A key is given by its name or its
-    place in sorted order."""
+    """``row`` with one key dropped, emptied (a string, array or object
+    value made empty) or given a value of another JSON type, or a JSON value
+    that is not an object. A key is given by its name or its place in sorted
+    order."""
     if mutation[0] == "replace":
         return mutation[1]
     key = mutation[1] if isinstance(mutation[1], str) else sorted(row)[mutation[1] % len(row)]
     if mutation[0] == "drop":
         return {k: v for k, v in row.items() if k != key}
+    if mutation[0] == "empty":
+        assume(isinstance(row[key], (str, list, dict)) and len(row[key]) > 0)
+        return {**row, key: type(row[key])()}
     assume(_json_type(mutation[2]) != _json_type(row[key]))
     return {**row, key: mutation[2]}
 
@@ -140,10 +145,12 @@ def _mutated(row: dict, mutation: tuple):
 @example(case="report --reward", index=0, mutation=("replace", 3))
 @example(case="report --evaluate-dir", index=0, mutation=("replace", 3))
 @example(case="report --evaluate-dir", index=0, mutation=("drop", "n"))
+@example(case="report --reward", index=0, mutation=("empty", "rewards"))
+@example(case="evaluate --tasks", index=3, mutation=("empty", "reference_code"))
 def test_malformed_row_exits_2_naming_it(case, index, mutation, slices):
-    """One row of a command's input file with a key dropped, a value of
-    another JSON type, or no object in its place: the command exits 0 or
-    2, never 1, and on 2 names the row by its place or its name."""
+    """One row of a command's input file with a key dropped or emptied, a
+    value of another JSON type, or no object in its place: the command exits
+    0 or 2, never 1, and on 2 names the row by its place or its name."""
     source, named_by, make_args = CASES[case]
     if isinstance(source, Path):
         lines = source.read_text().splitlines()
@@ -207,6 +214,54 @@ def test_mock_provider_script_that_is_not_an_object_is_usage_error(tmp_path, tex
                      "--output", tmp_path / "transcripts.jsonl")
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--mock-provider", "--provider"])
+@pytest.mark.parametrize("mock, message", [
+    ({"fail_first": "x"}, "bad provider config: invalid literal for int() with base 10: 'x'"),
+    ({"default_logprob": 1}, "bad provider config: mock logprobs must be <= 0"),
+    ({"completions": ["x"]}, "bad provider config: mock completions must be objects"),
+])
+def test_mock_provider_with_bad_values_is_usage_error(tmp_path, flag, mock, message):
+    """A mock's values are checked as its provider config is read, not when
+    the command builds its gateway."""
+    config = mock if flag == "--mock-provider" else {"kind": "mock", "mock": mock}
+    script = tmp_path / "provider.json"
+    script.write_text(json.dumps(config))
+    result = run_cli("derive-crux", "--input", CATEGORIZED, "--live", flag, script,
+                     "--output", tmp_path / "transcripts.jsonl")
+    assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"meta": {"k_values": 5}}'], "{path}: meta row has a bad 'k_values': 5"),
+    (['{"meta": {"k_values": [1, "5"]}}'], "{path}: meta row has a bad 'k_values': [1, '5']"),
+    (['{"meta": 3}'], "{path}: meta row is not an object: 3"),
+    ([], "per-task row 1 has a bad key 'pass@x'"),
+])
+def test_bad_per_task_meta_row_or_key_is_usage_error(tmp_path, lines, message):
+    """``report --evaluate-dir`` reads its k values from the meta row of
+    ``per_task.jsonl``, else from its first row's ``pass@k`` keys."""
+    (tmp_path / "eval").mkdir()
+    per_task = tmp_path / "eval" / "per_task.jsonl"
+    row = {"task_id": "a", "n": 2, "c": 1, "pass@1": 0.5, "pass@x": 1.0}
+    per_task.write_text("\n".join([*lines, json.dumps(row)]) + "\n")
+    result = run_cli("report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "r")
+    path = f"per-task report {per_task}"
+    assert (result.exit_code, result.stderr) == (2, f"error: {message.format(path=path)}\n")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(), JSON, max_size=6))
+def test_encode_row_is_json_dumps_with_sorted_keys(row):
+    """The shared encoder writes what ``json.dumps(row, sort_keys=True)`` would."""
+    assert jsonl.encode_row(row) == json.dumps(row, sort_keys=True)
 
 
 def test_readme_lists_every_row_kind_with_its_keys():
