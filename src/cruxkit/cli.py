@@ -9,20 +9,14 @@ byte-identical (wall-clock measurements are deliberately kept out of files).
 
 Each command loads only the layers it drives: ``jsonl`` and ``grpo`` (which
 imports no other cruxkit module) are loaded with this one, and ``harness``,
-``corpus``, ``cruxdoc``, ``interface``, ``rewards`` and ``gateway`` are
-imported inside the commands and helpers that use them. So ``evaluate`` and
-``report`` never load the corpus, parsing, reward or provider layers, and
-``categorize`` (offline), ``derive-crux``, ``build-dataset`` and
-``grpo-check`` never load the simulation layer, nor its ``subprocess`` and
-thread pool. A harness name is imported where it is used, not kept in this
-module's globals, so a patch of ``harness`` reaches every later call.
-
-``build-dataset`` computes each row from that row, the config and the
-transcripts alone, so it splits its rows over the CPUs the process may use
-(``_map_slices``): contiguous slices of at least ``MIN_SLICE_ROWS`` rows,
-the first built in this process and each other in a forked child. Output
-rows keep input order and the error reported is the first in row order, as
-in a serial loop. Forking this way is Linux-only, like the harness's pidfd.
+``corpus``, ``cruxdoc``, ``interface``, ``rewards``, ``gateway`` and
+``spread`` are imported inside the commands and helpers that use them. So
+``evaluate`` and ``report`` never load the corpus, parsing, reward or
+provider layers, and ``categorize`` (offline), ``derive-crux``,
+``build-dataset`` and ``grpo-check`` never load the simulation layer, nor
+its ``subprocess`` and thread pool. A harness name is imported where it is
+used, not kept in this module's globals, so a patch of ``harness`` reaches
+every later call.
 
 Every input row is checked once, as it is read, against its kind in
 ``ROW_KINDS`` (build-dataset checks each pair row as it builds it, so a bad
@@ -40,8 +34,7 @@ import hashlib
 import json
 import os
 import sys
-import threading
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -305,18 +298,16 @@ class _Simulator:
     """Simulates a command's batches of designs on one pool of the
     toolchain's ``workers`` threads, so ``workers`` bounds every sim.
 
-    ``stream`` reads ``(row, task_id, reference_code, codes)`` batches ahead
-    while fewer than 2 x ``workers`` sims are queued or running, and
-    submits each batch's sims as it is read: the task's reference, once
-    per command, then the batch's distinct designs. The pool is FIFO, so a
-    candidate starts only once its reference runs; it is matched against
-    the reference's transcript in its worker and comes back without its
-    own. ``(row, outcomes)`` pairs come back in batch order, outcomes in
-    candidate order. An error of a batch (an unreadable or malformed row,
-    a missing testbench, a failing reference) is raised in its turn, after
-    every batch before it, and no batch after a bad one is read. On exit,
-    queued jobs are cancelled and running ones waited for, so no thread or
-    child process outlives the command.
+    ``stream`` feeds ``(row, task_id, reference_code, codes)`` batches to
+    ``spread.window`` with a bound of 2 x ``workers`` sims, and yields each
+    batch's ``(row, outcomes)``, outcomes in candidate order, or its error
+    (a malformed row, a missing testbench, a failing reference) in its
+    turn. A batch's sims are its task's reference, once per command, then
+    its distinct designs. The pool is FIFO, so a candidate starts only once
+    its reference runs; it is matched against the reference's transcript in
+    its worker and comes back without its own. On exit, queued jobs are
+    cancelled and running ones waited for, so no thread or child process
+    outlives the command.
     """
 
     def __init__(self, toolchain: ToolchainConfig, tb_dir: str, timeout_ms: int):
@@ -360,34 +351,12 @@ class _Simulator:
         return sims
 
     def stream(self, batches: Iterable[tuple]) -> Iterator[tuple[object, list[SimOutcome]]]:
-        from concurrent.futures import FIRST_COMPLETED, wait
-
         from .harness import SimOutcome
+        from .spread import window
 
         empty_design = SimOutcome(compile_ok=False, ran_ok=False, log="empty design")
-        batches, window, running, error = iter(batches), deque(), set(), None
-        while True:
-            running = {f for f in running if not f.done()}
-            while batches and len(running) < 2 * self.toolchain.workers:
-                try:
-                    batch = next(batches)
-                    sims = self._submit(batch)
-                except StopIteration:
-                    batches = None
-                except Exception as exc:  # noqa: BLE001 - raised in its batch's turn
-                    batches, error = None, exc
-                else:
-                    window.append((batch, sims))
-                    running.update(sims.values())
-            if not window:
-                if error is not None:
-                    raise error
-                return
-            (row, task_id, reference_code, codes), sims = window[0]
-            if not all(f.done() for f in sims.values()):
-                wait(running, return_when=FIRST_COMPLETED)
-                continue
-            window.popleft()
+        for (row, task_id, reference_code, codes), sims in window(
+                batches, self._submit, 2 * self.toolchain.workers):
             reference = sims[reference_code].result()
             if not reference.ran_ok:
                 raise ConfigError(
@@ -504,74 +473,6 @@ def _write_table(path: str, table: str, echo: bool = False) -> None:
         f.write(table)
     if echo:
         click.echo(table, nl=False)
-
-
-# the fewest rows build-dataset gives a slice: on a 2-vCPU host, building
-# 128 rows as two slices already took less time than as one
-MIN_SLICE_ROWS = 64
-
-
-def _run_slice(fn, rows: list) -> tuple[list, Exception | None]:
-    """``fn`` of each row up to the first that raises, and that error."""
-    results = []
-    try:
-        for row in rows:
-            results.append(fn(row))
-    except Exception as exc:  # noqa: BLE001 - raised by the caller in its row's turn
-        return results, exc
-    return results, None
-
-
-def _map_slices(fn, rows: list) -> list:
-    """``[fn(row) for row in rows]`` over contiguous slices, one per CPU
-    this process may use but none shorter than ``MIN_SLICE_ROWS``. The first
-    slice runs here and each other in a forked child, which pickles its
-    results and its slice's first error into an unnamed temporary file and
-    leaves through ``os._exit``. Every child is reaped before this returns or
-    raises. Results keep row order and the error raised is the first in row
-    order, so only a child that dies without its result (exit 1, as an
-    internal error) tells this apart from the serial loop. A process running
-    other threads builds every row itself: a child forked from it could wait
-    forever on a lock one of them held."""
-    count = min(len(os.sched_getaffinity(0)), len(rows) // MIN_SLICE_ROWS)
-    if count < 2 or threading.active_count() > 1:
-        return [fn(row) for row in rows]
-    import pickle
-    import tempfile
-    from contextlib import ExitStack
-
-    bounds = [len(rows) * i // count for i in range(count + 1)]
-    children = []
-    with ExitStack() as files:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                out = files.enter_context(tempfile.TemporaryFile())
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        pickle.dump(_run_slice(fn, rows[lo:hi]), out, pickle.HIGHEST_PROTOCOL)
-                        out.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append((pid, out))
-            first = _run_slice(fn, rows[: bounds[1]])
-        finally:
-            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        results, error = first
-        for (_, out), status, lo, hi in zip(children, statuses, bounds[1:], bounds[2:]):
-            if error is not None:
-                break
-            if status != 0:
-                raise RuntimeError(f"the process building rows {lo + 1}-{hi} "
-                                   f"exited with status {status} and no result")
-            out.seek(0)
-            part, error = pickle.load(out)
-            results.extend(part)
-    if error is not None:
-        raise error
-    return results
 
 
 def _loaded_error(layer: str, name: str) -> tuple[type, ...]:
@@ -762,6 +663,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
     )
     from .cruxdoc import parse_crux, render_crux
     from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
+    from .spread import map_slices
 
     cfg = ctx.obj["config"]
 
@@ -840,7 +742,9 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 "provenance": result.provenance,
             })
 
-        lines = _map_slices(dataset_row, list(enumerate(rows, 1)))
+        # a row's lines depend on that row, the config and the transcripts
+        # alone, so forked slices build them as a serial loop would
+        lines = map_slices(dataset_row, list(enumerate(rows, 1)))
         records = [line for is_record, line in lines if is_record]
         reclassified = [line for is_record, line in lines if not is_record]
         jsonl.write_lines(output_path, records, meta=meta_for(cfg))

@@ -26,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor  # cli._Simulator's pool is built from here
+from concurrent.futures import ThreadPoolExecutor  # cli._Simulator's pool; a tracer patches it
 from dataclasses import dataclass, field, fields
 
 

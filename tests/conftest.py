@@ -69,7 +69,7 @@ def echo_toolchain() -> ToolchainConfig:
 def slices(monkeypatch):
     """``slices(n)`` makes build-dataset split any input into ``n`` slices
     (one per row at most); returns the pids of the children it forks."""
-    import cruxkit.cli as cli
+    import cruxkit.spread as spread
 
     forked = []
     real_fork = os.fork
@@ -81,7 +81,7 @@ def slices(monkeypatch):
         return pid
 
     def force(n):
-        monkeypatch.setattr(cli, "MIN_SLICE_ROWS", 1)
+        monkeypatch.setattr(spread, "MIN_SLICE_ROWS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         return forked
 

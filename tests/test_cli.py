@@ -1536,7 +1536,8 @@ class TestLayerImportBoundary:
             ["report", "--reward", GOLDEN_REWARDS, "--output-dir", tmp_path / "report"],
         ])
         light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.jsonl"]
-        simulating = sorted([*light, "cruxkit.harness", "concurrent.futures", "subprocess"])
+        simulating = sorted([*light, "cruxkit.harness", "cruxkit.spread", "concurrent.futures",
+                             "subprocess"])
         assert steps == {"import cruxkit.cli": light, "load_config": light,
                          "evaluate": simulating, "report": simulating}
         assert (tmp_path / "report" / "evaluation.txt").exists()
@@ -1565,7 +1566,7 @@ class TestLayerImportBoundary:
         """Set-up loads no pickle, and no command loads multiprocessing or a
         process pool: build-dataset forks its slices itself, and pickle loads
         only when it does."""
-        from cruxkit.cli import MIN_SLICE_ROWS
+        from cruxkit.spread import MIN_SLICE_ROWS
 
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         _, rows = read_jsonl(categorized_toy)
