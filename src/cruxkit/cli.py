@@ -628,7 +628,8 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
             for prompt in bundle.prompts:
                 text = prompt.text
                 if prompt.stage == "validate":
-                    text = text.replace("{derived}", derived_text or "")
+                    # the slot comes before the reference code, which may hold "{derived}"
+                    text = text.replace("{derived}", derived_text or "", 1)
                 completion = gateway.generate(
                     GenRequest(text, n=1, temperature=0.0, seed=seed)
                 )[0]

@@ -145,6 +145,10 @@ def token_id(token_text: str) -> int:
 DEFAULT_MOCK_LOGPROB = math.log(0.5)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 class MockProvider:
     """Deterministic stand-in for a completion server.
 
@@ -166,7 +170,14 @@ class MockProvider:
         self.rules = list(cfg.get("completions", []))
         if not all(isinstance(rule, dict) for rule in self.rules):
             raise ValueError("mock completions must be objects")
-        self.default_completions = list(cfg.get("default_completions", []))
+        for rule in self.rules:
+            if not isinstance(rule.get("match", ""), str):
+                raise ValueError("mock completion 'match' must be a string")
+            if not _strings(rule.get("texts", [])):
+                raise ValueError("mock completion 'texts' must be a list of strings")
+        self.default_completions = cfg.get("default_completions", [])
+        if not _strings(self.default_completions):
+            raise ValueError("mock default_completions must be a list of strings")
         self.logprob_table = dict(cfg.get("logprob_table", {}))
         self.default_logprob = float(cfg.get("default_logprob", DEFAULT_MOCK_LOGPROB))
         if self.default_logprob > 0 or any(v > 0 for v in self.logprob_table.values()):

@@ -221,7 +221,8 @@ def _run_child(
             tempfile.TemporaryFile("w+", errors="replace") as err:
         with subprocess.Popen(
             ["/bin/sh", "-c", limits, "sh", binary, *cmd[1:]],
-            cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True,
+            cwd=cwd, env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+            start_new_session=True,
         ) as proc:
             pidfd = os.pidfd_open(proc.pid)
             try:

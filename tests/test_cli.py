@@ -206,6 +206,36 @@ class TestDeriveCrux:
         key = lambda r: (r["id"], r["stage"])
         assert {key(r): r["text"] for r in live} == {key(r): r["text"] for r in bundled}
 
+    def test_live_fills_only_the_validate_slot(self, tmp_path, monkeypatch):
+        """The circuit parser's note fills the validate prompt's slot, not a
+        ``{derived}`` in the reference code quoted below it."""
+        from cruxkit.gateway import MockProvider
+
+        prompts = []
+        real_generate = MockProvider.generate
+
+        def generate(self, req):
+            prompts.append(req.prompt)
+            return real_generate(self, req)
+
+        monkeypatch.setattr(MockProvider, "generate", generate)
+        reference = "module m(input a);\n// note {derived}\nendmodule\n"
+        pairs = tmp_path / "categorized.jsonl"
+        pairs.write_text(json.dumps({"id": "m", "description": "Read the diagram.",
+                                     "reference_code": reference,
+                                     "category": "SpecialNonText"}) + "\n")
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps({
+            "completions": [{"match": "careful hardware reviewer", "texts": ["valid"]}],
+            "default_completions": ["DERIVED NOTE"],
+        }))
+        result = run_cli("derive-crux", "--input", pairs, "--live", "--mock-provider", mock,
+                         "--output", tmp_path / "transcripts.jsonl")
+        assert result.exit_code == 0, result.output
+        _, validate = prompts
+        assert validate.count("DERIVED NOTE") == 1
+        assert "// note {derived}" in validate
+
     def test_needs_a_mode(self, categorized_toy):
         result = run_cli("derive-crux", "--input", categorized_toy)
         assert result.exit_code == 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -297,6 +298,22 @@ class TestUntrustedOutput:
         assert not out.compile_ok and not out.ran_ok
         assert not marker.exists()
         assert self.leftovers(scratch_root) == []
+
+    def test_a_step_reads_nothing_of_the_callers_stdin(self):
+        """A step's stdin is empty, not the caller's: a design cannot consume
+        a pipeline's piped input or wait on a terminal."""
+        probe = (
+            "from cruxkit.harness import SimJob, ToolchainConfig, run_sim\n"
+            "tc = ToolchainConfig(compile_cmd='true {out}', run_cmd=\"sh -c 'head -c 40; true' {out}\")\n"
+            "print(run_sim(SimJob('module m; endmodule', 'module tb; endmodule', 'm', 10000), tc))"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], input="the caller's own input\n",
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ran_ok=True" in result.stdout and "stdout_lines=()" in result.stdout
 
     def test_missing_toolchain_leaves_no_scratch(self, scratch_root):
         tc = ToolchainConfig(compile_cmd="definitely-not-a-simulator {out}", run_cmd="true {out}")

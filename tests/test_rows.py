@@ -221,6 +221,14 @@ def test_mock_provider_script_that_is_not_an_object_is_usage_error(tmp_path, tex
     ({"fail_first": "x"}, "bad provider config: invalid literal for int() with base 10: 'x'"),
     ({"default_logprob": 1}, "bad provider config: mock logprobs must be <= 0"),
     ({"completions": ["x"]}, "bad provider config: mock completions must be objects"),
+    ({"completions": [{"match": "", "texts": "module"}]},
+     "bad provider config: mock completion 'texts' must be a list of strings"),
+    ({"default_completions": "valid"},
+     "bad provider config: mock default_completions must be a list of strings"),
+    ({"completions": [{"match": 3, "texts": ["valid"]}]},
+     "bad provider config: mock completion 'match' must be a string"),
+    ({"completions": [{"match": "", "texts": [1, 2]}]},
+     "bad provider config: mock completion 'texts' must be a list of strings"),
 ])
 def test_mock_provider_with_bad_values_is_usage_error(tmp_path, flag, mock, message):
     """A mock's values are checked as its provider config is read, not when
