@@ -601,43 +601,30 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
             raise ConfigError("need --emit or --live")
         if live and output_path is None:
             raise ConfigError("--live needs --output for transcripts")
-        bundles = []
-        for row in rows:
-            category = Category(row["category"])
-            if category is Category.EASY_QUESTION:
-                continue
-            bundles.append((row, make_crux_derivation_prompt(_as_pair(row), category)))
+        bundles = [make_crux_derivation_prompt(_as_pair(row), Category(row["category"]))
+                   for row in rows if row["category"] != Category.EASY_QUESTION.value]
         if not live:
-            out_rows = [
-                {
-                    "task_id": bundle.task_id,
-                    "prompts": [{"stage": p.stage, "text": p.text} for p in bundle.prompts],
-                }
-                for _, bundle in bundles
-            ]
-            jsonl.write_rows(emit_path, out_rows, meta=meta_for(cfg))
-            click.echo(f"emitted {len(out_rows)} prompt bundles")
+            jsonl.write_rows(emit_path, bundles, meta=meta_for(cfg))
+            click.echo(f"emitted {len(bundles)} prompt bundles")
             return
         from .gateway import Gateway, GenRequest
 
         gateway = Gateway(_provider(provider_path, mock_script))
         transcripts = []
-        for row, bundle in bundles:
-            seed = derive_seed(cfg["seed"], bundle.task_id, "derive")
+        for bundle in bundles:
+            seed = derive_seed(cfg["seed"], bundle["task_id"], "derive")
             derived_text = None
-            for prompt in bundle.prompts:
-                text = prompt.text
-                if prompt.stage == "validate":
+            for prompt in bundle["prompts"]:
+                stage, text = prompt["stage"], prompt["text"]
+                if stage == "validate":
                     # the slot comes before the reference code, which may hold "{derived}"
                     text = text.replace("{derived}", derived_text or "", 1)
                 completion = gateway.generate(
                     GenRequest(text, n=1, temperature=0.0, seed=seed)
                 )[0]
-                if prompt.stage in ("extract", "circuit_parse"):
+                if stage in ("extract", "circuit_parse"):
                     derived_text = completion
-                transcripts.append(
-                    {"id": bundle.task_id, "stage": prompt.stage, "text": completion}
-                )
+                transcripts.append({"id": bundle["task_id"], "stage": stage, "text": completion})
         jsonl.write_rows(output_path, transcripts, meta=meta_for(cfg))
         click.echo(f"wrote {len(transcripts)} transcripts")
 
@@ -771,7 +758,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_dir,
              k_values, threshold, keep_artifacts):
     """Simulate candidates against testbenches and report pass@k."""
-    from .harness import aggregate_report, report_csv, report_rows, report_table
+    from .harness import aggregate_report, pass_at_k_table
 
     cfg = ctx.obj["config"]
 
@@ -796,12 +783,14 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
                     _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
                 )
                 task_samples.extend(outcomes)
-        report = aggregate_report(samples, thr, ks)
+        rows, aggregate, warnings = aggregate_report(samples, thr, ks)
         meta = meta_for(cfg, k_values=list(ks), threshold=thr)
         jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
-        jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), report_rows(report), meta=meta)
-        _write_table(os.path.join(output_dir, "summary.txt"), report_table(report), echo=True)
-        _write_table(os.path.join(output_dir, "summary.csv"), report_csv(report))
+        jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), rows, meta=meta)
+        summary = pass_at_k_table(rows, ks, aggregate=aggregate)
+        _write_table(os.path.join(output_dir, "summary.txt"),
+                     summary + "".join(f"# warning: {w}\n" for w in warnings), echo=True)
+        _write_table(os.path.join(output_dir, "summary.csv"), pass_at_k_table(rows, ks, csv=True))
 
     _run_command(run)
 

@@ -175,18 +175,6 @@ def build_realspec(
     return body
 
 
-@dataclass(frozen=True)
-class Prompt:
-    stage: str  # "extract" | "circuit_parse" | "validate"
-    text: str
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    task_id: str
-    prompts: tuple[Prompt, ...]
-
-
 _EXTRACT_TEMPLATE = """\
 You are given a hardware task description and its reference Verilog
 implementation. Summarize the design as a structured document with exactly
@@ -257,30 +245,27 @@ Reference implementation:
 """
 
 
-def make_crux_derivation_prompt(pair: RawPair, category: Category) -> PromptBundle:
-    """Prompts used to derive a CRUX document for a pair.
+def make_crux_derivation_prompt(pair: RawPair, category: Category) -> dict:
+    """The prompt bundle row that derives a CRUX document for a pair, as
+    ``derive-crux --emit`` writes it and ``--live`` runs it:
+    ``{"task_id", "prompts": [{"stage", "text"}, ...]}``.
 
-    NormalData gets one extraction prompt; SpecialNonText gets a circuit
-    parser prompt plus a validation prompt (its ``{derived}`` slot is filled
-    with the circuit parser's transcript at run time). Easy Questions never
-    need a model, so asking for their prompts is an error.
+    NormalData gets one ``extract`` prompt; SpecialNonText gets a
+    ``circuit_parse`` prompt plus a ``validate`` prompt (its ``{derived}``
+    slot is filled with the circuit parser's transcript at run time). Easy
+    Questions never need a model, so asking for their prompts is an error.
     """
     if category is Category.EASY_QUESTION:
         raise UnsupportedCategory("EasyQuestion derives its CRUX without a model")
     if category is Category.NORMAL_DATA:
-        text = _EXTRACT_TEMPLATE.format(
-            description=pair.description, reference_code=pair.reference_code
-        )
-        return PromptBundle(pair.id, (Prompt("extract", text),))
-    parse_text = _CIRCUIT_PARSE_TEMPLATE.format(
-        description=pair.description, reference_code=pair.reference_code
-    )
-    validate_text = _VALIDATE_TEMPLATE.format(
-        derived="{derived}", reference_code=pair.reference_code
-    )
-    return PromptBundle(
-        pair.id, (Prompt("circuit_parse", parse_text), Prompt("validate", validate_text))
-    )
+        templates = {"extract": _EXTRACT_TEMPLATE}
+    else:
+        templates = {"circuit_parse": _CIRCUIT_PARSE_TEMPLATE, "validate": _VALIDATE_TEMPLATE}
+    # each template fills the slots it has; validate's {derived} stays a slot
+    slots = {"description": pair.description, "reference_code": pair.reference_code,
+             "derived": "{derived}"}
+    return {"task_id": pair.id, "prompts": [{"stage": stage, "text": template.format(**slots)}
+                                            for stage, template in templates.items()]}
 
 
 @dataclass(frozen=True)

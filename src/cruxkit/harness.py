@@ -1,4 +1,5 @@
-"""Simulation harness, pass@k scoring, and the one report-table renderer.
+"""Simulation harness, pass@k scored straight into the per-task rows that
+``evaluate`` writes, and the one report-table renderer.
 
 Candidate Verilog is compiled and run against a task's testbench with an
 external toolchain described by command templates. Correctness is judged by
@@ -330,82 +331,43 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return 1.0 - prod
 
 
-@dataclass(frozen=True)
-class TaskTally:
-    n: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or not 0 <= self.c <= self.n:
-            raise ValueError(f"need 0 <= c <= n, got n={self.n} c={self.c}")
-
-
-@dataclass
-class PassAtKReport:
-    per_task: dict[str, TaskTally]
-    k_values: tuple[int, ...]
-    estimates: dict[tuple[str, int], float | None]
-    aggregate: dict[int, float]
-    warnings: list[str] = field(default_factory=list)
-
-
 def aggregate_report(
     samples: dict[str, list[SimOutcome]],
     threshold: float = 1.0,
     k_values: tuple[int, ...] = (1, 5, 10),
-) -> PassAtKReport:
-    """Tally outcomes per task and estimate pass@k.
+) -> tuple[list[dict], dict[int, float], list[str]]:
+    """Tally outcomes per task and estimate pass@k: the per-task rows as
+    ``per_task.jsonl`` holds them (``task_id``, ``n``, ``c`` and each
+    ``pass@<k>``), sorted by task id; each k's mean over its tasks; and the
+    warnings, in ``samples``' task order.
 
     A sample is correct when it ran and its match_fraction meets the
     threshold. Tasks with no samples score 0 with a warning; a k larger than
     a task's sample count cannot be estimated (None) and is left out of that
-    k's aggregate.
+    k's aggregate, which is 0.0 when no task has an estimate.
     """
     if not samples:
         raise EmptyInput("no tasks to aggregate")
     if not k_values or any(k < 1 for k in k_values):
         raise DomainError("k_values must be positive")
-    per_task: dict[str, TaskTally] = {}
-    estimates: dict[tuple[str, int], float | None] = {}
+    rows: list[dict] = []
     warnings: list[str] = []
     for task_id, outcomes in samples.items():
         n = len(outcomes)
-        c = sum(
-            1
-            for o in outcomes
-            if o.ran_ok and o.match_fraction is not None and o.match_fraction >= threshold
-        )
-        per_task[task_id] = TaskTally(n, c)
-        for k in k_values:
-            if n == 0:
-                estimates[(task_id, k)] = 0.0
-            elif k > n:
-                estimates[(task_id, k)] = None
-            else:
-                estimates[(task_id, k)] = pass_at_k(n, c, k)
+        c = sum(1 for o in outcomes if o.ran_ok and o.match_fraction >= threshold)
+        rows.append({"task_id": task_id, "n": n, "c": c, **{
+            f"pass@{k}": 0.0 if n == 0 else None if k > n else pass_at_k(n, c, k)
+            for k in k_values}})
         if n == 0:
             warnings.append(f"task {task_id!r} has no samples; scored 0")
-        elif any(k > n for k in k_values):
+        elif n < max(k_values):
             warnings.append(f"task {task_id!r} has n={n} < max k; those k skipped")
-    aggregate: dict[int, float] = {}
+    rows.sort(key=lambda row: row["task_id"])
+    aggregate = {}
     for k in k_values:
-        values = [
-            est for (tid, kk), est in estimates.items() if kk == k and est is not None
-        ]
+        values = [row[f"pass@{k}"] for row in rows if row[f"pass@{k}"] is not None]
         aggregate[k] = math.fsum(values) / len(values) if values else 0.0
-    return PassAtKReport(per_task, tuple(k_values), estimates, aggregate, warnings)
-
-
-def report_rows(report: PassAtKReport) -> list[dict]:
-    rows = []
-    for task_id in sorted(report.per_task):
-        tally = report.per_task[task_id]
-        row = {"task_id": task_id, "n": tally.n, "c": tally.c}
-        for k in report.k_values:
-            est = report.estimates[(task_id, k)]
-            row[f"pass@{k}"] = est
-        rows.append(row)
-    return rows
+    return rows, aggregate, warnings
 
 
 def render_table(header: list[str], rows: Iterable[Sequence], csv: bool = False) -> str:
@@ -431,21 +393,12 @@ def pass_at_k_table(
     csv: bool = False,
     aggregate: dict[int, float] | None = None,
 ) -> str:
-    """The pass@k table of ``report_rows`` rows, a missing estimate shown as
-    skipped, with an ``aggregate`` row last when one is given."""
+    """The pass@k table of ``aggregate_report``'s per-task rows, a missing
+    estimate shown as skipped, with an ``aggregate`` row last when one is
+    given. ``evaluate``'s summaries and ``report``'s table are rendered here."""
     header = ["task_id" if csv else "task", "n", "c", *(f"pass@{k}" for k in k_values)]
     cells = [[row["task_id"], row["n"], row["c"], *(row.get(f"pass@{k}") for k in k_values)]
              for row in rows]
     if aggregate is not None:
         cells.append(["aggregate", "", "", *(aggregate[k] for k in k_values)])
     return render_table(header, cells, csv)
-
-
-def report_table(report: PassAtKReport) -> str:
-    """Plain-text summary table, then one line per warning."""
-    table = pass_at_k_table(report_rows(report), report.k_values, aggregate=report.aggregate)
-    return table + "".join(f"# warning: {w}\n" for w in report.warnings)
-
-
-def report_csv(report: PassAtKReport) -> str:
-    return pass_at_k_table(report_rows(report), report.k_values, csv=True)

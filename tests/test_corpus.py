@@ -171,16 +171,20 @@ class TestBuildRealspec:
 class TestPromptBundles:
     def test_normal_gets_single_extract_prompt(self):
         bundle = make_crux_derivation_prompt(make_pair(), Category.NORMAL_DATA)
-        assert [p.stage for p in bundle.prompts] == ["extract"]
-        assert REF_CODE.strip() in bundle.prompts[0].text
-        assert "## Module Interface" in bundle.prompts[0].text
+        assert bundle["task_id"] == "t1"
+        assert [p["stage"] for p in bundle["prompts"]] == ["extract"]
+        text = bundle["prompts"][0]["text"]
+        assert REF_CODE.strip() in text
+        assert "## Module Interface" in text
 
     def test_special_gets_parse_then_validate(self):
         bundle = make_crux_derivation_prompt(make_pair(), Category.SPECIAL_NON_TEXT)
-        assert [p.stage for p in bundle.prompts] == ["circuit_parse", "validate"]
-        assert "State → Condition → Next State" in bundle.prompts[0].text
+        assert set(bundle) == {"task_id", "prompts"}
+        assert all(set(p) == {"stage", "text"} for p in bundle["prompts"])
+        assert [p["stage"] for p in bundle["prompts"]] == ["circuit_parse", "validate"]
+        assert "State → Condition → Next State" in bundle["prompts"][0]["text"]
         # validate prompt keeps a literal slot for the derived document
-        assert "{derived}" in bundle.prompts[1].text
+        assert "{derived}" in bundle["prompts"][1]["text"]
 
     def test_easy_has_no_derivation(self):
         with pytest.raises(UnsupportedCategory):

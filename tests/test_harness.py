@@ -20,16 +20,13 @@ from cruxkit.harness import (
     EmptyInput,
     SimJob,
     SimOutcome,
-    TaskTally,
     ToolchainConfig,
     ToolchainMissing,
     aggregate_report,
     match_outputs,
     normalize_line,
     pass_at_k,
-    report_csv,
-    report_rows,
-    report_table,
+    pass_at_k_table,
     run_sim,
 )
 
@@ -461,52 +458,70 @@ def fake_outcome(match: float | None, compiled=True):
 class TestAggregate:
     def test_counts_and_estimates(self):
         samples = {
-            "t1": [fake_outcome(1.0), fake_outcome(0.5), fake_outcome(None, compiled=False)],
             "t2": [fake_outcome(1.0), fake_outcome(1.0), fake_outcome(1.0)],
+            "t1": [fake_outcome(1.0), fake_outcome(0.5), fake_outcome(None, compiled=False)],
         }
-        report = aggregate_report(samples, threshold=1.0, k_values=(1, 3))
-        t1 = report.per_task["t1"]
-        assert (t1.n, t1.c) == (3, 1)
-        assert report.estimates[("t1", 1)] == pytest.approx(1 / 3)
-        assert report.estimates[("t2", 3)] == 1.0
-        assert report.aggregate[1] == pytest.approx((1 / 3 + 1.0) / 2)
+        rows, aggregate, _ = aggregate_report(samples, threshold=1.0, k_values=(1, 3))
+        t1, t2 = rows
+        assert (t1["task_id"], t1["n"], t1["c"]) == ("t1", 3, 1)
+        assert t1["pass@1"] == pytest.approx(1 / 3)
+        assert (t2["task_id"], t2["pass@3"]) == ("t2", 1.0)
+        assert aggregate[1] == pytest.approx((1 / 3 + 1.0) / 2)
 
     def test_threshold_changes_counts(self):
         samples = {"t": [fake_outcome(0.8), fake_outcome(0.9)]}
-        strict = aggregate_report(samples, threshold=1.0, k_values=(1,))
-        lax = aggregate_report(samples, threshold=0.75, k_values=(1,))
-        assert strict.per_task["t"].c == 0
-        assert lax.per_task["t"].c == 2
+        strict, _, _ = aggregate_report(samples, threshold=1.0, k_values=(1,))
+        lax, _, _ = aggregate_report(samples, threshold=0.75, k_values=(1,))
+        assert strict[0]["c"] == 0
+        assert lax[0]["c"] == 2
 
     def test_zero_samples_scores_zero_with_warning(self):
-        report = aggregate_report({"t": []}, k_values=(1,))
-        assert report.estimates[("t", 1)] == 0.0
-        assert any("no samples" in w for w in report.warnings)
+        rows, _, warnings = aggregate_report({"t": []}, k_values=(1,))
+        assert rows[0]["pass@1"] == 0.0
+        assert any("no samples" in w for w in warnings)
 
     def test_k_beyond_n_excluded(self):
-        report = aggregate_report({"t": [fake_outcome(1.0)]}, k_values=(1, 5))
-        assert report.estimates[("t", 5)] is None
+        rows, aggregate, warnings = aggregate_report({"t": [fake_outcome(1.0)]}, k_values=(1, 5))
+        assert rows[0]["pass@5"] is None
         # nothing contributes to the k=5 mean; the warning carries the story
-        assert report.aggregate[5] == 0.0
-        assert any("skipped" in w for w in report.warnings)
+        assert aggregate[5] == 0.0
+        assert any("skipped" in w for w in warnings)
 
     def test_report_writers_agree(self):
         samples = {"t": [fake_outcome(1.0), fake_outcome(0.0)]}
-        report = aggregate_report(samples, k_values=(1, 2))
-        rows = report_rows(report)
-        assert rows[0]["task_id"] == "t"
-        assert rows[0]["pass@2"] == 1.0
-        table = report_table(report)
+        rows, aggregate, _ = aggregate_report(samples, k_values=(1, 2))
+        assert rows == [{"task_id": "t", "n": 2, "c": 1, "pass@1": 0.5, "pass@2": 1.0}]
+        table = pass_at_k_table(rows, (1, 2), aggregate=aggregate)
         assert "pass@1" in table.splitlines()[0]
-        csv_text = report_csv(report)
+        assert table.splitlines()[-1].startswith("aggregate\t")
+        csv_text = pass_at_k_table(rows, (1, 2), csv=True)
         assert csv_text.splitlines()[0].startswith("task_id,")
         # csv floats are repr()s so they parse back exactly
         value = csv_text.splitlines()[1].split(",")[3]
-        assert float(value) == report.estimates[("t", 1)]
+        assert float(value) == rows[0]["pass@1"]
 
-    def test_tally_validation(self):
-        with pytest.raises(ValueError):
-            TaskTally(n=2, c=3)
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=4),
+            st.lists(st.sampled_from([1.0, 0.5, None]), max_size=6),
+            min_size=1, max_size=6,
+        ),
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_task_order_changes_nothing_and_aggregates_are_fsum_means(
+        self, matches, k_values, rng
+    ):
+        samples = {t: [fake_outcome(m) for m in ms] for t, ms in matches.items()}
+        order = list(samples)
+        rng.shuffle(order)
+        rows, aggregate, _ = aggregate_report(samples, k_values=tuple(k_values))
+        permuted = aggregate_report({t: samples[t] for t in order}, k_values=tuple(k_values))
+        assert (rows, aggregate) == permuted[:2]
+        assert [row["task_id"] for row in rows] == sorted(samples)
+        for k in k_values:
+            column = [row[f"pass@{k}"] for row in rows if row[f"pass@{k}"] is not None]
+            assert aggregate[k] == (math.fsum(column) / len(column) if column else 0.0)
 
 
 class TestToolchainConfig:
