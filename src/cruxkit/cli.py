@@ -78,11 +78,12 @@ def default_config() -> dict:
     }
 
 
-def _section_fields(key: str) -> set[str] | None:
-    """Field names of the class a config section is passed to whole as
-    keyword arguments; any of them may be set, not only those with a default
-    in default_config(). None for a section that no class takes. Only a
-    config file that sets the section loads the class's layer."""
+def _section_class(key: str) -> type | None:
+    """The class a config section is passed to whole as keyword arguments:
+    any of its fields may be set, not only those with a default in
+    default_config(), and its ``__post_init__`` checks their values. None
+    for a section that no class takes. Only a config file that sets the
+    section loads the class's layer."""
     if key == "degradation":
         from .interface import DegradationPolicy as cls
     elif key == "augmentation":
@@ -91,7 +92,7 @@ def _section_fields(key: str) -> set[str] | None:
         from .rewards import WeightSchedule as cls
     else:
         return None
-    return {f.name for f in dataclasses.fields(cls)}
+    return cls
 
 
 def load_config(path: str | None, seed: int | None) -> dict:
@@ -101,16 +102,23 @@ def load_config(path: str | None, seed: int | None) -> dict:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        _check("config", path, loaded)
         for key, value in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key: {key}")
             if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key {key} must be an object")
-                unknown = set(value) - (_section_fields(key) or set(cfg[key]))
-                if unknown:
-                    raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+                cls = _section_class(key)
+                known = set(cfg[key]) if cls is None else {f.name for f in dataclasses.fields(cls)}
+                if set(value) - known:
+                    raise ConfigError(f"unknown {key} keys: {sorted(set(value) - known)}")
                 cfg[key].update(value)
+                if cls is not None:
+                    try:
+                        cls(**cfg[key])
+                    except (ValueError, TypeError) as exc:
+                        raise ConfigError(f"bad {key} settings: {exc}") from exc
             else:
                 cfg[key] = value
     if seed is not None:
@@ -177,15 +185,35 @@ def _is(name: str, *types: type, optional: bool = False) -> _Type:
     return _Type(name, lambda value: isinstance(value, types), optional)
 
 
+def _at_least(least: int) -> _Type:
+    """An optional int (not a bool) of at least ``least``."""
+    return _Type(f"int >= {least}", lambda value: type(value) is int and value >= least, True,
+                 bad="{what}: {key!r} must be an {name}")
+
+
+def _fills_scoring_slots(template) -> bool:
+    """Whether ``template`` is a str that formats with only the {realspec}
+    and {crux} slots."""
+    if not isinstance(template, str):
+        return False
+    try:
+        template.format(realspec="", crux="")
+    except (LookupError, ValueError, AttributeError, TypeError):
+        return False
+    return True
+
+
 _SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
 _STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
 _NUMBER, _ANY = _is("number", int, float), _Type("any", lambda value: True)
 _PAYLOAD = _is("dict or null", dict, type(None), optional=True)
+_STRINGS = _Type("list of strings", lambda value: isinstance(value, list)
+                 and all(isinstance(item, str) for item in value), optional=True)
 _NO_CATEGORY = "{what} has no known category ({value!r}); run categorize first"
 _PAIR = {"id": _SCALAR, "description": _STR, "reference_code": _STR}
-# Each kind of input row: the label and the key that name a row in errors
-# ("<label> <its id>", or "<label> <its place>" when it has no id that is a
-# scalar other than null), and the keys it holds.
+# Each kind of input row, and the run config: the label and the key that
+# name a row in errors ("<label> <its id>", or "<label> <its place>" when it
+# has no id that is a scalar other than null), and the keys it holds.
 ROW_KINDS = {
     "pair": ("corpus row", "id", _PAIR),
     "categorized pair": ("corpus row", "id", {**_PAIR, "category": _Type(
@@ -195,9 +223,7 @@ ROW_KINDS = {
     "verdict": ("verdict row", "id", {"id": _SCALAR, "passed": _ANY}),
     "transcript": ("transcript row", "id", {"id": _SCALAR, "stage": _SCALAR, "text": _STR}),
     "task": ("task row", "id", {"id": _SCALAR, "reference_code": _STR}),
-    "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _Type(
-        "list of strings", lambda value: isinstance(value, list)
-        and all(isinstance(code, str) for code in value), optional=True)}),
+    "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _STRINGS}),
     "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST, "step": _Type(
         "int >= 0", lambda value: type(value) is int and value >= 0, optional=True,
         bad="{what} has a bad {key!r}: {value!r}")}),
@@ -209,6 +235,18 @@ ROW_KINDS = {
         lambda value: isinstance(value, list) and value != []
         and all(isinstance(r, dict) and _NUMBER.test(r.get("mixed")) for r in value))}),
     "per-task": ("per-task row", None, {"task_id": _ANY, "n": _ANY, "c": _ANY}),
+    # the run config's scalars, all optional; load_config checks its keys and sections
+    "config": ("config file", None, {
+        "seed": _at_least(0),
+        "k_values": _Type("non-empty list of ints >= 1", lambda value: isinstance(value, list)
+                          and value != [] and all(type(k) is int and k >= 1 for k in value), True),
+        "threshold": _is("number", int, float, optional=True),
+        "probe_n": _at_least(1),
+        "keywords": _Type("list of strings or null",
+                          lambda value: value is None or _STRINGS.test(value), True),
+        "timeout_ms": _at_least(1),
+        "scoring_template": _Type("str with only the {realspec} and {crux} slots",
+                                  _fills_scoring_slots, True)}),
 }
 
 
@@ -501,7 +539,7 @@ def _run_command(fn) -> None:
 
 @click.group()
 @click.option("--config", "config_path", type=str, default=None, help="JSON run config.")
-@click.option("--seed", type=int, default=None, help="Master seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None) -> None:
     """Dataset, evaluation, and reward tooling for structured Verilog generation."""
@@ -751,7 +789,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 @click.option("--testbenches", "tb_dir", required=True, type=str)
 @click.option("--toolchain", "toolchain_path", type=str, default=None)
 @click.option("--output-dir", "output_dir", required=True, type=str)
-@click.option("-k", "k_values", type=int, multiple=True)
+@click.option("-k", "k_values", type=click.IntRange(min=1), multiple=True)
 @click.option("--threshold", type=float, default=None)
 @click.option("--keep-artifacts", is_flag=True)
 @click.pass_context
@@ -768,6 +806,13 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
             toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
         sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
         tasks = {row["id"]: row for row in _load(tasks_path, "task")}
+        # per_task.jsonl is sorted by task id, and numbers, strings and null do not sort together
+        kinds: dict[bool | None, object] = {}
+        for task_id in tasks:
+            kinds.setdefault(None if task_id is None else isinstance(task_id, str), task_id)
+        if len(kinds) > 1:
+            first, other = list(kinds.values())[:2]
+            raise ConfigError(f"task ids {first!r} and {other!r} in {tasks_path} cannot be ordered")
         cand_rows = _rows("candidates", candidates_path, "candidates file")
         ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
         thr = cfg["threshold"] if threshold is None else threshold
@@ -783,6 +828,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
                     _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
                 )
                 task_samples.extend(outcomes)
+        if not samples:
+            raise ConfigError(f"no rows in {candidates_path}")
         rows, aggregate, warnings = aggregate_report(samples, thr, ks)
         meta = meta_for(cfg, k_values=list(ks), threshold=thr)
         jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)

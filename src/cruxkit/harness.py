@@ -66,12 +66,17 @@ class ToolchainConfig:
     workers: int = 4
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if "{out}" not in self.compile_cmd:
-            raise ValueError("compile_cmd must reference {out}")
-        if "{out}" not in self.run_cmd:
-            raise ValueError("run_cmd must reference {out}")
+        for name in ("compile_cmd", "run_cmd"):
+            if not isinstance(getattr(self, name), str) or "{out}" not in getattr(self, name):
+                raise ValueError(f"{name} must be a string that references {{out}}")
+        if not isinstance(self.env, dict) or not all(
+                isinstance(item, str) for item in (*self.env, *self.env.values())):
+            raise ValueError("env must map strings to strings")
+        if not isinstance(self.keep_artifacts, bool):
+            raise ValueError("keep_artifacts must be true or false")
+        for name in ("workers", "compile_timeout_ms"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an int >= 1")
 
     @classmethod
     def from_file(cls, path: str) -> "ToolchainConfig":
@@ -101,9 +106,6 @@ class ToolchainConfig:
             **overrides,
         )
 
-    def binaries(self) -> tuple[str, str]:
-        return shlex.split(self.compile_cmd)[0], shlex.split(self.run_cmd)[0]
-
     def check_available(self) -> None:
         """Raises ``ToolchainMissing`` unless both binaries are found by the
         lookup each step makes (``_find_binary``): on ``PATH`` after the
@@ -111,8 +113,8 @@ class ToolchainConfig:
         ``PATH`` passes, and from the command's own directory for a name
         with a slash, such as ``./mysim``."""
         env = {**os.environ, **self.env}
-        for binary in self.binaries():
-            _find_binary(binary, env)
+        for template in (self.compile_cmd, self.run_cmd):
+            _find_binary(shlex.split(template)[0], env)
 
 
 def _find_binary(name: str, env: dict[str, str]) -> str:

@@ -534,6 +534,42 @@ class TestEvaluate:
             )
         assert sim_log == [("mux2to1", True), ("mux2to1", False)]
 
+    @pytest.mark.parametrize("ids", [(1, "b"), (None, 2), ("a", None), (2.5, "a")])
+    def test_task_ids_that_cannot_be_sorted_stop_it_before_any_sim(
+        self, tmp_path, echo_toolchain_file, sim_log, ids
+    ):
+        tasks, candidates = tmp_path / "tasks.jsonl", tmp_path / "candidates.jsonl"
+        tasks.write_text("".join(json.dumps({"id": task_id, "reference_code": toy_reference(
+            "mux2to1")}) + "\n" for task_id in ids))
+        candidates.write_text("".join(json.dumps({"task_id": task_id, "candidates": ["x"]})
+                                      + "\n" for task_id in ids))
+        result = run_cli("evaluate", "--tasks", tasks, "--candidates", candidates,
+                         "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+                         "--output-dir", tmp_path / "eval")
+        first, other = ids
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: task ids {first!r} and {other!r} in {tasks} cannot be ordered\n")
+        assert sim_log == []
+        assert not (tmp_path / "eval").exists()
+
+    def test_empty_candidates_file_is_usage_error(self, tmp_path, echo_toolchain_file):
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text('{"meta": {}}\n')
+        result = run_cli("evaluate", "--tasks", TOY / "pairs.jsonl", "--candidates", candidates,
+                         "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+                         "--output-dir", tmp_path / "eval")
+        assert (result.exit_code, result.stderr) == (2, f"error: no rows in {candidates}\n")
+
+    def test_k_below_1_stops_it_before_any_sim(self, tmp_path, echo_toolchain_file, sim_log):
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        result = run_cli("evaluate", "--tasks", TOY / "pairs.jsonl",
+                         "--candidates", write_candidates(tmp_path, pairs),
+                         "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
+                         "--output-dir", tmp_path / "eval", "-k", 1, "-k", 0)
+        assert result.exit_code == 2
+        assert "Invalid value for '-k'" in result.stderr
+        assert sim_log == []
+
     def test_run_output_that_is_not_text_is_scored(self, tmp_path):
         toolchain = tmp_path / "tc.json"
         toolchain.write_text(json.dumps({
@@ -1365,6 +1401,19 @@ class TestReport:
         assert lines == ["task\tn\tc\tpass@1", "tâche\t1\t1\t1.0000"]
 
 
+# command lines that run cleanly under the default config, for the settings
+# that make them fail in test_bad_settings_exit_2
+CATEGORIZE = ["categorize", "--input", TOY / "pairs.jsonl", "--verdicts", TOY / "verdicts.jsonl",
+              "--output", "{out}"]
+EVALUATE = ["evaluate", "--tasks", TOY / "pairs.jsonl", "--candidates", "{candidates}",
+            "--testbenches", TOY / "testbenches", "--toolchain", "{toolchain}",
+            "--output-dir", "{outdir}"]
+BUILD_DATASET = ["build-dataset", "--input", GOLDEN_REWARDS.parents[1] / "categorize"
+                 / "categorized.jsonl", "--output", "{out}"]
+REWARD = ["reward", "--groups", "{groups}", "--tasks", TOY / "pairs.jsonl",
+          "--testbenches", TOY / "testbenches", "--toolchain", "{toolchain}", "--output", "{out}"]
+
+
 class TestGrpoCheckCommand:
     def test_passes(self):
         result = run_cli("grpo-check", "--instances", 5)
@@ -1381,21 +1430,56 @@ class TestGrpoCheckCommand:
         (None, ["grpo-check", "--beta", -1]),
         ({"grpo": {"epsilon": 0}}, ["grpo-check"]),
         ({"grpo": {"beta": -1}}, ["grpo-check"]),
-        ({"grpo": {"epsilon": 0}}, ["reward", "--groups", "{groups}",
-                                    "--tasks", TOY / "pairs.jsonl",
-                                    "--testbenches", TOY / "testbenches",
-                                    "--toolchain", "{toolchain}", "--output", "{out}"]),
+        ({"grpo": {"epsilon": 0}}, REWARD),
         (None, ["grpo-check", "--instances", 0]),
         (None, ["grpo-check", "--group-size", 1]),
         (None, ["grpo-check", "--max-tokens", 0]),
         (None, ["grpo-check", "--vocab", 0]),
+        (None, ["--seed", -1, "grpo-check"]),
+        ({"seed": -1}, ["grpo-check"]),
+        ({"keywords": "fsm"}, CATEGORIZE),
+        ({"probe_n": 0}, CATEGORIZE),
+        ({"seed": "abc"}, EVALUATE),
+        ({"seed": "abc"}, CATEGORIZE),
+        ({"seed": "abc"}, BUILD_DATASET),
+        ({"seed": "abc"}, ["grpo-check"]),
+        ({"k_values": 5}, EVALUATE),
+        ({"k_values": []}, EVALUATE),
+        ({"k_values": [1, True]}, EVALUATE),
+        ({"timeout_ms": "10"}, EVALUATE),
+        ({"timeout_ms": 0}, EVALUATE),
+        ({"threshold": "x"}, EVALUATE),
+        (None, [*EVALUATE, "-k", 0]),
+        ({"degradation": {"p_full_retain": "x"}}, CATEGORIZE),
+        ({"degradation": {"p_full_retain": "x"}}, BUILD_DATASET),
+        ({"augmentation": {"p_prefix": 2}}, BUILD_DATASET),
+        ({"schedule": {"steps_per_epoch": "x"}}, REWARD),
+        ({"scoring_template": "{realspec} {crux} {task}"}, REWARD),
+        ({"scoring_template": "{realspec} {crux:d}"}, REWARD),
+        ({"scoring_template": 3}, REWARD),
     ])
     def test_bad_settings_exit_2(self, tmp_path, echo_toolchain_file, config, args):
+        result = self.run_with(tmp_path, echo_toolchain_file, config, args)
+        assert result.exit_code == 2, result.output
+        assert "gradient check passed" not in result.output
+        assert "internal error" not in result.output
+        assert "error:" in result.output.lower()
+
+    @pytest.mark.parametrize("args", [CATEGORIZE, EVALUATE, BUILD_DATASET, REWARD])
+    def test_commands_of_the_bad_settings_run_without_them(self, tmp_path, echo_toolchain_file,
+                                                           args):
+        result = self.run_with(tmp_path, echo_toolchain_file, None, args)
+        assert result.exit_code == 0, result.output
+
+    @staticmethod
+    def run_with(tmp_path, toolchain, config, args):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         paths = {
             "groups": write_groups(tmp_path, pairs[:1], step=0),
-            "toolchain": echo_toolchain_file,
-            "out": tmp_path / "rewarded.jsonl",
+            "candidates": write_candidates(tmp_path, pairs[:1]),
+            "toolchain": toolchain,
+            "out": tmp_path / "out.jsonl",
+            "outdir": tmp_path / "eval",
         }
         args = [str(a).format(**paths) for a in args]
         prefix = []
@@ -1403,10 +1487,7 @@ class TestGrpoCheckCommand:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             prefix = ["--config", path]
-        result = run_cli(*prefix, *args)
-        assert result.exit_code == 2, result.output
-        assert "gradient check passed" not in result.output
-        assert "internal error" not in result.output
+        return run_cli(*prefix, *args)
 
 
 class TestConfig:

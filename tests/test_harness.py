@@ -574,6 +574,26 @@ class TestToolchainConfig:
         out = outcome_for(GOOD_DESIGN, toolchain=tc)
         assert (out.ran_ok, out.stdout_lines, out.match_fraction) == (True, ("tick",), 1.0)
 
+    @pytest.mark.parametrize("values", [
+        {"keep_artifacts": "no"},
+        {"env": {"A": 1}},
+        {"env": {"A": None}},
+        {"env": "x"},
+        {"compile_timeout_ms": "x"},
+        {"compile_timeout_ms": 0},
+        {"workers": 2.5},
+        {"workers": True},
+        {"workers": 0},
+        {"compile_cmd": 5},
+        {"run_cmd": ["vvp", "{out}"]},
+    ])
+    def test_values_of_the_wrong_type_rejected(self, values):
+        commands = {"compile_cmd": "cc {out}", "run_cmd": "run {out}"}
+        ToolchainConfig(**commands, env={"A": "a"}, compile_timeout_ms=1, keep_artifacts=True,
+                        workers=1)
+        with pytest.raises(ValueError):
+            ToolchainConfig(**{**commands, **values})
+
     def test_placeholders_required(self):
         with pytest.raises(ValueError):
             ToolchainConfig(compile_cmd="cc {design} {tb}", run_cmd="run {out}")
