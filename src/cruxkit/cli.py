@@ -111,8 +111,9 @@ def load_config(path: str | None, seed: int | None) -> dict:
                     raise ConfigError(f"config key {key} must be an object")
                 cls = _section_class(key)
                 known = set(cfg[key]) if cls is None else {f.name for f in dataclasses.fields(cls)}
-                if set(value) - known:
-                    raise ConfigError(f"unknown {key} keys: {sorted(set(value) - known)}")
+                unknown = set(value) - known
+                if unknown:
+                    raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
                 cfg[key].update(value)
                 if cls is not None:
                     try:

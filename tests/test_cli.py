@@ -1401,8 +1401,8 @@ class TestReport:
         assert lines == ["task\tn\tc\tpass@1", "tâche\t1\t1\t1.0000"]
 
 
-# command lines that run cleanly under the default config, for the settings
-# that make them fail in test_bad_settings_exit_2
+# command lines that run cleanly under the default config; each case of
+# test_bad_settings_exit_2 adds the config file or option that stops one
 CATEGORIZE = ["categorize", "--input", TOY / "pairs.jsonl", "--verdicts", TOY / "verdicts.jsonl",
               "--output", "{out}"]
 EVALUATE = ["evaluate", "--tasks", TOY / "pairs.jsonl", "--candidates", "{candidates}",
@@ -1459,25 +1459,11 @@ class TestGrpoCheckCommand:
         ({"scoring_template": 3}, REWARD),
     ])
     def test_bad_settings_exit_2(self, tmp_path, echo_toolchain_file, config, args):
-        result = self.run_with(tmp_path, echo_toolchain_file, config, args)
-        assert result.exit_code == 2, result.output
-        assert "gradient check passed" not in result.output
-        assert "internal error" not in result.output
-        assert "error:" in result.output.lower()
-
-    @pytest.mark.parametrize("args", [CATEGORIZE, EVALUATE, BUILD_DATASET, REWARD])
-    def test_commands_of_the_bad_settings_run_without_them(self, tmp_path, echo_toolchain_file,
-                                                           args):
-        result = self.run_with(tmp_path, echo_toolchain_file, None, args)
-        assert result.exit_code == 0, result.output
-
-    @staticmethod
-    def run_with(tmp_path, toolchain, config, args):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         paths = {
             "groups": write_groups(tmp_path, pairs[:1], step=0),
             "candidates": write_candidates(tmp_path, pairs[:1]),
-            "toolchain": toolchain,
+            "toolchain": echo_toolchain_file,
             "out": tmp_path / "out.jsonl",
             "outdir": tmp_path / "eval",
         }
@@ -1487,7 +1473,11 @@ class TestGrpoCheckCommand:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             prefix = ["--config", path]
-        return run_cli(*prefix, *args)
+        result = run_cli(*prefix, *args)
+        assert result.exit_code == 2, result.output
+        assert "gradient check passed" not in result.output
+        assert "internal error" not in result.output
+        assert "error:" in result.output.lower()
 
 
 class TestConfig:
