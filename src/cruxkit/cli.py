@@ -7,21 +7,22 @@ reports. Every output file starts with a meta row carrying the config hash
 and seed, and reruns with identical inputs and the mock provider are
 byte-identical (wall-clock measurements are deliberately kept out of files).
 
-Each command loads only the layers it drives: ``jsonl`` and ``grpo`` (which
-imports no other cruxkit module) are loaded with this one, and ``harness``,
-``corpus``, ``cruxdoc``, ``interface``, ``rewards``, ``gateway`` and
-``spread`` are imported inside the commands and helpers that use them. So
-``evaluate`` and ``report`` never load the corpus, parsing, reward or
-provider layers, and ``categorize`` (offline), ``derive-crux``,
-``build-dataset`` and ``grpo-check`` never load the simulation layer, nor
-its ``subprocess`` and thread pool. A harness name is imported where it is
-used, not kept in this module's globals, so a patch of ``harness`` reaches
-every later call.
+Each command loads only the layers it drives: ``jsonl``, which imports no
+other cruxkit module, and ``grpo``, which imports only ``jsonl``, are loaded
+with this one, and ``harness``, ``corpus``, ``cruxdoc``, ``interface``,
+``rewards``, ``gateway`` and ``spread`` are imported inside the commands and
+helpers that use them. So ``evaluate`` and ``report`` never load the corpus,
+parsing, reward or provider layers, and ``categorize`` (offline),
+``derive-crux``, ``build-dataset`` and ``grpo-check`` never load the
+simulation layer, nor its ``subprocess`` and thread pool. A harness name is
+imported where it is used, not kept in this module's globals, so a patch of
+``harness`` reaches every later call.
 
 Every input row is checked once, as it is read, against its kind in
-``ROW_KINDS`` (build-dataset checks each pair row as it builds it, so a bad
+``jsonl.KINDS`` (build-dataset checks each pair row as it builds it, so a bad
 row is still reported in row order): a row that is not an object, lacks a
-key or holds a value of another type is a usage error naming the row.
+key or holds a value of another type is a usage error naming the row. So is
+each config file, as it is read; reading the run config loads no layer.
 
 Exit codes: 0 success, 1 internal error, 2 usage or configuration error.
 """
@@ -35,13 +36,14 @@ import json
 import os
 import sys
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__, jsonl
 from .grpo import check_coefficients, objective_gradient_check, random_toy_instance
+from .jsonl import ConfigError
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -49,10 +51,6 @@ if TYPE_CHECKING:
     from .corpus import RawPair
     from .gateway import ProviderConfig, TokenLogProbSeq
     from .harness import SimJob, SimOutcome, ToolchainConfig
-
-
-class ConfigError(ValueError):
-    """Bad configuration, a missing input file or a malformed input row (exit code 2)."""
 
 
 DEFAULT_SCORING_TEMPLATE = "{realspec}\n\n{crux}\n\n"
@@ -78,61 +76,21 @@ def default_config() -> dict:
     }
 
 
-def _section_class(key: str) -> type | None:
-    """The class a config section is passed to whole as keyword arguments:
-    any of its fields may be set, not only those with a default in
-    default_config(), and its ``__post_init__`` checks their values. None
-    for a section that no class takes. Only a config file that sets the
-    section loads the class's layer."""
-    if key == "degradation":
-        from .interface import DegradationPolicy as cls
-    elif key == "augmentation":
-        from .corpus import AugmentationPolicy as cls
-    elif key == "schedule":
-        from .rewards import WeightSchedule as cls
-    else:
-        return None
-    return cls
-
-
 def load_config(path: str | None, seed: int | None) -> dict:
+    """``default_config()`` with the checked file at ``path`` (each section
+    merged key by key) and ``seed`` laid over it."""
     cfg = default_config()
     if path is not None:
         with open(_require_file(path, "config file"), encoding="utf-8") as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        _check("config", path, loaded)
+            loaded = jsonl.check("config", path, json.load(f))
         for key, value in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key: {key}")
             if isinstance(cfg[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config key {key} must be an object")
-                cls = _section_class(key)
-                known = set(cfg[key]) if cls is None else {f.name for f in dataclasses.fields(cls)}
-                unknown = set(value) - known
-                if unknown:
-                    raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
-                cfg[key].update(value)
-                if cls is not None:
-                    try:
-                        cls(**cfg[key])
-                    except (ValueError, TypeError) as exc:
-                        raise ConfigError(f"bad {key} settings: {exc}") from exc
+                cfg[key].update(jsonl.check(key, None, value))
             else:
                 cfg[key] = value
     if seed is not None:
         cfg["seed"] = seed
-    _check_grpo(cfg["grpo"]["epsilon"], cfg["grpo"]["beta"])
     return cfg
-
-
-def _check_grpo(epsilon: float, beta: float) -> None:
-    try:
-        check_coefficients(epsilon, beta)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad grpo settings: {exc}") from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -170,118 +128,12 @@ def _corpus():
     return corpus
 
 
-class _Type(NamedTuple):
-    """What a row kind holds under a key: the type of its value, as errors
-    and README name it, and the type's test; whether the key may be absent;
-    and the errors for a bad value and for no key."""
-
-    name: str
-    test: Callable[[object], bool]
-    optional: bool = False
-    bad: str = "{what}: {key!r} must be a {name}"
-    absent: str = "{what} has no {key!r}"
-
-
-def _is(name: str, *types: type, optional: bool = False) -> _Type:
-    return _Type(name, lambda value: isinstance(value, types), optional)
-
-
-def _at_least(least: int) -> _Type:
-    """An optional int (not a bool) of at least ``least``."""
-    return _Type(f"int >= {least}", lambda value: type(value) is int and value >= least, True,
-                 bad="{what}: {key!r} must be an {name}")
-
-
-def _fills_scoring_slots(template) -> bool:
-    """Whether ``template`` is a str that formats with only the {realspec}
-    and {crux} slots."""
-    if not isinstance(template, str):
-        return False
-    try:
-        template.format(realspec="", crux="")
-    except (LookupError, ValueError, AttributeError, TypeError):
-        return False
-    return True
-
-
-_SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
-_STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
-_NUMBER, _ANY = _is("number", int, float), _Type("any", lambda value: True)
-_PAYLOAD = _is("dict or null", dict, type(None), optional=True)
-_STRINGS = _Type("list of strings", lambda value: isinstance(value, list)
-                 and all(isinstance(item, str) for item in value), optional=True)
-_NO_CATEGORY = "{what} has no known category ({value!r}); run categorize first"
-_PAIR = {"id": _SCALAR, "description": _STR, "reference_code": _STR}
-# Each kind of input row, and the run config: the label and the key that
-# name a row in errors ("<label> <its id>", or "<label> <its place>" when it
-# has no id that is a scalar other than null), and the keys it holds.
-ROW_KINDS = {
-    "pair": ("corpus row", "id", _PAIR),
-    "categorized pair": ("corpus row", "id", {**_PAIR, "category": _Type(
-        "EasyQuestion, NormalData or SpecialNonText",
-        lambda value: isinstance(value, str) and value in _corpus().CATEGORY_NAMES,
-        bad=_NO_CATEGORY, absent=_NO_CATEGORY)}),
-    "verdict": ("verdict row", "id", {"id": _SCALAR, "passed": _ANY}),
-    "transcript": ("transcript row", "id", {"id": _SCALAR, "stage": _SCALAR, "text": _STR}),
-    "task": ("task row", "id", {"id": _SCALAR, "reference_code": _STR}),
-    "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _STRINGS}),
-    "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST, "step": _Type(
-        "int >= 0", lambda value: type(value) is int and value >= 0, optional=True,
-        bad="{what} has a bad {key!r}: {value!r}")}),
-    "rollout": ("groups row", None, {"code_text": _STR, "crux_text": _STR, "logprobs_new": _DICT,
-                                  "logprobs_old": _DICT, "logprobs_ref": _PAYLOAD,
-                                  "crux_score": _PAYLOAD}),
-    "reward": ("reward row", None, {"step": _NUMBER, "rewards": _Type(
-        "non-empty list of objects with a number 'mixed'",
-        lambda value: isinstance(value, list) and value != []
-        and all(isinstance(r, dict) and _NUMBER.test(r.get("mixed")) for r in value))}),
-    "per-task": ("per-task row", None, {"task_id": _ANY, "n": _ANY, "c": _ANY}),
-    # the run config's scalars, all optional; load_config checks its keys and sections
-    "config": ("config file", None, {
-        "seed": _at_least(0),
-        "k_values": _Type("non-empty list of ints >= 1", lambda value: isinstance(value, list)
-                          and value != [] and all(type(k) is int and k >= 1 for k in value), True),
-        "threshold": _is("number", int, float, optional=True),
-        "probe_n": _at_least(1),
-        "keywords": _Type("list of strings or null",
-                          lambda value: value is None or _STRINGS.test(value), True),
-        "timeout_ms": _at_least(1),
-        "scoring_template": _Type("str with only the {realspec} and {crux} slots",
-                                  _fills_scoring_slots, True)}),
-}
-
-
-def _check(kind: str, place: int | str, row):
-    """``row``, at ``place`` in its file, if it is an object holding each
-    key of its ``kind`` (an optional one may be absent) with a value of the
-    key's type; else a usage error naming the row."""
-    kind_label, named_by, keys = ROW_KINDS[kind]
-    if not isinstance(row, dict):
-        message, key, rule, row = "{what} is not an object", None, _ANY, {}
-    else:
-        for key, rule in keys.items():
-            if key in row:
-                if rule.test(row[key]):
-                    continue
-                message = rule.bad
-            elif rule.optional:
-                continue
-            else:
-                message = rule.absent
-            break
-        else:
-            return row
-    # the row's name is only worked out for its error
-    name = row.get(named_by) if named_by else None
-    named = name is not None and _SCALAR.test(name)
-    what = f"{kind_label} {repr(name) if named else place}"
-    raise ConfigError(message.format(what=what, key=key, value=row.get(key), name=rule.name))
-
-
 def _rows(kind: str | None, path: str, what: str) -> Iterator:
     """The ``what`` file's rows, each checked as ``kind`` (unless None) as read."""
     rows = jsonl.read_rows(_require_file(path, what))
-    return rows if kind is None else (_check(kind, place, row) for place, row in enumerate(rows, 1))
+    if kind is None:
+        return rows
+    return (jsonl.check(kind, place, row) for place, row in enumerate(rows, 1))
 
 
 def _load(path: str, kind: str | None, what: str = "input file") -> list:
@@ -307,7 +159,7 @@ def _toolchain(path: str | None) -> ToolchainConfig:
         return ToolchainConfig()
     try:
         return ToolchainConfig.from_file(_require_file(path, "toolchain config"))
-    except (ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad toolchain config: {exc}") from exc
 
 
@@ -322,7 +174,7 @@ def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
             return ProviderConfig.from_file(_require_file(path, "provider config"))
         with open(script, encoding="utf-8") as f:
             return ProviderConfig(kind="mock", mock=json.load(f))
-    except (ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad provider config: {exc}") from exc
 
 
@@ -444,7 +296,7 @@ def _group_batch(number: int, row: dict, global_step: int, tasks: dict[str, dict
     what = f"groups row {number}"
     rollouts, scores = [], []
     for i, payload in enumerate(row["rollouts"]):
-        code = _check("rollout", f"{number} rollout {i}", payload)["code_text"]
+        code = jsonl.check("rollout", f"{number} rollout {i}", payload)["code_text"]
         code = (extract_verilog(code) or code) if "```" in code else code
         try:
             rollout, score = parse_rollout(payload, code)
@@ -485,17 +337,14 @@ def _k_values(path: str, first_row: dict) -> list[int]:
     """The k values of an ``evaluate`` per-task report at ``path``. Rows are
     written with sorted keys (pass@10 before pass@5), so its meta row keeps
     the k order of evaluate's own tables; without one, the k of each
-    ``pass@k`` key of its first row, in order. A meta row that is not an
-    object, ``k_values`` that are not integers, or a ``pass@`` key without
-    an integer k is a usage error naming it."""
+    ``pass@k`` key of its first row, in order. A meta row that is not a
+    ``per-task meta`` or a ``pass@`` key without an integer k is a usage
+    error naming it."""
     meta = jsonl.read_meta(path)
-    if meta is not None and not isinstance(meta, dict):
-        raise ConfigError(f"per-task report {path}: meta row is not an object: {meta!r}")
-    ks = (meta or {}).get("k_values")
-    if ks is not None and not (isinstance(ks, list) and all(type(k) is int for k in ks)):
-        raise ConfigError(f"per-task report {path}: meta row has a bad 'k_values': {ks!r}")
-    if ks:
-        return ks
+    if meta is not None:
+        ks = jsonl.check("per-task meta", f"{path}: meta row", meta).get("k_values")
+        if ks:
+            return ks
     ks = []
     for key in first_row:
         if key.startswith("pass@"):
@@ -547,7 +396,7 @@ def main(ctx: click.Context, config_path: str | None, seed: int | None) -> None:
     ctx.ensure_object(dict)
     try:
         ctx.obj["config"] = load_config(config_path, seed)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(2)
 
@@ -718,7 +567,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         def dataset_row(place_row: tuple[int, dict]) -> tuple[bool, str]:
             """(True, the row's record line) or (False, its reclassification
             line); the row is checked here, so a bad one fails in row order."""
-            row = _check("categorized pair", *place_row)
+            row = jsonl.check("categorized pair", *place_row)
             pair = _as_pair(row)
             category = Category(row["category"])
             try:
@@ -913,7 +762,7 @@ def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
     def run():
         eps = cfg["grpo"]["epsilon"] if epsilon is None else epsilon
         b = cfg["grpo"]["beta"] if beta is None else beta
-        _check_grpo(eps, b)
+        check_coefficients(eps, b)
         worst_rel = 0.0
         checked = skipped = 0
         failures = 0

@@ -16,15 +16,13 @@ from random import Random
 
 from .cruxdoc import CruxDoc, CruxParseReport
 from .interface import DegradedInterface, ModuleInterface, render_degraded_interface
+from .jsonl import check
 
 
 class Category(str, Enum):
     EASY_QUESTION = "EasyQuestion"
     SPECIAL_NON_TEXT = "SpecialNonText"
     NORMAL_DATA = "NormalData"
-
-
-CATEGORY_NAMES = frozenset(c.value for c in Category)  # as a row spells each category
 
 
 class MissingDiagram(ValueError):
@@ -111,10 +109,7 @@ class AugmentationPolicy:
     p_suffix: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("p_middle_insert", "p_prefix", "p_suffix"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
+        check("augmentation", None, vars(self))
 
 
 def _split_paragraphs(text: str) -> list[str]:

@@ -7,8 +7,9 @@ exponential backoff; every call appends one line to a JSONL audit log when
 one is configured, and only then is its request digested. The mock
 provider answers from canned tables keyed by prompt substrings and is
 fully deterministic under its seed, so pipelines can run hermetically.
-This module imports no other cruxkit module, so the commands that call a
-provider pay only for the client.
+This module imports only ``jsonl``, whose ``provider``, ``mock`` and
+``completions`` kinds its configs are checked against, so the commands that
+call a provider pay only for the client.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import threading
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
+
+from .jsonl import ConfigError, check
 
 
 @dataclass(frozen=True)
@@ -115,22 +118,16 @@ class ProviderConfig:
     mock: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mock", "http"):
-            raise ValueError(f"unknown provider kind: {self.kind!r}")
+        check("provider", None, vars(self))
         if self.kind == "http" and not self.base_url:
-            raise ValueError("http provider requires base_url")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        if self.mock is not None and not isinstance(self.mock, dict):
-            raise ValueError("mock must be an object or null")
+            raise ConfigError("bad provider config: http provider requires base_url")
         if self.kind == "mock":
             MockProvider(self.mock)  # a bad mock value fails here, as the config is read
 
     @classmethod
     def from_file(cls, path: str) -> "ProviderConfig":
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        return cls(**data)
+            return cls(**check("provider", None, json.load(f)))
 
 
 class TransientFailure(GatewayError):
@@ -143,10 +140,6 @@ def token_id(token_text: str) -> int:
     return zlib.crc32(token_text.encode("utf-8")) & 0x7FFFFFFF
 
 DEFAULT_MOCK_LOGPROB = math.log(0.5)
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class MockProvider:
@@ -166,24 +159,14 @@ class MockProvider:
     """
 
     def __init__(self, config: dict | None = None):
-        cfg = dict(config or {})
-        self.rules = list(cfg.get("completions", []))
-        if not all(isinstance(rule, dict) for rule in self.rules):
-            raise ValueError("mock completions must be objects")
-        for rule in self.rules:
-            if not isinstance(rule.get("match", ""), str):
-                raise ValueError("mock completion 'match' must be a string")
-            if not _strings(rule.get("texts", [])):
-                raise ValueError("mock completion 'texts' must be a list of strings")
+        cfg = check("mock", None, config or {})
+        self.rules = [check("completions", i, rule)
+                      for i, rule in enumerate(cfg.get("completions", []), 1)]
         self.default_completions = cfg.get("default_completions", [])
-        if not _strings(self.default_completions):
-            raise ValueError("mock default_completions must be a list of strings")
-        self.logprob_table = dict(cfg.get("logprob_table", {}))
-        self.default_logprob = float(cfg.get("default_logprob", DEFAULT_MOCK_LOGPROB))
-        if self.default_logprob > 0 or any(v > 0 for v in self.logprob_table.values()):
-            raise ValueError("mock logprobs must be <= 0")
-        self._fail_remaining = int(cfg.get("fail_first", 0))
-        self.seed = int(cfg.get("seed", 0))
+        self.logprob_table = cfg.get("logprob_table", {})
+        self.default_logprob = cfg.get("default_logprob", DEFAULT_MOCK_LOGPROB)
+        self._fail_remaining = cfg.get("fail_first", 0)
+        self.seed = cfg.get("seed", 0)
         self._lock = threading.Lock()
 
     def _maybe_fail(self) -> None:

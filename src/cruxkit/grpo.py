@@ -7,13 +7,16 @@ reference policy (the exp(d) - d - 1 estimator on d = ref - new).
 
 numpy is imported inside the numeric functions, not at module level, so
 commands that only validate coefficients or build rollouts never load it;
-no other cruxkit module is imported at run time.
+of the other cruxkit modules only ``jsonl`` is imported at run time, for the
+``grpo`` kind the coefficients are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .jsonl import check
 
 if TYPE_CHECKING:
     from .gateway import TokenLogProbSeq
@@ -91,10 +94,7 @@ def group_advantages(rewards: list[float], eps_std: float = EPS_STD_DEFAULT) -> 
 
 def check_coefficients(epsilon: float, beta: float) -> None:
     """Reject a clip range or KL weight the objective is not defined for."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not beta >= 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    check("grpo", None, {"epsilon": epsilon, "beta": beta})
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor  # cli._Simulator's pool; a tracer patches it
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+
+from .jsonl import check
 
 
 # characters kept of each step's stdout and stderr; a run with longer stdout fails
@@ -66,26 +68,12 @@ class ToolchainConfig:
     workers: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("compile_cmd", "run_cmd"):
-            if not isinstance(getattr(self, name), str) or "{out}" not in getattr(self, name):
-                raise ValueError(f"{name} must be a string that references {{out}}")
-        if not isinstance(self.env, dict) or not all(
-                isinstance(item, str) for item in (*self.env, *self.env.values())):
-            raise ValueError("env must map strings to strings")
-        if not isinstance(self.keep_artifacts, bool):
-            raise ValueError("keep_artifacts must be true or false")
-        for name in ("workers", "compile_timeout_ms"):
-            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an int >= 1")
+        check("toolchain", None, vars(self))
 
     @classmethod
     def from_file(cls, path: str) -> "ToolchainConfig":
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown toolchain config keys: {sorted(unknown)}")
-        return cls(**data)
+            return cls(**check("toolchain", None, json.load(f)))
 
     @classmethod
     def echo(cls, **overrides) -> "ToolchainConfig":

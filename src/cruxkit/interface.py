@@ -30,6 +30,8 @@ from enum import Enum
 from functools import lru_cache
 from random import Random
 
+from .jsonl import check
+
 
 class HeaderError(ValueError):
     """Base class for module-header parsing failures."""
@@ -397,10 +399,7 @@ class DegradationPolicy:
     p_keep_element: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("p_full_retain", "p_keep_element"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
+        check("degradation", None, vars(self))
 
 
 @dataclass(frozen=True)

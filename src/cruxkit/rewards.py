@@ -20,6 +20,7 @@ from .gateway import TokenLogProbSeq
 from .grpo import Rollout, RolloutGroup, clipped_objective, group_advantages
 from .harness import SimOutcome
 from .interface import ModuleInterface
+from .jsonl import check
 
 logger = logging.getLogger(__name__)
 
@@ -89,12 +90,7 @@ class WeightSchedule:
     switch_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.steps_per_epoch < 1:
-            raise ValueError("steps_per_epoch must be positive")
-        if not 0.0 <= self.switch_fraction <= 1.0:
-            raise ValueError("switch_fraction must be in [0,1]")
-        if len(self.early) != 4 or len(self.late) != 4:
-            raise ValueError("weight vectors must have four entries")
+        check("schedule", None, vars(self))
 
     @property
     def switch_step(self) -> int:

@@ -20,6 +20,17 @@ TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_co
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
 NO_SIM_TINY = Path(__file__).resolve().parent / "fixtures" / "no-sim-tiny"
 GOLDEN_REWARDS = Path(__file__).resolve().parent / "golden" / "reward" / "rewards.jsonl"
+# a run config that sets every key of every section to a value other than its default
+EVERY_KEY_CONFIG = {
+    "seed": 3, "k_values": [1, 2], "threshold": 0.5, "probe_n": 1, "keywords": ["fsm"],
+    "timeout_ms": 5000, "scoring_template": "{crux}\n{realspec}\n",
+    "degradation": {"p_full_retain": 0.5, "p_keep_element": 0.25},
+    "augmentation": {"p_middle_insert": 0.5, "prefix_pool": ["Hi."], "suffix_pool": ["Bye."],
+                     "p_prefix": 0.25, "p_suffix": 0.75},
+    "schedule": {"steps_per_epoch": 10, "early": [1, 2, 3, 4], "late": [4, 3, 2, 1.5],
+                 "switch_fraction": 0.5},
+    "grpo": {"epsilon": 0.1, "beta": 0.04, "eps_std": 1e-6},
+}
 
 
 def run_cli(*args, **kwargs):
@@ -1457,6 +1468,19 @@ class TestGrpoCheckCommand:
         ({"scoring_template": "{realspec} {crux} {task}"}, REWARD),
         ({"scoring_template": "{realspec} {crux:d}"}, REWARD),
         ({"scoring_template": 3}, REWARD),
+        ({"scoring_template": ""}, REWARD),
+        # each ended as an internal error (exit 1) before one table checked every config value
+        ({"schedule": {"early": "abcd"}}, REWARD),
+        ({"schedule": {"early": [1, 2, 3, "x"]}}, REWARD),
+        ({"grpo": {"eps_std": "x"}}, REWARD),
+        ({"augmentation": {"prefix_pool": [1]}}, BUILD_DATASET),
+        # and each was taken silently (exit 0)
+        ({"grpo": {"eps_std": -1}}, REWARD),
+        ({"grpo": {"epsilon": True}}, REWARD),
+        ({"schedule": {"steps_per_epoch": True}}, REWARD),
+        ({"schedule": {"steps_per_epoch": 2.5}}, REWARD),
+        ({"degradation": {"p_full_retain": True}}, BUILD_DATASET),
+        ({"augmentation": {"prefix_pool": "abc"}}, BUILD_DATASET),
     ])
     def test_bad_settings_exit_2(self, tmp_path, echo_toolchain_file, config, args):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
@@ -1498,7 +1522,7 @@ class TestConfig:
         cfg.write_text(json.dumps(section))
         result = run_cli("--config", cfg, "grpo-check", "--instances", 1)
         assert result.exit_code == 2
-        assert f"unknown {keys} keys" in result.stderr
+        assert f"bad {keys} settings: unknown keys" in result.stderr
 
     def test_nested_class_field_accepted(self, tmp_path, echo_toolchain_file):
         # switch_fraction has no entry in the default config but is a
@@ -1702,8 +1726,16 @@ class TestLayerImportBoundary:
         _, reclassified = read_jsonl(tmp_path / "records.jsonl.reclassified.jsonl")
         assert len(records) + len(reclassified) == 2 * MIN_SLICE_ROWS
 
-    @pytest.mark.parametrize("module", ["cruxkit.gateway", "cruxkit.grpo"])
+    def test_reading_a_config_with_every_section_loads_no_layer(self, tmp_path):
+        """Each section is checked against its kind in ``jsonl``, not by
+        building its class, so ``load_config`` loads no layer module."""
+        steps = modules_after(tmp_path, EVERY_KEY_CONFIG, [])
+        assert steps["load_config"] == ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.jsonl"]
+
+    @pytest.mark.parametrize("module", ["cruxkit.gateway", "cruxkit.grpo", "cruxkit.jsonl"])
     def test_module_imports_no_other_cruxkit_module(self, module):
+        """The module loads no other cruxkit module but ``jsonl``, the
+        checker every layer shares, which loads none."""
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('cruxkit')))"
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
@@ -1711,4 +1743,4 @@ class TestLayerImportBoundary:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == str(["cruxkit", module])
+        assert result.stdout.strip() == str(sorted({"cruxkit", "cruxkit.jsonl", module}))
