@@ -24,7 +24,13 @@ row is still reported in row order): a row that is not an object, lacks a
 key or holds a value of another type is a usage error naming the row. So is
 each config file, as it is read; reading the run config loads no layer.
 
-Exit codes: 0 success, 1 internal error, 2 usage or configuration error.
+A command that succeeds exits 0. Every failure ends in ``_Commands.invoke``,
+the one place that turns it into a stderr line and an exit code:
+``error: ...`` with exit 2 for a usage or configuration error
+(``jsonl.ConfigError``: a bad option, config or row, an input file or
+testbench that is missing or not UTF-8, a missing toolchain binary);
+``gateway error: ...`` with exit 1 for a provider failure; and ``internal
+error: <type>: ...`` with exit 1 for any other.
 """
 
 from __future__ import annotations
@@ -81,8 +87,8 @@ def load_config(path: str | None, seed: int | None) -> dict:
     merged key by key) and ``seed`` laid over it."""
     cfg = default_config()
     if path is not None:
-        with open(_require_file(path, "config file"), encoding="utf-8") as f:
-            loaded = jsonl.check("config", path, json.load(f))
+        loaded = jsonl.check("config", path,
+                             jsonl.read_json(_require_file(path, "config file"), "config file"))
         for key, value in loaded.items():
             if isinstance(cfg[key], dict):
                 cfg[key].update(jsonl.check(key, None, value))
@@ -157,25 +163,20 @@ def _toolchain(path: str | None) -> ToolchainConfig:
 
     if path is None:
         return ToolchainConfig()
-    try:
-        return ToolchainConfig.from_file(_require_file(path, "toolchain config"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"bad toolchain config: {exc}") from exc
+    config = jsonl.read_json(_require_file(path, "toolchain config"), "bad toolchain config")
+    return ToolchainConfig(**jsonl.check("toolchain", None, config))
 
 
 def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
     from .gateway import ProviderConfig
 
-    if mock_script is None and path is None:
+    if mock_script is not None:
+        script = _require_file(mock_script, "mock provider script")
+        return ProviderConfig(kind="mock", mock=jsonl.read_json(script, "bad provider config"))
+    if path is None:
         return ProviderConfig(kind="mock")
-    script = None if mock_script is None else _require_file(mock_script, "mock provider script")
-    try:
-        if script is None:
-            return ProviderConfig.from_file(_require_file(path, "provider config"))
-        with open(script, encoding="utf-8") as f:
-            return ProviderConfig(kind="mock", mock=json.load(f))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"bad provider config: {exc}") from exc
+    config = jsonl.read_json(_require_file(path, "provider config"), "bad provider config")
+    return ProviderConfig(**jsonl.check("provider", None, config))
 
 
 def _testbench_path(directory: str, task_id: str) -> str:
@@ -225,8 +226,7 @@ class _Simulator:
         if task_id not in self._references:
             if not reference_code.strip():
                 raise ConfigError(f"reference design for task {task_id!r} is blank")
-            with open(_testbench_path(self.tb_dir, task_id), encoding="utf-8") as f:
-                tb = f.read()
+            tb = jsonl.read_text(_testbench_path(self.tb_dir, task_id))
             job = SimJob(reference_code, tb, task_id, self.timeout_ms)
             self._references[task_id] = tb, self._pool.submit(run_sim, job, self.toolchain)
         tb, reference = self._references[task_id]
@@ -363,42 +363,37 @@ def _write_table(path: str, table: str, echo: bool = False) -> None:
         click.echo(table, nl=False)
 
 
-def _loaded_error(layer: str, name: str) -> tuple[type, ...]:
-    """``layer``'s error class ``name``, or none if no command loaded the
-    layer: only a command that loaded a layer can raise one of its errors."""
-    module = sys.modules.get(f"{__package__}.{layer}")
-    return () if module is None else (getattr(module, name),)
+class _Commands(click.Group):
+    """The command group. Its ``invoke``, which runs the config load and
+    the command, is the one place a failure becomes a stderr line and an
+    exit code; click's own exits and errors pass through."""
 
-
-def _run_command(fn) -> None:
-    try:
-        fn()
-    except click.ClickException:
-        raise
-    except Exception as exc:  # noqa: BLE001 - every error maps to exit code 2 or 1
-        if isinstance(exc, (ConfigError, jsonl.BadJson,
-                            *_loaded_error("harness", "ToolchainMissing"))):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except ConfigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        if isinstance(exc, _loaded_error("gateway", "GatewayError")):
-            click.echo(f"gateway error: {exc}", err=True)
-        else:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+        except Exception as exc:  # noqa: BLE001 - every other failure exits 1
+            # only a command that loaded the provider layer can raise its errors
+            gateway = sys.modules.get(f"{__package__}.gateway")
+            if gateway is not None and isinstance(exc, gateway.GatewayError):
+                click.echo(f"gateway error: {exc}", err=True)
+            else:
+                click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.option("--config", "config_path", type=str, default=None, help="JSON run config.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, seed: int | None) -> None:
     """Dataset, evaluation, and reward tooling for structured Verilog generation."""
     ctx.ensure_object(dict)
-    try:
-        ctx.obj["config"] = load_config(config_path, seed)
-    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(2)
+    ctx.obj["config"] = load_config(config_path, seed)
 
 
 @main.command()
@@ -419,51 +414,48 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 
     cfg = ctx.obj["config"]
 
-    def run():
-        rows = _load(input_path, "pair")
-        pairs = [_as_pair(r) for r in rows]
-        if live:
-            if tb_dir is None:
-                raise ConfigError("--live categorization needs --testbenches")
-            from .corpus import extract_verilog, probe_verdict_from_outcomes
-            from .gateway import Gateway, GenRequest
-            from .rewards import code_reward
+    rows = _load(input_path, "pair")
+    pairs = [_as_pair(r) for r in rows]
+    if live:
+        if tb_dir is None:
+            raise ConfigError("--live categorization needs --testbenches")
+        from .corpus import extract_verilog, probe_verdict_from_outcomes
+        from .gateway import Gateway, GenRequest
+        from .rewards import code_reward
 
-            sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
-            gateway = Gateway(_provider(provider_path, mock_script))
+        sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
+        gateway = Gateway(_provider(provider_path, mock_script))
 
-            def probes():
-                for pair in pairs:
-                    req = GenRequest(pair.description, n=cfg["probe_n"],
-                                     seed=derive_seed(cfg["seed"], pair.id, "probe"))
-                    # a completion with no Verilog is blank: it scores 0 without a sim
-                    codes = [extract_verilog(text) or "" for text in gateway.generate(req)]
-                    yield pair.id, pair.id, pair.reference_code, codes
+        def probes():
+            for pair in pairs:
+                req = GenRequest(pair.description, n=cfg["probe_n"],
+                                 seed=derive_seed(cfg["seed"], pair.id, "probe"))
+                # a completion with no Verilog is blank: it scores 0 without a sim
+                codes = [extract_verilog(text) or "" for text in gateway.generate(req)]
+                yield pair.id, pair.id, pair.reference_code, codes
 
-            verdicts = {}
-            with sims:
-                for pair_id, outcomes in sims.stream(probes()):
-                    fractions = [code_reward(o) for o in outcomes]
-                    verdicts[pair_id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
-        else:
-            if verdicts_path is None:
-                raise ConfigError("need --verdicts or --live")
-            verdicts = {r["id"]: bool(r["passed"])
-                        for r in _rows("verdict", verdicts_path, "verdicts file")}
-        keywords = frozenset(cfg["keywords"]) if cfg.get("keywords") else None
-        counts: dict[str, int] = defaultdict(int)
-        out_rows = []
-        for row, pair in zip(rows, pairs):
-            if pair.id not in verdicts:
-                raise ConfigError(f"no probe verdict for task {pair.id!r}")
-            category = categorize_pair(pair, verdicts[pair.id], keywords)
-            counts[category.value] += 1
-            out_rows.append({**row, "category": category.value})
-        jsonl.write_rows(output_path, out_rows, meta=meta_for(cfg))
-        for name in (c.value for c in Category):
-            click.echo(f"{name}: {counts.get(name, 0)}")
-
-    _run_command(run)
+        verdicts = {}
+        with sims:
+            for pair_id, outcomes in sims.stream(probes()):
+                fractions = [code_reward(o) for o in outcomes]
+                verdicts[pair_id] = probe_verdict_from_outcomes(fractions, cfg["threshold"])
+    else:
+        if verdicts_path is None:
+            raise ConfigError("need --verdicts or --live")
+        verdicts = {r["id"]: bool(r["passed"])
+                    for r in _rows("verdict", verdicts_path, "verdicts file")}
+    keywords = frozenset(cfg["keywords"]) if cfg.get("keywords") else None
+    counts: dict[str, int] = defaultdict(int)
+    out_rows = []
+    for row, pair in zip(rows, pairs):
+        if pair.id not in verdicts:
+            raise ConfigError(f"no probe verdict for task {pair.id!r}")
+        category = categorize_pair(pair, verdicts[pair.id], keywords)
+        counts[category.value] += 1
+        out_rows.append({**row, "category": category.value})
+    jsonl.write_rows(output_path, out_rows, meta=meta_for(cfg))
+    for name in (c.value for c in Category):
+        click.echo(f"{name}: {counts.get(name, 0)}")
 
 
 @main.command("derive-crux")
@@ -483,40 +475,37 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
 
     cfg = ctx.obj["config"]
 
-    def run():
-        rows = _load(input_path, "categorized pair")
-        if not live and emit_path is None:
-            raise ConfigError("need --emit or --live")
-        if live and output_path is None:
-            raise ConfigError("--live needs --output for transcripts")
-        bundles = [make_crux_derivation_prompt(_as_pair(row), Category(row["category"]))
-                   for row in rows if row["category"] != Category.EASY_QUESTION.value]
-        if not live:
-            jsonl.write_rows(emit_path, bundles, meta=meta_for(cfg))
-            click.echo(f"emitted {len(bundles)} prompt bundles")
-            return
-        from .gateway import Gateway, GenRequest
+    rows = _load(input_path, "categorized pair")
+    if not live and emit_path is None:
+        raise ConfigError("need --emit or --live")
+    if live and output_path is None:
+        raise ConfigError("--live needs --output for transcripts")
+    bundles = [make_crux_derivation_prompt(_as_pair(row), Category(row["category"]))
+               for row in rows if row["category"] != Category.EASY_QUESTION.value]
+    if not live:
+        jsonl.write_rows(emit_path, bundles, meta=meta_for(cfg))
+        click.echo(f"emitted {len(bundles)} prompt bundles")
+        return
+    from .gateway import Gateway, GenRequest
 
-        gateway = Gateway(_provider(provider_path, mock_script))
-        transcripts = []
-        for bundle in bundles:
-            seed = derive_seed(cfg["seed"], bundle["task_id"], "derive")
-            derived_text = None
-            for prompt in bundle["prompts"]:
-                stage, text = prompt["stage"], prompt["text"]
-                if stage == "validate":
-                    # the slot comes before the reference code, which may hold "{derived}"
-                    text = text.replace("{derived}", derived_text or "", 1)
-                completion = gateway.generate(
-                    GenRequest(text, n=1, temperature=0.0, seed=seed)
-                )[0]
-                if stage in ("extract", "circuit_parse"):
-                    derived_text = completion
-                transcripts.append({"id": bundle["task_id"], "stage": stage, "text": completion})
-        jsonl.write_rows(output_path, transcripts, meta=meta_for(cfg))
-        click.echo(f"wrote {len(transcripts)} transcripts")
-
-    _run_command(run)
+    gateway = Gateway(_provider(provider_path, mock_script))
+    transcripts = []
+    for bundle in bundles:
+        seed = derive_seed(cfg["seed"], bundle["task_id"], "derive")
+        derived_text = None
+        for prompt in bundle["prompts"]:
+            stage, text = prompt["stage"], prompt["text"]
+            if stage == "validate":
+                # the slot comes before the reference code, which may hold "{derived}"
+                text = text.replace("{derived}", derived_text or "", 1)
+            completion = gateway.generate(
+                GenRequest(text, n=1, temperature=0.0, seed=seed)
+            )[0]
+            if stage in ("extract", "circuit_parse"):
+                derived_text = completion
+            transcripts.append({"id": bundle["task_id"], "stage": stage, "text": completion})
+    jsonl.write_rows(output_path, transcripts, meta=meta_for(cfg))
+    click.echo(f"wrote {len(transcripts)} transcripts")
 
 
 @main.command("build-dataset")
@@ -543,92 +532,89 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 
     cfg = ctx.obj["config"]
 
-    def run():
-        rows = _load(input_path, None)
-        transcripts: dict[tuple[str, str], str] = {} if transcripts_path is None else {
-            (t["id"], t["stage"]): t["text"]
-            for t in _rows("transcript", transcripts_path, "transcripts file")
-        }
-        degradation = DegradationPolicy(**cfg["degradation"])
-        augmentation = AugmentationPolicy(**cfg["augmentation"])
-        # the same for every row; records share them, and nothing mutates them
-        policies = {
-            "degradation": dataclasses.asdict(degradation),
-            "augmentation": {
-                "p_middle_insert": augmentation.p_middle_insert,
-                "p_prefix": augmentation.p_prefix,
-                "p_suffix": augmentation.p_suffix,
-            },
-        }
+    rows = _load(input_path, None)
+    transcripts: dict[tuple[str, str], str] = {} if transcripts_path is None else {
+        (t["id"], t["stage"]): t["text"]
+        for t in _rows("transcript", transcripts_path, "transcripts file")
+    }
+    degradation = DegradationPolicy(**cfg["degradation"])
+    augmentation = AugmentationPolicy(**cfg["augmentation"])
+    # the same for every row; records share them, and nothing mutates them
+    policies = {
+        "degradation": dataclasses.asdict(degradation),
+        "augmentation": {
+            "p_middle_insert": augmentation.p_middle_insert,
+            "p_prefix": augmentation.p_prefix,
+            "p_suffix": augmentation.p_suffix,
+        },
+    }
 
-        def reclassify(r: Reclassification) -> tuple[bool, str]:
-            return False, jsonl.encode_row({"id": r.task_id, "to": r.to.value, "reason": r.reason})
+    def reclassify(r: Reclassification) -> tuple[bool, str]:
+        return False, jsonl.encode_row({"id": r.task_id, "to": r.to.value, "reason": r.reason})
 
-        def dataset_row(place_row: tuple[int, dict]) -> tuple[bool, str]:
-            """(True, the row's record line) or (False, its reclassification
-            line); the row is checked here, so a bad one fails in row order."""
-            row = jsonl.check("categorized pair", *place_row)
-            pair = _as_pair(row)
-            category = Category(row["category"])
-            try:
-                reference_iface = parse_module_header(pair.reference_code)
-            except HeaderError as exc:
-                return reclassify(
-                    Reclassification(pair.id, Category.NORMAL_DATA, f"reference: {exc}")
-                )
-            seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
-            seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
-            degraded = degrade_interface(reference_iface, degradation, seed_degrade)
-            crux_text = None
-            verdict = None
-            diagram = None
-            if category is Category.NORMAL_DATA:
-                crux_text = transcripts.get((pair.id, "extract"))
-            elif category is Category.SPECIAL_NON_TEXT:
-                crux_text = transcripts.get((pair.id, "circuit_parse"))
-                verdict = transcripts.get((pair.id, "validate"))
-            crux = None if crux_text is None else parse_crux(crux_text)
-            if category is Category.SPECIAL_NON_TEXT and crux is not None and crux.doc is not None:
-                diagram = diagram_blocks_for_realspec(crux.doc)
-            try:
-                realspec = build_realspec(
-                    pair, category, degraded, augmentation, seed_augment, diagram
-                )
-            except MissingDiagram:
-                return reclassify(
-                    Reclassification(pair.id, Category.NORMAL_DATA, "no usable diagram text")
-                )
-            provenance = {
-                "master_seed": cfg["seed"],
-                "seed_degrade": seed_degrade,
-                "seed_augment": seed_augment,
-                **policies,
-            }
-            result = assemble_record(
-                pair, category, realspec, reference_iface, crux, verdict, provenance
+    def dataset_row(place_row: tuple[int, dict]) -> tuple[bool, str]:
+        """(True, the row's record line) or (False, its reclassification
+        line); the row is checked here, so a bad one fails in row order."""
+        row = jsonl.check("categorized pair", *place_row)
+        pair = _as_pair(row)
+        category = Category(row["category"])
+        try:
+            reference_iface = parse_module_header(pair.reference_code)
+        except HeaderError as exc:
+            return reclassify(
+                Reclassification(pair.id, Category.NORMAL_DATA, f"reference: {exc}")
             )
-            if isinstance(result, Reclassification):
-                return reclassify(result)
-            return True, jsonl.encode_row({
-                "id": result.id,
-                "category": result.category.value,
-                "realspec": result.realspec,
-                "crux": render_crux(result.crux),
-                "reference_code": result.reference_code,
-                "provenance": result.provenance,
-            })
+        seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
+        seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
+        degraded = degrade_interface(reference_iface, degradation, seed_degrade)
+        crux_text = None
+        verdict = None
+        diagram = None
+        if category is Category.NORMAL_DATA:
+            crux_text = transcripts.get((pair.id, "extract"))
+        elif category is Category.SPECIAL_NON_TEXT:
+            crux_text = transcripts.get((pair.id, "circuit_parse"))
+            verdict = transcripts.get((pair.id, "validate"))
+        crux = None if crux_text is None else parse_crux(crux_text)
+        if category is Category.SPECIAL_NON_TEXT and crux is not None and crux.doc is not None:
+            diagram = diagram_blocks_for_realspec(crux.doc)
+        try:
+            realspec = build_realspec(
+                pair, category, degraded, augmentation, seed_augment, diagram
+            )
+        except MissingDiagram:
+            return reclassify(
+                Reclassification(pair.id, Category.NORMAL_DATA, "no usable diagram text")
+            )
+        provenance = {
+            "master_seed": cfg["seed"],
+            "seed_degrade": seed_degrade,
+            "seed_augment": seed_augment,
+            **policies,
+        }
+        result = assemble_record(
+            pair, category, realspec, reference_iface, crux, verdict, provenance
+        )
+        if isinstance(result, Reclassification):
+            return reclassify(result)
+        return True, jsonl.encode_row({
+            "id": result.id,
+            "category": result.category.value,
+            "realspec": result.realspec,
+            "crux": render_crux(result.crux),
+            "reference_code": result.reference_code,
+            "provenance": result.provenance,
+        })
 
-        # a row's lines depend on that row, the config and the transcripts
-        # alone, so forked slices build them as a serial loop would
-        lines = map_slices(dataset_row, list(enumerate(rows, 1)))
-        records = [line for is_record, line in lines if is_record]
-        reclassified = [line for is_record, line in lines if not is_record]
-        jsonl.write_lines(output_path, records, meta=meta_for(cfg))
-        recl_path = reclassified_path or output_path + ".reclassified.jsonl"
-        jsonl.write_lines(recl_path, reclassified, meta=meta_for(cfg))
-        click.echo(f"records: {len(records)}  reclassified: {len(reclassified)}")
-
-    _run_command(run)
+    # a row's lines depend on that row, the config and the transcripts
+    # alone, so forked slices build them as a serial loop would
+    lines = map_slices(dataset_row, list(enumerate(rows, 1)))
+    records = [line for is_record, line in lines if is_record]
+    reclassified = [line for is_record, line in lines if not is_record]
+    jsonl.write_lines(output_path, records, meta=meta_for(cfg))
+    recl_path = reclassified_path or output_path + ".reclassified.jsonl"
+    jsonl.write_lines(recl_path, reclassified, meta=meta_for(cfg))
+    click.echo(f"records: {len(records)}  reclassified: {len(reclassified)}")
 
 
 @main.command()
@@ -650,46 +636,43 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
 
     cfg = ctx.obj["config"]
 
-    def run():
-        toolchain = _toolchain(toolchain_path)
-        if keep_artifacts:
-            toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
-        sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
-        tasks = {row["id"]: row for row in _load(tasks_path, "task")}
-        # per_task.jsonl is sorted by task id, and numbers, strings and null do not sort together
-        kinds: dict[bool | None, object] = {}
-        for task_id in tasks:
-            kinds.setdefault(None if task_id is None else isinstance(task_id, str), task_id)
-        if len(kinds) > 1:
-            first, other = list(kinds.values())[:2]
-            raise ConfigError(f"task ids {first!r} and {other!r} in {tasks_path} cannot be ordered")
-        cand_rows = _rows("candidates", candidates_path, "candidates file")
-        ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
-        thr = cfg["threshold"] if threshold is None else threshold
-        os.makedirs(output_dir, exist_ok=True)
-        samples: dict[str, list[SimOutcome]] = {}
-        outcome_rows = []
-        with sims:
-            batches = (_candidate_batch(row, tasks) for row in cand_rows)
-            for task_id, outcomes in sims.stream(batches):
-                # rows repeating a task add samples to it, numbered on from its last
-                task_samples = samples.setdefault(task_id, [])
-                outcome_rows.extend(
-                    _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
-                )
-                task_samples.extend(outcomes)
-        if not samples:
-            raise ConfigError(f"no rows in {candidates_path}")
-        rows, aggregate, warnings = aggregate_report(samples, thr, ks)
-        meta = meta_for(cfg, k_values=list(ks), threshold=thr)
-        jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
-        jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), rows, meta=meta)
-        summary = pass_at_k_table(rows, ks, aggregate=aggregate)
-        _write_table(os.path.join(output_dir, "summary.txt"),
-                     summary + "".join(f"# warning: {w}\n" for w in warnings), echo=True)
-        _write_table(os.path.join(output_dir, "summary.csv"), pass_at_k_table(rows, ks, csv=True))
-
-    _run_command(run)
+    toolchain = _toolchain(toolchain_path)
+    if keep_artifacts:
+        toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
+    sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
+    tasks = {row["id"]: row for row in _load(tasks_path, "task")}
+    # per_task.jsonl is sorted by task id, and numbers, strings and null do not sort together
+    kinds: dict[bool | None, object] = {}
+    for task_id in tasks:
+        kinds.setdefault(None if task_id is None else isinstance(task_id, str), task_id)
+    if len(kinds) > 1:
+        first, other = list(kinds.values())[:2]
+        raise ConfigError(f"task ids {first!r} and {other!r} in {tasks_path} cannot be ordered")
+    cand_rows = _rows("candidates", candidates_path, "candidates file")
+    ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
+    thr = cfg["threshold"] if threshold is None else threshold
+    os.makedirs(output_dir, exist_ok=True)
+    samples: dict[str, list[SimOutcome]] = {}
+    outcome_rows = []
+    with sims:
+        batches = (_candidate_batch(row, tasks) for row in cand_rows)
+        for task_id, outcomes in sims.stream(batches):
+            # rows repeating a task add samples to it, numbered on from its last
+            task_samples = samples.setdefault(task_id, [])
+            outcome_rows.extend(
+                _outcome_row(task_id, i, o) for i, o in enumerate(outcomes, len(task_samples))
+            )
+            task_samples.extend(outcomes)
+    if not samples:
+        raise ConfigError(f"no rows in {candidates_path}")
+    rows, aggregate, warnings = aggregate_report(samples, thr, ks)
+    meta = meta_for(cfg, k_values=list(ks), threshold=thr)
+    jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
+    jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), rows, meta=meta)
+    summary = pass_at_k_table(rows, ks, aggregate=aggregate)
+    _write_table(os.path.join(output_dir, "summary.txt"),
+                 summary + "".join(f"# warning: {w}\n" for w in warnings), echo=True)
+    _write_table(os.path.join(output_dir, "summary.csv"), pass_at_k_table(rows, ks, csv=True))
 
 
 @main.command()
@@ -711,40 +694,41 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
     cfg = ctx.obj["config"]
 
-    def run():
-        sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
-        tasks = {row["id"]: row for row in _load(tasks_path, "task")}
-        schedule = WeightSchedule(**cfg["schedule"])
-        gateway = Gateway(_provider(provider_path, mock_script))
-        grpo = cfg["grpo"]
-        out_rows = []
-        group_rows = _rows("group", groups_path, "groups file")
+    sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
+    tasks = {row["id"]: row for row in _load(tasks_path, "task")}
+    schedule = WeightSchedule(**cfg["schedule"])
+    gateway = Gateway(_provider(provider_path, mock_script))
+    grpo = cfg["grpo"]
+    out_rows = []
+    group_rows = _rows("group", groups_path, "groups file")
 
-        def crux_score(task: dict, crux_text: str) -> TokenLogProbSeq | str:
-            realspec = task.get("realspec") or task.get("description") or ""
-            prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
-            try:
-                return gateway.score_continuation(ScoreRequest(prompt, task["reference_code"]))
-            except GatewayError as exc:
-                return str(exc)
+    def crux_score(task: dict, crux_text: str) -> TokenLogProbSeq | str:
+        realspec = task.get("realspec") or task.get("description") or ""
+        prompt = cfg["scoring_template"].format(realspec=realspec, crux=crux_text)
+        try:
+            request = ScoreRequest(prompt, task["reference_code"])
+        except ValueError as exc:  # an empty prompt: a {crux} template and an empty note
+            return str(exc)
+        try:
+            return gateway.score_continuation(request)
+        except GatewayError as exc:
+            return str(exc)
 
-        groups = (_group_batch(*r, global_step, tasks, grpo["beta"])
-                  for r in enumerate(group_rows, 1))
-        with sims:
-            for (task_id, step, rollouts, scores, iface), outcomes in sims.stream(groups):
-                # a rollout with a crux_score of its own needs no scoring call
-                scores = [crux_score(tasks[task_id], r.crux_text) if s is None else s
-                          for r, s in zip(rollouts, scores)]
-                out_rows.append(score_group(task_id, step, rollouts, outcomes, scores, iface,
-                                            schedule, **grpo))
-        jsonl.write_rows(
-            output_path, out_rows,
-            meta=meta_for(cfg, global_step=global_step, epsilon=grpo["epsilon"], beta=grpo["beta"]),
-        )
-        for step, mean, _ in step_means(out_rows):
-            click.echo(f"step {step}: mean mixed reward {mean:.4f}")
-
-    _run_command(run)
+    groups = (_group_batch(*r, global_step, tasks, grpo["beta"])
+              for r in enumerate(group_rows, 1))
+    with sims:
+        for (task_id, step, rollouts, scores, iface), outcomes in sims.stream(groups):
+            # a rollout with a crux_score of its own needs no scoring call
+            scores = [crux_score(tasks[task_id], r.crux_text) if s is None else s
+                      for r, s in zip(rollouts, scores)]
+            out_rows.append(score_group(task_id, step, rollouts, outcomes, scores, iface,
+                                        schedule, **grpo))
+    jsonl.write_rows(
+        output_path, out_rows,
+        meta=meta_for(cfg, global_step=global_step, epsilon=grpo["epsilon"], beta=grpo["beta"]),
+    )
+    for step, mean, _ in step_means(out_rows):
+        click.echo(f"step {step}: mean mixed reward {mean:.4f}")
 
 
 @main.command("grpo-check")
@@ -759,34 +743,31 @@ def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
     """Finite-difference check of the objective gradient on toy policies."""
     cfg = ctx.obj["config"]
 
-    def run():
-        eps = cfg["grpo"]["epsilon"] if epsilon is None else epsilon
-        b = cfg["grpo"]["beta"] if beta is None else beta
-        check_coefficients(eps, b)
-        worst_rel = 0.0
-        checked = skipped = 0
-        failures = 0
-        for i in range(instances):
-            instance = random_toy_instance(
-                cfg["seed"] + i, group_size, max_tokens, vocab, with_ref=b > 0
-            )
-            report = objective_gradient_check(instance, eps, b)
-            worst_rel = max(worst_rel, report.max_rel_error)
-            checked += report.checked_positions
-            skipped += report.skipped_near_kink
-            if not report.passed:
-                failures += 1
-        click.echo(
-            f"instances: {instances}  checked positions: {checked}  "
-            f"skipped near kinks: {skipped}"
+    eps = cfg["grpo"]["epsilon"] if epsilon is None else epsilon
+    b = cfg["grpo"]["beta"] if beta is None else beta
+    check_coefficients(eps, b)
+    worst_rel = 0.0
+    checked = skipped = 0
+    failures = 0
+    for i in range(instances):
+        instance = random_toy_instance(
+            cfg["seed"] + i, group_size, max_tokens, vocab, with_ref=b > 0
         )
-        click.echo(f"max relative error: {worst_rel:.3e}")
-        if failures:
-            click.echo(f"FAIL: {failures} instances exceeded tolerance", err=True)
-            sys.exit(1)
-        click.echo("gradient check passed")
-
-    _run_command(run)
+        report = objective_gradient_check(instance, eps, b)
+        worst_rel = max(worst_rel, report.max_rel_error)
+        checked += report.checked_positions
+        skipped += report.skipped_near_kink
+        if not report.passed:
+            failures += 1
+    click.echo(
+        f"instances: {instances}  checked positions: {checked}  "
+        f"skipped near kinks: {skipped}"
+    )
+    click.echo(f"max relative error: {worst_rel:.3e}")
+    if failures:
+        click.echo(f"FAIL: {failures} instances exceeded tolerance", err=True)
+        sys.exit(1)
+    click.echo("gradient check passed")
 
 
 @main.command()
@@ -800,23 +781,20 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
     """Render summary tables (text + CSV) from pipeline outputs."""
     from .harness import pass_at_k_table, render_table
 
-    def run():
-        if reward_path is None and evaluate_dir is None:
-            raise ConfigError("need --reward or --evaluate-dir")
-        os.makedirs(output_dir, exist_ok=True)
-        if reward_path is not None:
-            means = step_means(_rows("reward", reward_path, "reward output"))
-            header = ["step", "mean_mixed_reward", "rollouts"]
-            for name, csv in (("reward_by_step.csv", True), ("reward_by_step.txt", False)):
-                _write_table(os.path.join(output_dir, name), render_table(header, means, csv),
-                             echo=not csv)
-        if evaluate_dir is not None:
-            per_task = os.path.join(evaluate_dir, "per_task.jsonl")
-            rows = _load(per_task, "per-task", "per-task report")
-            _write_table(os.path.join(output_dir, "evaluation.txt"),
-                         pass_at_k_table(rows, _k_values(per_task, rows[0])), echo=True)
-
-    _run_command(run)
+    if reward_path is None and evaluate_dir is None:
+        raise ConfigError("need --reward or --evaluate-dir")
+    os.makedirs(output_dir, exist_ok=True)
+    if reward_path is not None:
+        means = step_means(_rows("reward", reward_path, "reward output"))
+        header = ["step", "mean_mixed_reward", "rollouts"]
+        for name, csv in (("reward_by_step.csv", True), ("reward_by_step.txt", False)):
+            _write_table(os.path.join(output_dir, name), render_table(header, means, csv),
+                         echo=not csv)
+    if evaluate_dir is not None:
+        per_task = os.path.join(evaluate_dir, "per_task.jsonl")
+        rows = _load(per_task, "per-task", "per-task report")
+        _write_table(os.path.join(output_dir, "evaluation.txt"),
+                     pass_at_k_table(rows, _k_values(per_task, rows[0])), echo=True)
 
 
 if __name__ == "__main__":

@@ -124,11 +124,6 @@ class ProviderConfig:
         if self.kind == "mock":
             MockProvider(self.mock)  # a bad mock value fails here, as the config is read
 
-    @classmethod
-    def from_file(cls, path: str) -> "ProviderConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls(**check("provider", None, json.load(f)))
-
 
 class TransientFailure(GatewayError):
     """Internal marker for retryable failures."""

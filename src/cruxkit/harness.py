@@ -16,7 +16,6 @@ longer than that fails as ``truncated``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import select
@@ -30,7 +29,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor  # cli._Simulator's pool; a tracer patches it
 from dataclasses import dataclass, field
 
-from .jsonl import check
+from .jsonl import ConfigError, check
 
 
 # characters kept of each step's stdout and stderr; a run with longer stdout fails
@@ -39,8 +38,8 @@ OUTPUT_LIMIT = 4 * 1024 * 1024
 MEMORY_LIMIT_KB = 4 * 1024 * 1024
 
 
-class ToolchainMissing(RuntimeError):
-    """The configured compiler or runner binary cannot be found."""
+class ToolchainMissing(ConfigError):
+    """The configured compiler or runner binary cannot be found (a usage error)."""
 
 
 class DomainError(ValueError):
@@ -69,11 +68,6 @@ class ToolchainConfig:
 
     def __post_init__(self) -> None:
         check("toolchain", None, vars(self))
-
-    @classmethod
-    def from_file(cls, path: str) -> "ToolchainConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls(**check("toolchain", None, json.load(f)))
 
     @classmethod
     def echo(cls, **overrides) -> "ToolchainConfig":

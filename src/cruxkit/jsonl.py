@@ -1,14 +1,16 @@
-"""JSONL reading/writing with a leading provenance row, and the one checker
-of the rows and config files cruxkit reads.
+"""JSONL reading/writing with a leading provenance row, the one reader of
+cruxkit's input files, and the one checker of its rows and config files.
 
 Output files start with one ``{"meta": {...}}`` row carrying the config hash
 and seeds; readers skip it. Writers sort keys so reruns with identical
 inputs produce byte-identical files.
 
-``check`` holds an input row or a config object against its kind in
-``KINDS``. This module imports no other cruxkit module, so each layer's
-config class checks its fields here, and reading a config file loads no
-layer.
+``read_rows``, ``read_json`` (a config file) and ``read_text`` (a testbench)
+decode every input file: a file that is not UTF-8, or a line or config that
+is not JSON, is a ``ConfigError``. ``check`` holds an input row or a config
+object against its kind in ``KINDS``. This module imports no other cruxkit
+module, so each layer's config class checks its fields here, and reading a
+config file loads no layer.
 """
 
 from __future__ import annotations
@@ -19,27 +21,53 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 
-class BadJson(ValueError):
-    """A line of an input file that is not JSON."""
-
-
 class ConfigError(ValueError):
-    """Bad configuration, a missing input file or a malformed input row (exit code 2)."""
+    """Bad configuration, a missing or undecodable input file or a malformed
+    input row (exit code 2)."""
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ConfigError:
+    # no line or position: a file is decoded in chunks read ahead of its lines
+    return ConfigError(f"{path} is not UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}")
+
+
+def read_text(path: str) -> str:
+    """The text of the file at ``path``; one that is not UTF-8 is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def read_json(path: str, label: str):
+    """The JSON value of the config file at ``path``; text that is not UTF-8
+    or not JSON is a usage error that begins with ``label``."""
+    try:
+        return json.loads(read_text(path))
+    except (ConfigError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def read_rows(path: str) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BadJson(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            if isinstance(row, dict) and len(row) == 1 and "meta" in row:
-                continue
-            yield row
+    """The rows of the JSONL file at ``path``, its meta row and blank lines
+    skipped; a line that is not JSON, or a file that is not UTF-8, is a
+    usage error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{path}:{line_no}: bad JSON: {exc}") from exc
+                if isinstance(row, dict) and len(row) == 1 and "meta" in row:
+                    continue
+                yield row
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def read_meta(path: str) -> dict | None:

@@ -984,6 +984,30 @@ class TestReward:
         parts = [(r["compile_r"], r["code_r"]) for r in rows[0]["rewards"]]
         assert parts == [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
 
+    def test_empty_scoring_prompt_scores_zero_with_a_diagnostic(self, tmp_path,
+                                                                echo_toolchain_file):
+        """Under the template ``{crux}``, a rollout with an empty note and no
+        ``crux_score`` of its own has an empty scoring prompt: it scores 0
+        with a diagnostic, as a failed scoring call does, and the command
+        exits 0 (it ended as an internal error after the group's sims)."""
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        groups = write_groups(tmp_path, pairs[:1], step=0)
+        row = json.loads(groups.read_text())
+        row["rollouts"][1]["crux_score"] = None  # its crux_text is ""
+        groups.write_text(json.dumps(row) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scoring_template": "{crux}"}))
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli("--config", config, "reward", "--groups", groups,
+                         "--tasks", TOY / "pairs.jsonl", "--testbenches", TOY / "testbenches",
+                         "--toolchain", echo_toolchain_file, "--output", out)
+        assert result.exit_code == 0, result.output
+        _, (scored,) = read_jsonl(out)
+        noted, empty = scored["rewards"]
+        assert noted["diagnostics"] == []
+        assert (empty["crux_r"], empty["diagnostics"]) == (
+            0.0, ["scoring failed: prompt must be nonempty"])
+
 
 _ROLLOUT = {"crux_text": "", "code_text": "module m; endmodule",
             "logprobs_new": payload([-0.1]), "logprobs_old": payload([-0.1])}
@@ -1744,3 +1768,19 @@ class TestLayerImportBoundary:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == str(sorted({"cruxkit", "cruxkit.jsonl", module}))
+
+
+def test_entry_point_exits_2_on_input_that_is_not_utf8(tmp_path):
+    """``python -m cruxkit.cli``, as a user or the ``cruxkit`` script runs it
+    (not through ``CliRunner``): a rows file holding byte 0xff is a usage
+    error, mapped to its exit code by the one handler."""
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_bytes(b"\xff\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "cruxkit.cli", "categorize", "--input", str(pairs),
+         "--verdicts", str(TOY / "verdicts.jsonl"), "--output", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (result.returncode, result.stderr) == (
+        2, f"error: {pairs} is not UTF-8: can't decode byte 0xff\n")

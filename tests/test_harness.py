@@ -1,5 +1,6 @@
 """Simulation orchestration, output matching, and pass@k estimation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from cruxkit import harness
+from cruxkit import cli, harness
 from cruxkit.harness import (
     DomainError,
     EmptyInput,
@@ -29,6 +30,7 @@ from cruxkit.harness import (
     pass_at_k_table,
     run_sim,
 )
+from test_cli import run_cli
 
 GOOD_DESIGN = """\
 // EMIT: alpha 1
@@ -525,20 +527,22 @@ class TestAggregate:
 
 
 class TestToolchainConfig:
-    def test_from_file_rejects_unknown_keys(self, tmp_path):
+    def test_toolchain_file_with_unknown_key_exits_2_naming_it(self, tmp_path):
+        """``evaluate`` reads its ``--toolchain`` through ``cli._toolchain``
+        before any other file, so the other paths need not exist."""
         path = tmp_path / "tc.json"
         path.write_text(json.dumps({"compile_cmd": "a {out} {design} {tb}", "nope": 1}))
-        with pytest.raises(ValueError):
-            ToolchainConfig.from_file(str(path))
+        missing = tmp_path / "missing"
+        result = run_cli("evaluate", "--tasks", missing, "--candidates", missing,
+                         "--testbenches", missing, "--toolchain", path, "--output-dir", missing)
+        assert (result.exit_code, result.stderr) == (
+            2, "error: bad toolchain config: unknown keys ['nope']\n")
 
-    def test_from_file_round_trip(self, tmp_path):
+    def test_toolchain_file_reads_back_equal(self, tmp_path):
         path = tmp_path / "tc.json"
-        echo = ToolchainConfig.echo()
-        path.write_text(
-            json.dumps({"compile_cmd": echo.compile_cmd, "run_cmd": echo.run_cmd})
-        )
-        tc = ToolchainConfig.from_file(str(path))
-        assert tc.compile_cmd == echo.compile_cmd
+        echo = ToolchainConfig.echo(env={"CRUXKIT_T": "1"}, compile_timeout_ms=20_000, workers=2)
+        path.write_text(json.dumps(dataclasses.asdict(echo)))
+        assert cli._toolchain(str(path)) == echo
 
     def test_binaries_and_availability(self):
         ToolchainConfig.echo().check_available()

@@ -319,12 +319,27 @@ def test_build_dataset_checks_each_row_in_its_turn(count, slices, tmp_path):
         2, f"error: bad corpus row {first['id']!r}: description must be nonempty\n")
 
 
-@pytest.mark.parametrize("flag", sorted(CONFIG_FILES))
-def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, flag):
-    """A config file that cannot be read as text exits 2, not 1."""
-    config = tmp_path / "config.json"
-    config.write_bytes(b'{"seed": "\xff"}')
-    result = run_cli(*_config_commands(tmp_path, flag, config)[0])
+@pytest.mark.parametrize("flag", [*sorted(CONFIG_FILES), *CASES, "testbench"])
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, flag, slices):
+    """A config file, an input rows file or a testbench that cannot be read
+    as text exits 2, not 1: before ``jsonl`` decoded every input file, a
+    rows file or a testbench holding byte 0xff ended as an internal error."""
+    path = tmp_path / "not-utf8"
+    path.write_bytes(b'{"seed": "\xff"}\n')
+    if flag in CONFIG_FILES:
+        args = _config_commands(tmp_path, flag, path)[0]
+    elif flag in CASES:
+        args = CASES[flag][2](tmp_path, path)
+        if isinstance(args, tuple):
+            args, slice_count = args
+            slices(slice_count)
+    else:
+        (tmp_path / "tb").mkdir()
+        path.rename(tmp_path / "tb" / "mux2to1_tb.v")
+        candidates = _write(tmp_path / "candidates.jsonl", CANDIDATES)
+        args = _simulating("evaluate", "--candidates")(tmp_path, candidates)
+        args[args.index("--testbenches") + 1] = tmp_path / "tb"
+    result = run_cli(*args)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ") and "can't decode byte 0xff" in result.stderr
 
