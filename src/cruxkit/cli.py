@@ -526,7 +526,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         build_realspec,
         diagram_blocks_for_realspec,
     )
-    from .cruxdoc import parse_crux, render_crux
+    from .cruxdoc import parse_crux
     from .interface import DegradationPolicy, HeaderError, degrade_interface, parse_module_header
     from .spread import map_slices
 
@@ -549,8 +549,9 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         },
     }
 
-    def reclassify(r: Reclassification) -> tuple[bool, str]:
-        return False, jsonl.encode_row({"id": r.task_id, "to": r.to.value, "reason": r.reason})
+    def reclassify(task_id: str, reason: str) -> tuple[bool, str]:
+        return False, jsonl.encode_row(
+            {"id": task_id, "to": Category.NORMAL_DATA.value, "reason": reason})
 
     def dataset_row(place_row: tuple[int, dict]) -> tuple[bool, str]:
         """(True, the row's record line) or (False, its reclassification
@@ -561,9 +562,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
         try:
             reference_iface = parse_module_header(pair.reference_code)
         except HeaderError as exc:
-            return reclassify(
-                Reclassification(pair.id, Category.NORMAL_DATA, f"reference: {exc}")
-            )
+            return reclassify(pair.id, f"reference: {exc}")
         seed_degrade = derive_seed(cfg["seed"], pair.id, "degrade")
         seed_augment = derive_seed(cfg["seed"], pair.id, "augment")
         degraded = degrade_interface(reference_iface, degradation, seed_degrade)
@@ -583,9 +582,7 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
                 pair, category, degraded, augmentation, seed_augment, diagram
             )
         except MissingDiagram:
-            return reclassify(
-                Reclassification(pair.id, Category.NORMAL_DATA, "no usable diagram text")
-            )
+            return reclassify(pair.id, "no usable diagram text")
         provenance = {
             "master_seed": cfg["seed"],
             "seed_degrade": seed_degrade,
@@ -596,15 +593,8 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
             pair, category, realspec, reference_iface, crux, verdict, provenance
         )
         if isinstance(result, Reclassification):
-            return reclassify(result)
-        return True, jsonl.encode_row({
-            "id": result.id,
-            "category": result.category.value,
-            "realspec": result.realspec,
-            "crux": render_crux(result.crux),
-            "reference_code": result.reference_code,
-            "provenance": result.provenance,
-        })
+            return reclassify(result.task_id, result.reason)
+        return True, jsonl.encode_row(result)
 
     # a row's lines depend on that row, the config and the transcripts
     # alone, so forked slices build them as a serial loop would

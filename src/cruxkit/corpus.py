@@ -10,11 +10,11 @@ derivation route and its own RealSpec (degraded task text) construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .cruxdoc import CruxDoc, CruxParseReport
+from .cruxdoc import CruxDoc, CruxParseReport, render_crux
 from .interface import DegradedInterface, ModuleInterface, render_degraded_interface
 from .jsonl import check
 
@@ -272,26 +272,6 @@ class Reclassification:
     reason: str
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """One finished training/eval row."""
-
-    id: str
-    realspec: str
-    crux: CruxDoc
-    reference_code: str
-    category: Category
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.realspec.strip():
-            raise ValueError("realspec must be nonempty")
-        if self.category is not Category.EASY_QUESTION and not self.crux.key_considerations:
-            raise ValueError(
-                "key_considerations may be empty only for EasyQuestion records"
-            )
-
-
 def _easy_crux(pair: RawPair, iface: ModuleInterface) -> CruxDoc:
     blocks = []
     for para in _split_paragraphs(pair.description):
@@ -308,8 +288,10 @@ def assemble_record(
     crux: CruxParseReport | None = None,
     validation_verdict: str | None = None,
     provenance: dict | None = None,
-) -> TaskRecord | Reclassification:
-    """Build the final record for a pair, or bounce it for re-derivation.
+) -> dict | Reclassification:
+    """The record row ``build-dataset`` writes for a pair (its ``id``,
+    ``category`` value, ``realspec``, rendered ``crux``, ``reference_code``
+    and ``provenance`` with its ``source_id``), or a bounce for re-derivation.
 
     Easy Questions adopt ``reference_iface`` and the description as their
     CRUX and leave Key Considerations empty. Other categories take the parsed
@@ -317,28 +299,29 @@ def assemble_record(
     parse errors and empty Key Considerations all reclassify to NormalData
     instead of emitting a record.
     """
-    prov = dict(provenance or {})
-    prov.setdefault("source_id", pair.id)
     if category is Category.EASY_QUESTION:
         doc = _easy_crux(pair, reference_iface)
-        return TaskRecord(pair.id, realspec, doc, pair.reference_code, category, prov)
-    if crux is None:
+    elif crux is None:
         return Reclassification(pair.id, Category.NORMAL_DATA, "no CRUX transcript")
-    if category is Category.SPECIAL_NON_TEXT and (validation_verdict or "").strip().lower() != "valid":
+    elif category is Category.SPECIAL_NON_TEXT and (validation_verdict or "").strip().lower() != "valid":
         return Reclassification(
             pair.id, Category.NORMAL_DATA, f"validation verdict: {validation_verdict!r}"
         )
-    if crux.doc is None:
+    elif crux.doc is None:
         first_error = next(
             (d.message for d in crux.diagnostics if d.severity == "error"),
             "unparsable CRUX text",
         )
         return Reclassification(pair.id, Category.NORMAL_DATA, first_error)
-    if not crux.doc.key_considerations:
+    elif not crux.doc.key_considerations:
         return Reclassification(
             pair.id, Category.NORMAL_DATA, "Key Considerations empty for non-easy task"
         )
-    return TaskRecord(pair.id, realspec, crux.doc, pair.reference_code, category, prov)
+    else:
+        doc = crux.doc
+    return {"id": pair.id, "category": category.value, "realspec": realspec,
+            "crux": render_crux(doc), "reference_code": pair.reference_code,
+            "provenance": {"source_id": pair.id, **(provenance or {})}}
 
 
 _FENCED_CODE_RE = re.compile(r"```(?:[Vv]erilog|systemverilog|sv)?\s*\n(.*?)```", re.S)

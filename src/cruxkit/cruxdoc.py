@@ -142,7 +142,6 @@ class CruxParseReport:
 
     doc: CruxDoc | None
     sections_found: frozenset[str]
-    interface_parsable: bool
     diagnostics: list[Diagnostic] = field(default_factory=list)
     interface: ModuleInterface | None = None
     core_functions_nonempty: bool = False
@@ -238,7 +237,6 @@ def parse_crux(text: str) -> CruxParseReport:
         diagnostics.append(Diagnostic("error", f"missing section: {missing}", 0))
 
     interface: ModuleInterface | None = None
-    interface_parsable = False
     if SECTION_INTERFACE in sections:
         body = sections[SECTION_INTERFACE]
         iface_text, line_no, fenced = _extract_interface_text(body)
@@ -248,7 +246,6 @@ def parse_crux(text: str) -> CruxParseReport:
             )
         try:
             interface = parse_module_header(iface_text)
-            interface_parsable = True
         except HeaderError as exc:
             diagnostics.append(Diagnostic("error", f"interface: {exc}", line_no))
 
@@ -266,7 +263,6 @@ def parse_crux(text: str) -> CruxParseReport:
     return CruxParseReport(
         doc=doc,
         sections_found=found,
-        interface_parsable=interface_parsable,
         diagnostics=diagnostics,
         interface=interface,
         core_functions_nonempty=bool(core),

@@ -97,14 +97,6 @@ def check_coefficients(epsilon: float, beta: float) -> None:
     check("grpo", None, {"epsilon": epsilon, "beta": beta})
 
 
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    surrogate: float
-    kl_term: float
-    total: float
-    clip_fraction: float
-
-
 def _rollout_terms(
     new: np.ndarray,
     old: np.ndarray,
@@ -150,9 +142,11 @@ def clipped_objective(
     advantages: AdvantageSet,
     epsilon: float = 0.2,
     beta: float = 0.0,
-) -> ObjectiveBreakdown:
+) -> dict:
     """The group objective: mean over rollouts of the token-mean clipped
-    surrogate, minus beta times the k3 KL penalty when beta > 0.
+    surrogate, minus beta times the k3 KL penalty when beta > 0, as the
+    ``objective`` row ``score_group`` writes: ``surrogate``, ``kl_term``,
+    ``total`` and ``clip_fraction``, the share of tokens the clip binds.
 
     Each rollout's advantage is broadcast to all of its tokens.
     """
@@ -180,12 +174,8 @@ def clipped_objective(
         total_tokens += len(new)
     surrogate = float(np.mean(rollout_terms))
     kl_term = float(np.mean(kl_terms)) if beta > 0 else 0.0
-    return ObjectiveBreakdown(
-        surrogate=surrogate,
-        kl_term=kl_term,
-        total=surrogate - beta * kl_term,
-        clip_fraction=clipped_tokens / total_tokens,
-    )
+    return {"surrogate": surrogate, "kl_term": kl_term, "total": surrogate - beta * kl_term,
+            "clip_fraction": clipped_tokens / total_tokens}
 
 
 # --- toy differentiable policy for gradient checking -----------------------

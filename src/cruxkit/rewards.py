@@ -36,7 +36,7 @@ def format_reward(crux_text: str, reference_interface: ModuleInterface) -> float
     report = parse_crux(crux_text)
     checks = (
         report.sections_found == ALL_SECTIONS,
-        report.interface_parsable,
+        report.interface is not None,
         report.interface is not None
         and not interface_mismatches(report.interface, reference_interface),
         report.core_functions_nonempty,
@@ -192,7 +192,7 @@ def score_group(
         mixed.append(vec.mixed)
         rows.append({**asdict(vec), "diagnostics": [f"scoring failed: {score}"] if failed else []})
     advantages = group_advantages(mixed, eps_std)
-    breakdown = clipped_objective(RolloutGroup(task_id, tuple(rollouts)), advantages, epsilon, beta)
+    objective = clipped_objective(RolloutGroup(task_id, tuple(rollouts)), advantages, epsilon, beta)
     return {"task_id": task_id, "step": step, "rewards": rows,
             "advantages": list(advantages.per_rollout), "degenerate": advantages.degenerate,
-            "objective": asdict(breakdown)}
+            "objective": objective}

@@ -161,8 +161,8 @@ def test_criterion_3_grpo_gradients():
         )
         adv = group_advantages([1.0, 3.0, 4.0, 9.0])
         out = clipped_objective(RolloutGroup("t", rollouts), adv, epsilon=0.2)
-        assert out.surrogate == float(np.mean(adv.per_rollout))
-        assert out.clip_fraction == 0.0
+        assert out["surrogate"] == float(np.mean(adv.per_rollout))
+        assert out["clip_fraction"] == 0.0
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"criterion 3 took {elapsed:.2f}s"
 
@@ -281,7 +281,7 @@ def test_criterion_7_parser_fidelity_fixtures():
             "realspec",
             parse_module_header(clk["reference_code"]),
         )
-        docs["clkgenerator"] = easy.crux
+        docs["clkgenerator"] = parse_crux(easy["crux"]).doc
         for task_id, doc in docs.items():
             reference = parse_module_header(pairs[task_id]["reference_code"])
             reparsed = parse_crux(render_crux(doc))

@@ -104,7 +104,7 @@ class TestParse:
         report = parse_crux(render_crux(DOC))
         assert report.doc == DOC
         assert report.sections_found == ALL_SECTIONS
-        assert report.interface_parsable
+        assert report.interface is not None
         assert report.core_functions_nonempty
         assert not any(d.severity == "error" for d in report.diagnostics)
 
@@ -120,7 +120,7 @@ class TestParse:
         assert report.doc is None
         assert SECTION_CORE not in report.sections_found
         assert SECTION_INTERFACE in report.sections_found
-        assert report.interface_parsable
+        assert report.interface is not None
 
     def test_tolerant_heading_variants(self):
         text = render_crux(DOC)
@@ -147,7 +147,7 @@ class TestParse:
         text = fenced + "\n## Core Functions\n\n- Fact\n\n## Key Considerations\n"
         report = parse_crux(text)
         assert report.doc is not None
-        assert report.interface_parsable
+        assert report.interface is not None
 
     def test_indented_headings_and_fences(self):
         # up to three spaces of indent still open a heading or a fence; four
@@ -176,7 +176,7 @@ class TestParse:
         text = render_crux(DOC).replace("```verilog\n", "").replace("```\n", "")
         report = parse_crux(text)
         assert report.doc is not None
-        assert report.interface_parsable
+        assert report.interface is not None
         assert report.interface.module_name == "TopModule"
         assert any("fence" in d.message for d in report.diagnostics)
 
@@ -184,7 +184,6 @@ class TestParse:
         text = render_crux(DOC).replace("module TopModule (", "module (")
         report = parse_crux(text)
         assert report.doc is None
-        assert not report.interface_parsable
         assert report.interface is None
         assert report.core_functions_nonempty
         assert any(d.severity == "error" for d in report.diagnostics)
@@ -264,7 +263,7 @@ def test_parse_is_total(text):
     report = parse_crux(text)
     assert isinstance(report, CruxParseReport)
     if report.doc is not None:
-        assert report.interface_parsable and report.core_functions_nonempty
+        assert report.interface is not None and report.core_functions_nonempty
 
 
 class TestMismatches:

@@ -99,27 +99,27 @@ class TestClippedObjective:
         # ratio e^{ln 2} = 2 with A=+1 and eps=0.2 clips to 1.2
         rollout = one_token_rollout(math.log(2.0))
         out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2)
-        assert out.surrogate == pytest.approx(1.2, abs=1e-12)
-        assert out.clip_fraction == 1.0
+        assert out["surrogate"] == pytest.approx(1.2, abs=1e-12)
+        assert out["clip_fraction"] == 1.0
 
     def test_negative_advantage_keeps_high_ratio(self):
         # pessimism is asymmetric: A=-1 at ratio 2 stays -2, unclipped
         rollout = one_token_rollout(math.log(2.0))
         out = clipped_objective(group_of(rollout), AdvantageSet((-1.0,), False), 0.2)
-        assert out.surrogate == pytest.approx(-2.0, abs=1e-12)
-        assert out.clip_fraction == 0.0
+        assert out["surrogate"] == pytest.approx(-2.0, abs=1e-12)
+        assert out["clip_fraction"] == 0.0
 
     def test_negative_advantage_clips_low_ratio(self):
         rollout = one_token_rollout(math.log(0.5))
         out = clipped_objective(group_of(rollout), AdvantageSet((-1.0,), False), 0.2)
-        assert out.surrogate == pytest.approx(-0.8, abs=1e-12)
-        assert out.clip_fraction == 1.0
+        assert out["surrogate"] == pytest.approx(-0.8, abs=1e-12)
+        assert out["clip_fraction"] == 1.0
 
     def test_zero_advantage_contributes_zero(self):
         rollout = one_token_rollout(math.log(2.0))
         out = clipped_objective(group_of(rollout), AdvantageSet((0.0,), True), 0.2)
-        assert out.surrogate == 0.0
-        assert out.clip_fraction == 0.0
+        assert out["surrogate"] == 0.0
+        assert out["clip_fraction"] == 0.0
 
     def test_identity_at_theta_old(self):
         # when new == old every ratio is exactly 1, the mean over tokens is
@@ -130,8 +130,8 @@ class TestClippedObjective:
         )
         adv = group_advantages([1.0, 4.0, 5.0])
         out = clipped_objective(RolloutGroup("t", rollouts), adv, 0.2)
-        assert out.surrogate == float(np.mean(adv.per_rollout))
-        assert out.clip_fraction == 0.0
+        assert out["surrogate"] == float(np.mean(adv.per_rollout))
+        assert out["clip_fraction"] == 0.0
 
     def test_token_mean_within_rollout(self):
         # two tokens at ratios 1 and 2 with A=+1, eps large: mean(1, 2) = 1.5
@@ -139,34 +139,34 @@ class TestClippedObjective:
         old = seq(-1.0, -1.0)
         rollout = Rollout("c", "v", new, old)
         out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 5.0)
-        assert out.surrogate == pytest.approx(1.5, abs=1e-12)
+        assert out["surrogate"] == pytest.approx(1.5, abs=1e-12)
 
     def test_rollout_mean_across_group(self):
         r1 = one_token_rollout(0.0)
         r2 = one_token_rollout(0.0)
         out = clipped_objective(group_of(r1, r2), AdvantageSet((2.0, -1.0), False), 0.2)
-        assert out.surrogate == pytest.approx((2.0 - 1.0) / 2.0, abs=1e-15)
+        assert out["surrogate"] == pytest.approx((2.0 - 1.0) / 2.0, abs=1e-15)
 
     def test_clip_fraction_counts_tokens(self):
         new = seq(-1.0 + math.log(2.0), -1.0)
         old = seq(-1.0, -1.0)
         rollout = Rollout("c", "v", new, old)
         out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2)
-        assert out.clip_fraction == 0.5
+        assert out["clip_fraction"] == 0.5
 
     def test_kl_zero_when_ref_equals_new(self):
         rollout = one_token_rollout(0.3, ref_delta=0.0)
         out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2, beta=0.5)
-        assert out.kl_term == 0.0
-        assert out.total == out.surrogate
+        assert out["kl_term"] == 0.0
+        assert out["total"] == out["surrogate"]
 
     def test_kl_closed_form(self):
         d = 0.4  # ref logprob minus new logprob
         rollout = one_token_rollout(0.0, ref_delta=d)
         out = clipped_objective(group_of(rollout), AdvantageSet((0.0,), True), 0.2, beta=0.5)
         want_kl = math.exp(d) - d - 1.0
-        assert out.kl_term == pytest.approx(want_kl, abs=1e-12)
-        assert out.total == pytest.approx(out.surrogate - 0.5 * want_kl, abs=1e-12)
+        assert out["kl_term"] == pytest.approx(want_kl, abs=1e-12)
+        assert out["total"] == pytest.approx(out["surrogate"] - 0.5 * want_kl, abs=1e-12)
 
     def test_kl_nonnegative(self):
         for d in (-1.0, -0.25, 0.0, 0.25, 1.0):
@@ -174,7 +174,7 @@ class TestClippedObjective:
             out = clipped_objective(
                 group_of(rollout), AdvantageSet((0.0,), True), 0.2, beta=1.0
             )
-            assert out.kl_term >= 0.0
+            assert out["kl_term"] >= 0.0
 
     def test_beta_requires_ref(self):
         rollout = one_token_rollout(0.1)
