@@ -27,8 +27,8 @@ each config file, as it is read; reading the run config loads no layer.
 A command that succeeds exits 0. Every failure ends in ``_Commands.invoke``,
 the one place that turns it into a stderr line and an exit code:
 ``error: ...`` with exit 2 for a usage or configuration error
-(``jsonl.ConfigError``: a bad option, config or row, an input file or
-testbench that is missing or not UTF-8, a missing toolchain binary);
+(``jsonl.ConfigError``: a bad option, config or row, an input that is
+missing, unreadable or not UTF-8, an unwritable output, a missing toolchain binary);
 ``gateway error: ...`` with exit 1 for a provider failure; and ``internal
 error: <type>: ...`` with exit 1 for any other.
 """
@@ -87,8 +87,7 @@ def load_config(path: str | None, seed: int | None) -> dict:
     merged key by key) and ``seed`` laid over it."""
     cfg = default_config()
     if path is not None:
-        loaded = jsonl.check("config", path,
-                             jsonl.read_json(_require_file(path, "config file"), "config file"))
+        loaded = jsonl.check("config", path, jsonl.read_json(path, "config file", "config file"))
         for key, value in loaded.items():
             if isinstance(cfg[key], dict):
                 cfg[key].update(jsonl.check(key, None, value))
@@ -119,10 +118,22 @@ def derive_seed(master_seed: int, task_id: str, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
+def _output(path: str) -> str:
+    """``path``, if its directory exists and it is not a directory itself."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory not found: {directory}")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path is a directory: {path}")
     return path
+
+
+def _output_dir(path: str) -> None:
+    """Makes the directory ``path`` if missing; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
 
 
 @functools.cache
@@ -136,7 +147,7 @@ def _corpus():
 
 def _rows(kind: str | None, path: str, what: str) -> Iterator:
     """The ``what`` file's rows, each checked as ``kind`` (unless None) as read."""
-    rows = jsonl.read_rows(_require_file(path, what))
+    rows = jsonl.open_rows(path, what)
     if kind is None:
         return rows
     return (jsonl.check(kind, place, row) for place, row in enumerate(rows, 1))
@@ -163,7 +174,7 @@ def _toolchain(path: str | None) -> ToolchainConfig:
 
     if path is None:
         return ToolchainConfig()
-    config = jsonl.read_json(_require_file(path, "toolchain config"), "bad toolchain config")
+    config = jsonl.read_json(path, "toolchain config", "bad toolchain config")
     return ToolchainConfig(**jsonl.check("toolchain", None, config))
 
 
@@ -171,11 +182,11 @@ def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
     from .gateway import ProviderConfig
 
     if mock_script is not None:
-        script = _require_file(mock_script, "mock provider script")
-        return ProviderConfig(kind="mock", mock=jsonl.read_json(script, "bad provider config"))
+        script = jsonl.read_json(mock_script, "mock provider script", "bad provider config")
+        return ProviderConfig(kind="mock", mock=script)
     if path is None:
         return ProviderConfig(kind="mock")
-    config = jsonl.read_json(_require_file(path, "provider config"), "bad provider config")
+    config = jsonl.read_json(path, "provider config", "bad provider config")
     return ProviderConfig(**jsonl.check("provider", None, config))
 
 
@@ -226,7 +237,7 @@ class _Simulator:
         if task_id not in self._references:
             if not reference_code.strip():
                 raise ConfigError(f"reference design for task {task_id!r} is blank")
-            tb = jsonl.read_text(_testbench_path(self.tb_dir, task_id))
+            tb = jsonl.read_text(_testbench_path(self.tb_dir, task_id), "testbench")
             job = SimJob(reference_code, tb, task_id, self.timeout_ms)
             self._references[task_id] = tb, self._pool.submit(run_sim, job, self.toolchain)
         tb, reference = self._references[task_id]
@@ -414,6 +425,7 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 
     cfg = ctx.obj["config"]
 
+    _output(output_path)
     rows = _load(input_path, "pair")
     pairs = [_as_pair(r) for r in rows]
     if live:
@@ -475,6 +487,9 @@ def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, ou
 
     cfg = ctx.obj["config"]
 
+    written = output_path if live else emit_path
+    if written is not None:
+        _output(written)
     rows = _load(input_path, "categorized pair")
     if not live and emit_path is None:
         raise ConfigError("need --emit or --live")
@@ -532,6 +547,8 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 
     cfg = ctx.obj["config"]
 
+    _output(output_path)
+    recl_path = _output(reclassified_path or output_path + ".reclassified.jsonl")
     rows = _load(input_path, None)
     transcripts: dict[tuple[str, str], str] = {} if transcripts_path is None else {
         (t["id"], t["stage"]): t["text"]
@@ -602,7 +619,6 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
     records = [line for is_record, line in lines if is_record]
     reclassified = [line for is_record, line in lines if not is_record]
     jsonl.write_lines(output_path, records, meta=meta_for(cfg))
-    recl_path = reclassified_path or output_path + ".reclassified.jsonl"
     jsonl.write_lines(recl_path, reclassified, meta=meta_for(cfg))
     click.echo(f"records: {len(records)}  reclassified: {len(reclassified)}")
 
@@ -641,7 +657,7 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
     cand_rows = _rows("candidates", candidates_path, "candidates file")
     ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
     thr = cfg["threshold"] if threshold is None else threshold
-    os.makedirs(output_dir, exist_ok=True)
+    _output_dir(output_dir)
     samples: dict[str, list[SimOutcome]] = {}
     outcome_rows = []
     with sims:
@@ -684,6 +700,7 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
     cfg = ctx.obj["config"]
 
+    _output(output_path)
     sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
     tasks = {row["id"]: row for row in _load(tasks_path, "task")}
     schedule = WeightSchedule(**cfg["schedule"])
@@ -773,7 +790,7 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
 
     if reward_path is None and evaluate_dir is None:
         raise ConfigError("need --reward or --evaluate-dir")
-    os.makedirs(output_dir, exist_ok=True)
+    _output_dir(output_dir)
     if reward_path is not None:
         means = step_means(_rows("reward", reward_path, "reward output"))
         header = ["step", "mean_mixed_reward", "rollouts"]

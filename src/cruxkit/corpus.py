@@ -289,9 +289,8 @@ def assemble_record(
     validation_verdict: str | None = None,
     provenance: dict | None = None,
 ) -> dict | Reclassification:
-    """The record row ``build-dataset`` writes for a pair (its ``id``,
-    ``category`` value, ``realspec``, rendered ``crux``, ``reference_code``
-    and ``provenance`` with its ``source_id``), or a bounce for re-derivation.
+    """The record row ``build-dataset`` writes for a pair, or a bounce for
+    re-derivation.
 
     Easy Questions adopt ``reference_iface`` and the description as their
     CRUX and leave Key Considerations empty. Other categories take the parsed

@@ -143,10 +143,9 @@ def clipped_objective(
     epsilon: float = 0.2,
     beta: float = 0.0,
 ) -> dict:
-    """The group objective: mean over rollouts of the token-mean clipped
-    surrogate, minus beta times the k3 KL penalty when beta > 0, as the
-    ``objective`` row ``score_group`` writes: ``surrogate``, ``kl_term``,
-    ``total`` and ``clip_fraction``, the share of tokens the clip binds.
+    """The ``objective`` row ``score_group`` writes for a group: the mean over
+    rollouts of the token-mean clipped surrogate, minus beta times the k3 KL
+    penalty when beta > 0, and the share of tokens where the clip binds.
 
     Each rollout's advantage is broadcast to all of its tokens.
     """

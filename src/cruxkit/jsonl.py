@@ -5,12 +5,14 @@ Output files start with one ``{"meta": {...}}`` row carrying the config hash
 and seeds; readers skip it. Writers sort keys so reruns with identical
 inputs produce byte-identical files.
 
-``read_rows``, ``read_json`` (a config file) and ``read_text`` (a testbench)
-decode every input file: a file that is not UTF-8, or a line or config that
-is not JSON, is a ``ConfigError``. ``check`` holds an input row or a config
-object against its kind in ``KINDS``. This module imports no other cruxkit
-module, so each layer's config class checks its fields here, and reading a
-config file loads no layer.
+``open_rows``, ``read_json`` (a config file) and ``read_text`` (a testbench)
+open and decode every input file: a file that is missing, a directory or
+unreadable, a file that is not UTF-8, or a line or config that is not JSON,
+is a ``ConfigError``, as is an output file ``write_lines`` cannot create.
+``check`` holds an input row or a config object against its kind in
+``KINDS``. This module imports no other cruxkit module, so each layer's
+config class checks its fields here, and reading a config file loads no
+layer.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import NamedTuple
 
 
 class ConfigError(ValueError):
-    """Bad configuration, a missing or undecodable input file or a malformed
-    input row (exit code 2)."""
+    """Bad configuration, an input file that cannot be read or decoded, an
+    output file that cannot be written or a malformed input row (exit code 2)."""
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ConfigError:
@@ -31,30 +33,48 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> ConfigError:
     return ConfigError(f"{path} is not UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}")
 
 
-def read_text(path: str) -> str:
-    """The text of the file at ``path``; one that is not UTF-8 is a usage error."""
+def _open(path: str, what: str):
+    """The ``what`` file at ``path``, opened to read as UTF-8; a missing
+    file, a directory or a file that cannot be read is a usage error."""
     try:
-        with open(path, encoding="utf-8") as f:
+        return open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} cannot be read: {path}: {exc.strerror}") from exc
+
+
+def read_text(path: str, what: str, label: str = "") -> str:
+    """The text of the ``what`` file at ``path``; one that is not UTF-8 is a
+    usage error that begins with ``label``."""
+    with _open(path, what) as f:
+        try:
             return f.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(label + str(_not_utf8(path, exc))) from exc
 
 
-def read_json(path: str, label: str):
-    """The JSON value of the config file at ``path``; text that is not UTF-8
-    or not JSON is a usage error that begins with ``label``."""
+def read_json(path: str, what: str, label: str):
+    """The JSON value of the ``what`` config file at ``path``; text that is
+    not UTF-8 or not JSON is a usage error that begins with ``label``."""
     try:
-        return json.loads(read_text(path))
-    except (ConfigError, json.JSONDecodeError) as exc:
+        return json.loads(read_text(path, what, f"{label}: "))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def read_rows(path: str) -> Iterator[dict]:
-    """The rows of the JSONL file at ``path``, its meta row and blank lines
-    skipped; a line that is not JSON, or a file that is not UTF-8, is a
-    usage error."""
-    try:
-        with open(path, encoding="utf-8") as f:
+def open_rows(path: str, what: str) -> Iterator[dict]:
+    """``read_rows`` of the ``what`` JSONL file at ``path``, opened by this
+    call, so one that cannot be is reported before any row is asked for."""
+    return read_rows(path, _open(path, what))
+
+
+def read_rows(path: str, f) -> Iterator[dict]:
+    """The rows of ``f``, the JSONL file at ``path``, its meta row and blank
+    lines skipped; a line that is not JSON, or a file that is not UTF-8, is
+    a usage error. Closes ``f`` once read."""
+    with f:
+        try:
             for line_no, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
@@ -66,8 +86,8 @@ def read_rows(path: str) -> Iterator[dict]:
                 if isinstance(row, dict) and len(row) == 1 and "meta" in row:
                     continue
                 yield row
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def read_meta(path: str) -> dict | None:
@@ -93,8 +113,13 @@ def encode_row(row: dict) -> str:
 
 
 def write_lines(path: str, lines: Iterable[str], meta: dict | None = None) -> None:
-    """Writes the meta row, then rows already encoded by ``encode_row``."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Writes the meta row, then rows already encoded by ``encode_row``; a
+    file that cannot be created is a usage error."""
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with f:
         if meta is not None:
             f.write(encode_row({"meta": meta}) + "\n")
         for line in lines:

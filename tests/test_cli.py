@@ -1,8 +1,10 @@
 """End-to-end command-line runs on the bundled corpora, fully offline."""
 
+import errno
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -19,7 +21,8 @@ from cruxkit.harness import SimOutcome
 TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_corpus"
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
 NO_SIM_TINY = Path(__file__).resolve().parent / "fixtures" / "no-sim-tiny"
-GOLDEN_REWARDS = Path(__file__).resolve().parent / "golden" / "reward" / "rewards.jsonl"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_REWARDS = GOLDEN / "reward" / "rewards.jsonl"
 # a run config that sets every key of every section to a value other than its default
 EVERY_KEY_CONFIG = {
     "seed": 3, "k_values": [1, 2], "threshold": 0.5, "probe_n": 1, "keywords": ["fsm"],
@@ -1111,6 +1114,85 @@ def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchai
     result = run_cli(*args, *common)
     assert result.exit_code == 2
     assert "failed its own testbench" in result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--config", "categorize --input", "report --reward",
+                                  "evaluate --toolchain", "reward --provider"])
+def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    common = ["--tasks", TOY / "pairs.jsonl", "--testbenches", TOY / "testbenches"]
+    args, what = {
+        "--config": (["--config", folder, "grpo-check", "--instances", 1], "config file"),
+        "categorize --input": (["categorize", "--input", folder, "--verdicts",
+                                TOY / "verdicts.jsonl", "--output", tmp_path / "cat.jsonl"],
+                               "input file"),
+        "report --reward": (["report", "--reward", folder, "--output-dir", tmp_path / "rep"],
+                            "reward output"),
+        "evaluate --toolchain": (["evaluate", *common, "--toolchain", folder, "--candidates",
+                                  write_candidates(tmp_path, pairs), "--output-dir",
+                                  tmp_path / "eval"], "toolchain config"),
+        "reward --provider": (["reward", *common, "--toolchain", echo_toolchain_file,
+                               "--provider", folder, "--groups",
+                               write_groups(tmp_path, pairs[:1], step=0),
+                               "--output", tmp_path / "rewarded.jsonl"], "provider config"),
+    }[flag]
+    result = run_cli(*args)
+    assert (result.exit_code, result.stderr) == (
+        2, f"error: {what} cannot be read: {folder}: {os.strerror(errno.EISDIR)}\n")
+
+
+@pytest.mark.parametrize("command", ["categorize", "categorize into a directory", "derive-crux",
+                                     "build-dataset", "build-dataset --reclassified", "reward",
+                                     "evaluate", "report"])
+def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, command):
+    """An output path in a missing directory, an output path that is a
+    directory, or an ``--output-dir`` that is a file stops the command with
+    nothing written; sims would touch ``marker`` in their compile step."""
+    from cruxkit.harness import ToolchainConfig
+
+    missing, folder, a_file = tmp_path / "missing", tmp_path / "folder", tmp_path / "a_file"
+    folder.mkdir()
+    a_file.write_text("")
+    marker = tmp_path / "compiled"
+    echo = ToolchainConfig.echo()
+    touch = shlex.join(["sh", "-c", f'touch {shlex.quote(str(marker))}; exec "$@"', "sh"])
+    toolchain = tmp_path / "toolchain.json"
+    toolchain.write_text(json.dumps({"compile_cmd": f"{touch} {echo.compile_cmd}",
+                                     "run_cmd": echo.run_cmd}))
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    sims = ["--tasks", TOY / "pairs.jsonl", "--testbenches", TOY / "testbenches",
+            "--toolchain", toolchain]
+    categorized = GOLDEN / "no-sim-tiny" / "categorized.jsonl"
+    dataset = ["build-dataset", "--input", categorized,
+               "--transcripts", NO_SIM_TINY / "transcripts.jsonl"]
+    not_found = f"output directory not found: {missing}"
+    args, message = {
+        "categorize": (["categorize", "--input", TOY / "pairs.jsonl", "--verdicts",
+                        TOY / "verdicts.jsonl", "--output", missing / "cat.jsonl"], not_found),
+        "categorize into a directory": (
+            ["categorize", "--input", TOY / "pairs.jsonl", "--verdicts", TOY / "verdicts.jsonl",
+             "--output", folder], f"output path is a directory: {folder}"),
+        "derive-crux": (["derive-crux", "--input", categorized, "--emit",
+                         missing / "bundles.jsonl"], not_found),
+        "build-dataset": ([*dataset, "--output", missing / "records.jsonl"], not_found),
+        "build-dataset --reclassified": (
+            [*dataset, "--output", tmp_path / "records.jsonl",
+             "--reclassified", missing / "recl.jsonl"], not_found),
+        "reward": (["reward", *sims, "--groups", write_groups(tmp_path, pairs, step=0),
+                    "--output", missing / "rewarded.jsonl"], not_found),
+        "evaluate": (["evaluate", *sims, "--candidates", write_candidates(tmp_path, pairs),
+                      "--output-dir", a_file],
+                     f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
+        "report": (["report", "--reward", GOLDEN_REWARDS, "--output-dir", a_file],
+                   f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    result = run_cli(*args)
+    assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not marker.exists()
 
 
 class FakeSims:

@@ -1,6 +1,7 @@
 """Simulating commands reproduce their committed golden outputs byte for byte."""
 
 import functools
+import importlib.util
 import json
 import os
 import tempfile
@@ -241,3 +242,43 @@ def test_child_that_dies_is_an_internal_error(slices, monkeypatch, tmp_path):
     for pid in forked:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+# The count metrics that perfbench/tracer.py reads of the no-sim-tiny and
+# reward-rl-tiny runs, as they read before records and objectives became rows.
+TRACED_COUNTS = {
+    "harness.run_sim.calls": 7, "harness.reference_sims": 2, "harness.outcome.pass": 1,
+    "harness.outcome.mismatch": 2, "harness.outcome.compile_fail": 1,
+    "harness.outcome.crash": 1, "rewards.format_reward.calls": 16,
+    "interface.parse_module_header.calls": 113, "interface.header_errors": 6,
+    "cruxdoc.parse_crux.calls": 54, "corpus.reclassified": 9, "gateway.generate.calls": 53,
+    "gateway.score_continuation.calls": 8, "gateway.backend_calls": 64, "gateway.retries": 3,
+    "gateway.errors": 1,
+}
+
+
+def test_tracer_counts_of_the_golden_runs_hold(tmp_path):
+    """The benchmark's tracer counts what it sees by type and attribute
+    (``isinstance(result, Reclassification)``, ``HeaderError``,
+    ``GatewayError``, ``AdvantageSet.degenerate``, a sim's reference lines),
+    and tier-1 does not run the benchmark, so a refactor that changes one of
+    those would zero a per-layer metric unseen. Every count here was nonzero
+    and must hold. Left out: the counts that read 0 (``harness.spawns`` and
+    the ``echosim.*`` metrics are blind to the harness's ``Popen`` steps;
+    this batch times nothing out, skips no kink and has no degenerate group),
+    and ``trace.spans``, which counts the tracer's own spans and moves with
+    every public function added or removed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        for name in ("no-sim-tiny", "reward-rl-tiny"):
+            (tmp_path / name).mkdir()
+            run_case(name, tmp_path / name)
+    finally:
+        traced.uninstall()
+    metrics = traced.metrics(0.0, 0.0)
+    assert {name: metrics[name] for name in TRACED_COUNTS} == TRACED_COUNTS
