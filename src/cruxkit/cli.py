@@ -25,12 +25,12 @@ key or holds a value of another type is a usage error naming the row. So is
 each config file, as it is read; reading the run config loads no layer.
 
 A command that succeeds exits 0. Every failure ends in ``_Commands.invoke``,
-the one place that turns it into a stderr line and an exit code:
-``error: ...`` with exit 2 for a usage or configuration error
-(``jsonl.ConfigError``: a bad option, config or row, an input that is
-missing, unreadable or not UTF-8, an unwritable output, a missing toolchain binary);
-``gateway error: ...`` with exit 1 for a provider failure; and ``internal
-error: <type>: ...`` with exit 1 for any other.
+the one place that turns it into a stderr line and an exit code: ``error:
+...`` with exit 2 for a usage or configuration error (``jsonl.ConfigError``:
+a bad option, config or row, an input that is missing, unreadable or not
+UTF-8, an unwritable output, a missing toolchain binary); ``gateway error:
+...`` with exit 1 for a provider failure; and ``internal error: <type>:
+...`` with exit 1 for any other.
 """
 
 from __future__ import annotations

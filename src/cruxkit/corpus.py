@@ -268,7 +268,6 @@ class Reclassification:
     """A task bounced back to NormalData for re-derivation."""
 
     task_id: str
-    to: Category
     reason: str
 
 
@@ -301,21 +300,17 @@ def assemble_record(
     if category is Category.EASY_QUESTION:
         doc = _easy_crux(pair, reference_iface)
     elif crux is None:
-        return Reclassification(pair.id, Category.NORMAL_DATA, "no CRUX transcript")
+        return Reclassification(pair.id, "no CRUX transcript")
     elif category is Category.SPECIAL_NON_TEXT and (validation_verdict or "").strip().lower() != "valid":
-        return Reclassification(
-            pair.id, Category.NORMAL_DATA, f"validation verdict: {validation_verdict!r}"
-        )
+        return Reclassification(pair.id, f"validation verdict: {validation_verdict!r}")
     elif crux.doc is None:
         first_error = next(
             (d.message for d in crux.diagnostics if d.severity == "error"),
             "unparsable CRUX text",
         )
-        return Reclassification(pair.id, Category.NORMAL_DATA, first_error)
+        return Reclassification(pair.id, first_error)
     elif not crux.doc.key_considerations:
-        return Reclassification(
-            pair.id, Category.NORMAL_DATA, "Key Considerations empty for non-easy task"
-        )
+        return Reclassification(pair.id, "Key Considerations empty for non-easy task")
     else:
         doc = crux.doc
     return {"id": pair.id, "category": category.value, "realspec": realspec,

@@ -245,7 +245,6 @@ class TestAssembleRecord:
             make_pair(), Category.NORMAL_DATA, "spec", reference_iface(), crux=None
         )
         assert isinstance(out, Reclassification)
-        assert out.to is Category.NORMAL_DATA
 
     def test_unparsable_transcript_reclassifies(self):
         out = assemble_record(
