@@ -38,7 +38,7 @@ def _open(path: str, what: str):
     file, a directory or a file that cannot be read is a usage error."""
     try:
         return open(path, encoding="utf-8")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{what} cannot be read: {path}: {exc.strerror}") from exc
