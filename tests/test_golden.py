@@ -244,8 +244,8 @@ def test_child_that_dies_is_an_internal_error(slices, monkeypatch, tmp_path):
             os.waitpid(pid, os.WNOHANG)
 
 
-# The count metrics that perfbench/tracer.py reads of the no-sim-tiny and
-# reward-rl-tiny runs, as they read before records and objectives became rows.
+# The nonzero count metrics perfbench/tracer.py reads of the no-sim-tiny and
+# reward-rl-tiny golden runs.
 TRACED_COUNTS = {
     "harness.run_sim.calls": 7, "harness.reference_sims": 2, "harness.outcome.pass": 1,
     "harness.outcome.mismatch": 2, "harness.outcome.compile_fail": 1,
