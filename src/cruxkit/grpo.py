@@ -5,15 +5,26 @@ objective averages a clipped importance-weighted surrogate per token, per
 rollout, then across the group, optionally minus a KL penalty against a
 reference policy (the exp(d) - d - 1 estimator on d = ref - new).
 
-numpy is imported inside the numeric functions, not at module level, so
-commands that only validate coefficients or build rollouts never load it;
-of the other cruxkit modules only ``jsonl`` is imported at run time, for the
-``grpo`` kind the coefficients are checked against.
+The advantages and the objective are plain Python over each rollout's token
+sequence (``math.exp``, sums taken left to right), so ``reward`` never loads
+numpy. ``_rollout_terms`` is the one implementation of the clipped surrogate
+and the KL term; ``clipped_objective`` and the gradient check both call it.
+numpy is imported only inside the toy differentiable policy the gradient
+check scores (``random_toy_instance``, ``_logprobs_from_logits`` and the
+softmax chain rule in ``objective_gradient_check``), so of the commands only
+``grpo-check`` loads it. Of the other cruxkit modules only ``jsonl`` is
+imported at run time, for the ``grpo`` kind the coefficients are checked
+against.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from .jsonl import check
@@ -35,6 +46,19 @@ class MissingRefLogprobs(ValueError):
 
 
 EPS_STD_DEFAULT = 1e-8
+# the largest x whose e**x is a finite float; math.exp raises past it
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def _exp(values: Sequence[float]) -> list[float]:
+    """e**v for each value: inf past ``_EXP_MAX``, as IEEE (and numpy's) exp gives."""
+    return [math.exp(v) if v <= _EXP_MAX else math.inf for v in values]
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The sum taken left to right, over the count: np.mean's order below 8
+    values. ``sum`` is not used, because from Python 3.12 it compensates."""
+    return reduce(operator.add, values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -78,18 +102,15 @@ class AdvantageSet:
 
 def group_advantages(rewards: list[float], eps_std: float = EPS_STD_DEFAULT) -> AdvantageSet:
     """Standardize rewards within a group: (r - mean) / population std."""
-    import numpy as np
-
     if len(rewards) < 2:
         raise GroupTooSmall(f"need at least 2 rollouts, got {len(rewards)}")
-    arr = np.asarray(rewards, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not all(math.isfinite(r) for r in rewards):
         raise ValueError("rewards must be finite")
-    std = float(arr.std())
+    mean = _mean(rewards)
+    std = math.sqrt(_mean([(r - mean) * (r - mean) for r in rewards]))
     if std < eps_std:
         return AdvantageSet((0.0,) * len(rewards), degenerate=True)
-    adv = (arr - arr.mean()) / std
-    return AdvantageSet(tuple(float(a) for a in adv), degenerate=False)
+    return AdvantageSet(tuple((r - mean) / std for r in rewards), degenerate=False)
 
 
 def check_coefficients(epsilon: float, beta: float) -> None:
@@ -98,43 +119,43 @@ def check_coefficients(epsilon: float, beta: float) -> None:
 
 
 def _rollout_terms(
-    new: np.ndarray,
-    old: np.ndarray,
-    ref: np.ndarray | None,
+    new: Sequence[float],
+    old: Sequence[float],
+    ref: Sequence[float] | None,
     advantage: float,
     epsilon: float,
-) -> tuple:
+) -> tuple[float, float, list[float], list[float], list[bool]]:
     """One rollout's token-mean clipped surrogate A * mean(min(r, clip(r)))
     (max for A < 0) and its k3 KL term mean(exp(d) - d - 1) on d = ref - new,
     the gradients of both with respect to ``new``, and the mask of tokens
     where the clip binds. The KL term and its gradient are 0 without ``ref``.
 
-    Tokens lie on the last axis, so ``new`` may carry leading batch axes.
     Factoring A out of the token mean keeps the r == 1 identity exact in
     floating point: the mean of all-ones is exactly 1.0.
     """
-    import numpy as np
-
-    n_tokens = new.shape[-1]
-    ratios = np.exp(new - old)
-    clipped = np.clip(ratios, 1.0 - epsilon, 1.0 + epsilon)
+    n_tokens = len(new)
+    ratios = _exp([n - o for n, o in zip(new, old)])
+    # min(r, clip(r)) is min(r, 1 + eps), and max(r, clip(r)) is max(r, 1 - eps)
     if advantage > 0:
-        scores = np.minimum(ratios, clipped)
-        active = ratios > 1.0 + epsilon
+        high = 1.0 + epsilon
+        scores = [min(r, high) for r in ratios]
+        active = [r > high for r in ratios]
     elif advantage < 0:
-        scores = np.maximum(ratios, clipped)
-        active = ratios < 1.0 - epsilon
+        low = 1.0 - epsilon
+        scores = [max(r, low) for r in ratios]
+        active = [r < low for r in ratios]
     else:
         scores = ratios
-        active = np.zeros_like(ratios, dtype=bool)
-    surrogate = advantage * np.mean(scores, axis=-1)
+        active = [False] * n_tokens
+    surrogate = advantage * _mean(scores)
     # gradient flows only through the unclipped branch
-    surrogate_grad = np.where(active, 0.0, advantage * ratios / n_tokens)
+    surrogate_grad = [0.0 if a else advantage * r / n_tokens for r, a in zip(ratios, active)]
     if ref is None:
-        return surrogate, 0.0, surrogate_grad, 0.0, active
-    d = ref - new
-    kl = np.mean(np.exp(d) - d - 1.0, axis=-1)
-    return surrogate, kl, surrogate_grad, (1.0 - np.exp(d)) / n_tokens, active
+        return surrogate, 0.0, surrogate_grad, [0.0] * n_tokens, active
+    d = [r - n for r, n in zip(ref, new)]
+    exp_d = _exp(d)
+    kl = _mean([e - x - 1.0 for e, x in zip(exp_d, d)])
+    return surrogate, kl, surrogate_grad, [(1.0 - e) / n_tokens for e in exp_d], active
 
 
 def clipped_objective(
@@ -149,30 +170,28 @@ def clipped_objective(
 
     Each rollout's advantage is broadcast to all of its tokens.
     """
-    import numpy as np
-
     if len(advantages.per_rollout) != len(group.rollouts):
         raise LengthMismatch("one advantage per rollout required")
     check_coefficients(epsilon, beta)
     if beta > 0 and any(r.token_logprobs_ref is None for r in group.rollouts):
         raise MissingRefLogprobs("beta > 0 requires ref logprobs on every rollout")
 
-    rollout_terms = np.empty(len(group.rollouts))
-    kl_terms = np.zeros(len(group.rollouts))
+    surrogates = []
+    kl_terms = []
     clipped_tokens = 0
     total_tokens = 0
-    for idx, (rollout, advantage) in enumerate(zip(group.rollouts, advantages.per_rollout)):
-        new = np.asarray(rollout.token_logprobs_new.logprobs)
-        ref = np.asarray(rollout.token_logprobs_ref.logprobs) if beta > 0 else None
+    for rollout, advantage in zip(group.rollouts, advantages.per_rollout):
+        new = rollout.token_logprobs_new.logprobs
+        ref = rollout.token_logprobs_ref.logprobs if beta > 0 else None
         surrogate, kl, _, _, active = _rollout_terms(
-            new, np.asarray(rollout.token_logprobs_old.logprobs), ref, advantage, epsilon
+            new, rollout.token_logprobs_old.logprobs, ref, advantage, epsilon
         )
-        rollout_terms[idx] = surrogate
-        kl_terms[idx] = kl
-        clipped_tokens += int(np.count_nonzero(active))
+        surrogates.append(surrogate)
+        kl_terms.append(kl)
+        clipped_tokens += sum(active)
         total_tokens += len(new)
-    surrogate = float(np.mean(rollout_terms))
-    kl_term = float(np.mean(kl_terms)) if beta > 0 else 0.0
+    surrogate = _mean(surrogates)
+    kl_term = _mean(kl_terms) if beta > 0 else 0.0
     return {"surrogate": surrogate, "kl_term": kl_term, "total": surrogate - beta * kl_term,
             "clip_fraction": clipped_tokens / total_tokens}
 
@@ -252,11 +271,11 @@ def objective_gradient_check(
     against central finite differences.
 
     Rollout j's logits enter only rollout j's term of the group mean, so each
-    difference re-scores that one term, a token row at a time: the 2V copies
-    of row t bumped by +-h on each logit are scored as one batch. Token
-    positions whose log-ratio lies within 10*h of a clip kink are excluded:
-    the objective is not differentiable there. The relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
+    difference re-scores that one term, a bumped token sequence at a time:
+    token t's logprob under each of the 2V copies of row t bumped by +-h on
+    one logit. Token positions whose log-ratio lies within 10*h of a clip
+    kink are excluded: the objective is not differentiable there. The
+    relative error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     """
     import numpy as np
 
@@ -271,24 +290,26 @@ def objective_gradient_check(
     max_rel = 0.0
     for rollout, advantage in zip(instance.rollouts, advantages):
         n_tokens, vocab = rollout.logits.shape
-        ref = rollout.ref_logprobs if beta > 0 else None
+        old = rollout.old_logprobs.tolist()
+        ref = rollout.ref_logprobs.tolist() if beta > 0 else None
 
-        def term(new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def term(new: list[float]) -> tuple[float, list[float]]:
             """This rollout's share of the group objective and its gradient."""
             surrogate, kl, surrogate_grad, kl_grad, _ = _rollout_terms(
-                new, rollout.old_logprobs, ref, advantage, epsilon
+                new, old, ref, advantage, epsilon
             )
             return (
                 (surrogate - beta * kl) / group_size,
-                (surrogate_grad - beta * kl_grad) / group_size,
+                [(s - beta * k) / group_size for s, k in zip(surrogate_grad, kl_grad)],
             )
 
         new = _logprobs_from_logits(rollout.logits, rollout.token_ids)
-        _, coeff = term(new)
+        new_list = new.tolist()
+        _, coeff = term(new_list)
         probs = np.exp(rollout.logits - rollout.logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         # d new[t] / d logits[t, v] = [v == token t] - probs[t, v]
-        analytic = coeff[:, None] * (np.eye(vocab)[rollout.token_ids] - probs)
+        analytic = np.asarray(coeff)[:, None] * (np.eye(vocab)[rollout.token_ids] - probs)
 
         log_ratio = new - rollout.old_logprobs
         near_kink = np.abs(log_ratio - np.log(1.0 + epsilon)) < 10.0 * h
@@ -300,11 +321,13 @@ def objective_gradient_check(
             if near_kink[t]:
                 skipped += vocab
                 continue
-            bumped_new = np.broadcast_to(new, (2, vocab, n_tokens)).copy()
-            bumped_new[..., t] = _logprobs_from_logits(
+            before, after = new_list[:t], new_list[t + 1:]
+            bumped = _logprobs_from_logits(
                 rollout.logits[t] + bump, np.full((2, vocab), rollout.token_ids[t])
             )
-            (up, down), _ = term(bumped_new)
+            up, down = (
+                np.array([term([*before, lp, *after])[0] for lp in row]) for row in bumped.tolist()
+            )
             numeric = (up - down) / (2.0 * h)
             abs_err = np.abs(analytic[t] - numeric)
             rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic[t]), np.abs(numeric)), 1e-4)
@@ -316,4 +339,3 @@ def objective_gradient_check(
         max_rel_error=max_rel,
         passed=max_rel < rel_tol,
     )
-

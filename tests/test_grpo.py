@@ -252,7 +252,8 @@ class TestGradientCheck:
 
         def scaled(*args):
             surrogate, kl, surrogate_grad, kl_grad, active = rollout_terms(*args)
-            return surrogate, kl, 1.01 * surrogate_grad, 1.01 * kl_grad, active
+            return (surrogate, kl, [1.01 * g for g in surrogate_grad],
+                    [1.01 * g for g in kl_grad], active)
 
         monkeypatch.setattr(grpo, "_rollout_terms", scaled)
         for beta in (0.0, 0.04):
