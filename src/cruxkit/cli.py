@@ -128,6 +128,16 @@ def _output(path: str) -> str:
     return path
 
 
+def _outputs_in(directory: str, *names: str) -> list[str]:
+    """The paths of ``names`` in output directory ``directory``, each checked
+    by ``_output`` if the directory exists (``_output_dir`` makes it later)."""
+    paths = [os.path.join(directory, name) for name in names]
+    if os.path.isdir(directory):
+        for path in paths:
+            _output(path)
+    return paths
+
+
 def _output_dir(path: str) -> None:
     """Makes the directory ``path`` if missing; one that cannot be made is a usage error."""
     try:
@@ -642,6 +652,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
 
     cfg = ctx.obj["config"]
 
+    outcomes_path, per_task_path, summary_path, csv_path = _outputs_in(
+        output_dir, "outcomes.jsonl", "per_task.jsonl", "summary.txt", "summary.csv")
     toolchain = _toolchain(toolchain_path)
     if keep_artifacts:
         toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
@@ -673,12 +685,12 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         raise ConfigError(f"no rows in {candidates_path}")
     rows, aggregate, warnings = aggregate_report(samples, thr, ks)
     meta = meta_for(cfg, k_values=list(ks), threshold=thr)
-    jsonl.write_rows(os.path.join(output_dir, "outcomes.jsonl"), outcome_rows, meta=meta)
-    jsonl.write_rows(os.path.join(output_dir, "per_task.jsonl"), rows, meta=meta)
+    jsonl.write_rows(outcomes_path, outcome_rows, meta=meta)
+    jsonl.write_rows(per_task_path, rows, meta=meta)
     summary = pass_at_k_table(rows, ks, aggregate=aggregate)
-    _write_table(os.path.join(output_dir, "summary.txt"),
-                 summary + "".join(f"# warning: {w}\n" for w in warnings), echo=True)
-    _write_table(os.path.join(output_dir, "summary.csv"), pass_at_k_table(rows, ks, csv=True))
+    _write_table(summary_path, summary + "".join(f"# warning: {w}\n" for w in warnings),
+                 echo=True)
+    _write_table(csv_path, pass_at_k_table(rows, ks, csv=True))
 
 
 @main.command()
@@ -790,18 +802,22 @@ def report(ctx, reward_path, evaluate_dir, output_dir):
 
     if reward_path is None and evaluate_dir is None:
         raise ConfigError("need --reward or --evaluate-dir")
+    # each table path is checked before any input is read
+    if reward_path is not None:
+        csv_path, txt_path = _outputs_in(output_dir, "reward_by_step.csv", "reward_by_step.txt")
+    if evaluate_dir is not None:
+        (evaluation_path,) = _outputs_in(output_dir, "evaluation.txt")
     _output_dir(output_dir)
     if reward_path is not None:
         means = step_means(_rows("reward", reward_path, "reward output"))
         header = ["step", "mean_mixed_reward", "rollouts"]
-        for name, csv in (("reward_by_step.csv", True), ("reward_by_step.txt", False)):
-            _write_table(os.path.join(output_dir, name), render_table(header, means, csv),
-                         echo=not csv)
+        _write_table(csv_path, render_table(header, means, True))
+        _write_table(txt_path, render_table(header, means, False), echo=True)
     if evaluate_dir is not None:
         per_task = os.path.join(evaluate_dir, "per_task.jsonl")
         rows = _load(per_task, "per-task", "per-task report")
-        _write_table(os.path.join(output_dir, "evaluation.txt"),
-                     pass_at_k_table(rows, _k_values(per_task, rows[0])), echo=True)
+        _write_table(evaluation_path, pass_at_k_table(rows, _k_values(per_task, rows[0])),
+                     echo=True)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from cruxkit.harness import SimOutcome
 TOY = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "toy_corpus"
 CAT12 = Path(__file__).resolve().parents[1] / "src" / "cruxkit" / "data" / "categorize12"
 NO_SIM_TINY = Path(__file__).resolve().parent / "fixtures" / "no-sim-tiny"
+RL_GROUPS_TINY = Path(__file__).resolve().parent / "fixtures" / "rl-groups-tiny"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REWARDS = GOLDEN / "reward" / "rewards.jsonl"
 # a run config that sets every key of every section to a value other than its default
@@ -790,6 +791,50 @@ class TestReward:
             assert row["objective"]["clip_fraction"] == 0.0
         assert "mean mixed reward" in result.output
 
+    def test_permuting_a_groups_rollouts_permutes_its_row(self, tmp_path, echo_toolchain_file):
+        """Group standardization is permutation-equivariant, as
+        ``TestScoreGroup`` checks for ``score_group``: through ``reward``,
+        permuting one groups row's rollouts permutes its reward rows and
+        advantages. The objective's sums run in rollout order, so it agrees
+        within 1e-12, not bitwise. The mock fails no call, so each rollout is
+        scored alike in either order."""
+        provider = json.loads((RL_GROUPS_TINY / "provider.json").read_text())
+        del provider["mock"]["fail_first"]
+        provider_file = tmp_path / "provider.json"
+        provider_file.write_text(json.dumps(provider))
+        first, second = (RL_GROUPS_TINY / "groups.jsonl").read_text().splitlines()
+        row = json.loads(second)
+        perm = [3, 7, 0, 5, 1, 6, 2, 4]
+        assert sorted(perm) == list(range(len(row["rollouts"])))
+        permuted = tmp_path / "permuted.jsonl"
+        permuted.write_text(
+            first + "\n" + json.dumps({**row, "rollouts": [row["rollouts"][i] for i in perm]}) + "\n")
+        rows = {}
+        for groups in (RL_GROUPS_TINY / "groups.jsonl", permuted):
+            out = tmp_path / f"rewarded-{groups.stem}.jsonl"
+            result = run_cli(
+                "--config", RL_GROUPS_TINY / "config.json", "reward",
+                "--groups", groups,
+                "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+                "--testbenches", RL_GROUPS_TINY / "testbenches",
+                "--toolchain", echo_toolchain_file,
+                "--provider", provider_file,
+                "--output", out,
+            )
+            assert result.exit_code == 0, result.output
+            rows[groups] = read_jsonl(out)[1]
+        (base_first, base), (got_first, got) = rows.values()
+        assert got_first == base_first
+        assert got["rewards"] == [base["rewards"][i] for i in perm]
+        assert len(got["advantages"]) == len(perm)
+        for value, i in zip(got["advantages"], perm):
+            assert abs(value - base["advantages"][i]) <= 1e-12
+        assert got["objective"].keys() == base["objective"].keys()
+        for name, value in base["objective"].items():
+            assert abs(got["objective"][name] - value) <= 1e-12
+        assert (got["degenerate"], got["task_id"], got["step"]) == (
+            base["degenerate"], base["task_id"], base["step"])
+
     def test_late_phase_weights_applied(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         out_by_step = {}
@@ -1145,16 +1190,23 @@ def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file,
 
 @pytest.mark.parametrize("command", ["categorize", "categorize into a directory", "derive-crux",
                                      "build-dataset", "build-dataset --reclassified", "reward",
-                                     "evaluate", "report"])
+                                     "evaluate", "report", "evaluate table", "report --reward table",
+                                     "report --evaluate-dir table"])
 def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, command):
     """An output path in a missing directory, an output path that is a
     directory, or an ``--output-dir`` that is a file stops the command with
-    nothing written; sims would touch ``marker`` in their compile step."""
+    nothing written; sims would touch ``marker`` in their compile step. A
+    table path that is a directory in ``--output-dir`` is found as soon: it
+    ended ``evaluate`` with ``internal error: IsADirectoryError`` after
+    every sim."""
     from cruxkit.harness import ToolchainConfig
 
     missing, folder, a_file = tmp_path / "missing", tmp_path / "folder", tmp_path / "a_file"
     folder.mkdir()
     a_file.write_text("")
+    tables = tmp_path / "tables"
+    for name in ("summary.txt", "reward_by_step.csv", "evaluation.txt"):
+        (tables / name).mkdir(parents=True)
     marker = tmp_path / "compiled"
     echo = ToolchainConfig.echo()
     touch = shlex.join(["sh", "-c", f'touch {shlex.quote(str(marker))}; exec "$@"', "sh"])
@@ -1187,6 +1239,14 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
                      f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
         "report": (["report", "--reward", GOLDEN_REWARDS, "--output-dir", a_file],
                    f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
+        "evaluate table": (["evaluate", *sims, "--candidates", write_candidates(tmp_path, pairs),
+                            "--output-dir", tables],
+                           f"output path is a directory: {tables / 'summary.txt'}"),
+        "report --reward table": (["report", "--reward", GOLDEN_REWARDS, "--output-dir", tables],
+                                  f"output path is a directory: {tables / 'reward_by_step.csv'}"),
+        "report --evaluate-dir table": (
+            ["report", "--evaluate-dir", GOLDEN / "evaluate", "--output-dir", tables],
+            f"output path is a directory: {tables / 'evaluation.txt'}"),
     }[command]
     before = sorted(tmp_path.rglob("*"))
     result = run_cli(*args)
@@ -1742,6 +1802,25 @@ class TestNumpyImportBoundary:
         assert len(records) == 5
         assert (tmp_path / "eval" / "summary.txt").exists()
         assert (tmp_path / "report" / "evaluation.txt").exists()
+
+    def test_reward_never_loads_numpy(self, tmp_path, echo_toolchain_file):
+        """reward's advantages and objective are plain Python: one rl-groups
+        batch leaves numpy unloaded, and grpo-check, after it, loads it."""
+        steps = modules_after(
+            tmp_path, json.loads((RL_GROUPS_TINY / "config.json").read_text()), [
+                ["reward", "--groups", RL_GROUPS_TINY / "groups.jsonl",
+                 "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+                 "--testbenches", RL_GROUPS_TINY / "testbenches",
+                 "--toolchain", echo_toolchain_file,
+                 "--provider", RL_GROUPS_TINY / "provider.json",
+                 "--output", tmp_path / "rewards.jsonl"],
+                ["grpo-check", "--instances", 1],
+            ])
+        assert {step: "numpy" in modules for step, modules in steps.items()} == {
+            "import cruxkit.cli": False, "load_config": False, "reward": False, "grpo-check": True}
+        assert "cruxkit.rewards" in steps["reward"]
+        _, rows = read_jsonl(tmp_path / "rewards.jsonl")
+        assert len(rows) == 2
 
     def test_grpo_check_loads_numpy(self, tmp_path):
         loaded = numpy_loaded_after(tmp_path, [["grpo-check", "--instances", 1]])

@@ -141,6 +141,16 @@ class TestClippedObjective:
         out = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 5.0)
         assert out["surrogate"] == pytest.approx(1.5, abs=1e-12)
 
+    def test_ratio_past_the_float_range_is_inf(self):
+        # e**800 is past the largest float: the ratio and the KL term are inf,
+        # as IEEE exp gives, and not an OverflowError
+        rollout = Rollout("c", "v", seq(-800.0), seq(-1600.0), seq(0.0))
+        high = clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2, beta=0.1)
+        assert (high["surrogate"], high["clip_fraction"]) == (1.2, 1.0)
+        assert high["kl_term"] == math.inf
+        low = clipped_objective(group_of(rollout), AdvantageSet((-1.0,), False), 0.2)
+        assert (low["surrogate"], low["clip_fraction"]) == (-math.inf, 0.0)
+
     def test_rollout_mean_across_group(self):
         r1 = one_token_rollout(0.0)
         r2 = one_token_rollout(0.0)

@@ -303,6 +303,31 @@ def test_bad_provider_value_is_usage_error(tmp_path, values):
     assert result.stderr.startswith(f"error: bad provider config: {key!r} must be "), result.stderr
 
 
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+def test_audit_path_that_cannot_be_written_is_usage_error_before_any_call(
+    tmp_path, monkeypatch, where
+):
+    """The audit log is opened at each provider call: an ``audit_path`` in a
+    missing directory ended ``derive-crux --live`` at its first call with
+    ``internal error: FileNotFoundError`` (exit 1)."""
+    from cruxkit import gateway
+
+    calls = []
+    monkeypatch.setattr(gateway.Gateway, "_with_retries", lambda self, fn: calls.append(fn))
+    missing = where == "in a missing directory"
+    audit = tmp_path / "missing" / "audit.jsonl" if missing else tmp_path
+    provider = json.loads((NO_SIM_TINY / "provider.json").read_text())
+    config = tmp_path / "provider.json"
+    config.write_text(json.dumps({**provider, "audit_path": str(audit)}))
+    result = run_cli("derive-crux", "--input", GOLDEN / "no-sim-tiny" / "categorized.jsonl",
+                     "--live", "--provider", config, "--output", tmp_path / "t.jsonl")
+    problem = "is in a directory that does not exist" if missing else "is a directory"
+    assert (result.exit_code, result.stderr) == (
+        2, f"error: bad provider config: audit_path {problem}: {audit}\n")
+    assert calls == []
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_build_dataset_checks_each_row_in_its_turn(count, slices, tmp_path):
     """A blank description in the first row is reported before a number in
