@@ -134,15 +134,15 @@ def _rollout_terms(
     floating point: the mean of all-ones is exactly 1.0.
     """
     n_tokens = len(new)
-    ratios = _exp([n - o for n, o in zip(new, old)])
+    ratios = _exp(list(map(operator.sub, new, old)))
     # min(r, clip(r)) is min(r, 1 + eps), and max(r, clip(r)) is max(r, 1 - eps)
     if advantage > 0:
         high = 1.0 + epsilon
-        scores = [min(r, high) for r in ratios]
+        scores = [high if r > high else r for r in ratios]
         active = [r > high for r in ratios]
     elif advantage < 0:
         low = 1.0 - epsilon
-        scores = [max(r, low) for r in ratios]
+        scores = [low if r < low else r for r in ratios]
         active = [r < low for r in ratios]
     else:
         scores = ratios
@@ -152,7 +152,7 @@ def _rollout_terms(
     surrogate_grad = [0.0 if a else advantage * r / n_tokens for r, a in zip(ratios, active)]
     if ref is None:
         return surrogate, 0.0, surrogate_grad, [0.0] * n_tokens, active
-    d = [r - n for r, n in zip(ref, new)]
+    d = list(map(operator.sub, ref, new))
     exp_d = _exp(d)
     kl = _mean([e - x - 1.0 for e, x in zip(exp_d, d)])
     return surrogate, kl, surrogate_grad, [(1.0 - e) / n_tokens for e in exp_d], active
@@ -188,7 +188,7 @@ def clipped_objective(
         )
         surrogates.append(surrogate)
         kl_terms.append(kl)
-        clipped_tokens += sum(active)
+        clipped_tokens += active.count(True)
         total_tokens += len(new)
     surrogate = _mean(surrogates)
     kl_term = _mean(kl_terms) if beta > 0 else 0.0
