@@ -121,12 +121,14 @@ class ProviderConfig:
         check("provider", None, vars(self))
         if self.kind == "http" and not self.base_url:
             raise ConfigError("bad provider config: http provider requires base_url")
-        # the audit log is opened at the first call: a path it cannot take fails here
-        if self.audit_path and os.path.isdir(self.audit_path):
-            raise ConfigError(f"bad provider config: audit_path is a directory: {self.audit_path}")
-        if self.audit_path and not os.path.isdir(os.path.dirname(self.audit_path) or os.curdir):
-            raise ConfigError("bad provider config: audit_path is in a directory that does not "
-                              f"exist: {self.audit_path}")
+        # the audit log is opened at each call: a path it cannot take fails here, before any call
+        if self.audit_path:
+            if os.path.isdir(self.audit_path):
+                raise ConfigError(f"bad provider config: audit_path is a directory: "
+                                  f"{self.audit_path}")
+            if not os.path.isdir(os.path.dirname(self.audit_path) or os.curdir):
+                raise ConfigError("bad provider config: audit_path is in a directory that "
+                                  f"does not exist: {self.audit_path}")
         if self.kind == "mock":
             MockProvider(self.mock)  # a bad mock value fails here, as the config is read
 

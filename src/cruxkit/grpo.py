@@ -6,15 +6,14 @@ rollout, then across the group, optionally minus a KL penalty against a
 reference policy (the exp(d) - d - 1 estimator on d = ref - new).
 
 The advantages and the objective are plain Python over each rollout's token
-sequence (``math.exp``, sums taken left to right), so ``reward`` never loads
-numpy. ``_rollout_terms`` is the one implementation of the clipped surrogate
-and the KL term; ``clipped_objective`` and the gradient check both call it.
-numpy is imported only inside the toy differentiable policy the gradient
-check scores (``random_toy_instance``, ``_logprobs_from_logits`` and the
-softmax chain rule in ``objective_gradient_check``), so of the commands only
-``grpo-check`` loads it. Of the other cruxkit modules only ``jsonl`` is
-imported at run time, for the ``grpo`` kind the coefficients are checked
-against.
+sequence (``math.exp``, sums taken left to right). ``_rollout_terms`` is the
+one implementation of the clipped surrogate and the KL term; both
+``clipped_objective`` and the gradient check call it. numpy is imported only
+inside the toy differentiable policy the gradient check scores
+(``random_toy_instance``, ``_logprobs_from_logits`` and
+``objective_gradient_check``), so ``grpo-check`` is the one command that
+loads it. Of the other cruxkit modules only ``jsonl`` is imported at run
+time, for the ``grpo`` kind the coefficients are checked against.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
@@ -30,6 +28,8 @@ from typing import TYPE_CHECKING
 from .jsonl import check
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .gateway import TokenLogProbSeq
 
 
@@ -135,7 +135,7 @@ def _rollout_terms(
     """
     n_tokens = len(new)
     ratios = _exp(list(map(operator.sub, new, old)))
-    # min(r, clip(r)) is min(r, 1 + eps), and max(r, clip(r)) is max(r, 1 - eps)
+    # min(r, clip(r)) is r capped at 1 + eps, and max(r, clip(r)) is r floored at 1 - eps
     if advantage > 0:
         high = 1.0 + epsilon
         scores = [high if r > high else r for r in ratios]

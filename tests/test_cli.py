@@ -807,8 +807,8 @@ class TestReward:
         perm = [3, 7, 0, 5, 1, 6, 2, 4]
         assert sorted(perm) == list(range(len(row["rollouts"])))
         permuted = tmp_path / "permuted.jsonl"
-        permuted.write_text(
-            first + "\n" + json.dumps({**row, "rollouts": [row["rollouts"][i] for i in perm]}) + "\n")
+        permuted_row = {**row, "rollouts": [row["rollouts"][i] for i in perm]}
+        permuted.write_text(first + "\n" + json.dumps(permuted_row) + "\n")
         rows = {}
         for groups in (RL_GROUPS_TINY / "groups.jsonl", permuted):
             out = tmp_path / f"rewarded-{groups.stem}.jsonl"
@@ -1190,8 +1190,8 @@ def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file,
 
 @pytest.mark.parametrize("command", ["categorize", "categorize into a directory", "derive-crux",
                                      "build-dataset", "build-dataset --reclassified", "reward",
-                                     "evaluate", "report", "evaluate table", "report --reward table",
-                                     "report --evaluate-dir table"])
+                                     "evaluate", "report", "evaluate table",
+                                     "report --reward table", "report --evaluate-dir table"])
 def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, command):
     """An output path in a missing directory, an output path that is a
     directory, or an ``--output-dir`` that is a file stops the command with
