@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from .jsonl import check
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
 
     from .gateway import TokenLogProbSeq
 
@@ -50,7 +50,7 @@ EPS_STD_DEFAULT = 1e-8
 _EXP_MAX = math.log(sys.float_info.max)
 
 
-def _exp(values: Sequence[float]) -> list[float]:
+def _exp(values: Iterable[float]) -> list[float]:
     """e**v for each value: inf past ``_EXP_MAX``, as IEEE (and numpy's) exp gives."""
     return [math.exp(v) if v <= _EXP_MAX else math.inf for v in values]
 
@@ -134,7 +134,7 @@ def _rollout_terms(
     floating point: the mean of all-ones is exactly 1.0.
     """
     n_tokens = len(new)
-    ratios = _exp(list(map(operator.sub, new, old)))
+    ratios = _exp(map(operator.sub, new, old))
     # min(r, clip(r)) is r capped at 1 + eps, and max(r, clip(r)) is r floored at 1 - eps
     if advantage > 0:
         high = 1.0 + epsilon
