@@ -48,7 +48,12 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__, jsonl
-from .grpo import check_coefficients, objective_gradient_check, random_toy_instance
+from .grpo import (
+    check_coefficients,
+    check_log_ratios,
+    objective_gradient_check,
+    random_toy_instance,
+)
 from .jsonl import ConfigError
 
 if TYPE_CHECKING:
@@ -307,9 +312,10 @@ def _group_batch(number: int, row: dict, global_step: int, tasks: dict[str, dict
     """Checked groups row ``number``'s sim batch, whose row holds the task
     id, step, rollouts, each rollout's own CRUX score or None, and the
     reference interface. A malformed rollout, an unknown task or one whose
-    reference header cannot be read, a group too small to standardize, or a
-    rollout without ref logprobs under ``beta`` > 0 is a usage error naming
-    it, raised before any of the row's sims start."""
+    reference header cannot be read, a group too small to standardize, a
+    rollout without ref logprobs under ``beta`` > 0, or one whose log-ratios
+    pass ``grpo.log_ratio_bound`` is a usage error naming it, raised before
+    any of the row's sims start."""
     from .corpus import extract_verilog
     from .interface import HeaderError, parse_module_header
     from .rewards import parse_rollout
@@ -342,6 +348,11 @@ def _group_batch(number: int, row: dict, global_step: int, tasks: dict[str, dict
         if rollout.token_logprobs_ref is None:
             raise ConfigError(f"beta > 0 requires ref logprobs on every rollout "
                               f"({what} rollout {i} has none)")
+    for i, rollout in enumerate(rollouts):
+        try:
+            check_log_ratios(rollout, len(rollouts), beta)
+        except ValueError as exc:
+            raise ConfigError(f"{what} rollout {i}: {exc}") from exc
     return group, task_id, reference_code, [r.code_text for r in rollouts]
 
 

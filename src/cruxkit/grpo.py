@@ -5,15 +5,16 @@ objective averages a clipped importance-weighted surrogate per token, per
 rollout, then across the group, optionally minus a KL penalty against a
 reference policy (the exp(d) - d - 1 estimator on d = ref - new).
 
-The advantages and the objective are plain Python over each rollout's token
-sequence (``math.exp``, sums taken left to right). ``_rollout_terms`` is the
-one implementation of the clipped surrogate and the KL term; both
-``clipped_objective`` and the gradient check call it. numpy is imported only
-inside the toy differentiable policy the gradient check scores
-(``random_toy_instance``, ``_logprobs_from_logits`` and
-``objective_gradient_check``), so ``grpo-check`` is the one command that
-loads it. Of the other cruxkit modules only ``jsonl`` is imported at run
-time, for the ``grpo`` kind the coefficients are checked against.
+Everything here is plain Python (``math.exp``, sums taken left to right);
+no cruxkit command loads numpy, which the tests keep as a reference only.
+``_rollout_terms`` is the one implementation of the clipped surrogate and the
+KL term; both ``clipped_objective`` and the gradient check call it. The
+gradient check scores a toy differentiable policy (``random_toy_instance``,
+``_log_softmax`` and ``objective_gradient_check``) drawn with ``random``.
+``log_ratio_bound`` is how far a rollout's log-ratios may reach with every
+value of its group's objective row still a finite float. Of the other
+cruxkit modules only ``jsonl`` is imported at run time, for the ``grpo``
+kind the coefficients are checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from random import Random
 from typing import TYPE_CHECKING
 
 from .jsonl import check
@@ -158,6 +160,38 @@ def _rollout_terms(
     return surrogate, kl, surrogate_grad, [(1.0 - e) / n_tokens for e in exp_d], active
 
 
+def log_ratio_bound(group_size: int, n_tokens: int, beta: float) -> float:
+    """How far a rollout of ``n_tokens`` in a group of ``group_size`` may
+    reach, in new - old (upwards) and, when ``beta`` > 0, in ref - new
+    (either way), for every value of its group's objective row to stay a
+    finite float under any standardized advantage (|A| <= sqrt(G - 1)).
+
+    Under a bound L each ratio and each KL token term is at most e**L, so
+    every sum the objective takes (over a rollout's tokens, over the group's
+    surrogates or KL terms, and surrogate - beta * kl) is at most
+    2 n e**L, with n = max(n_tokens, G sqrt(G - 1), beta). L is where that
+    is a quarter of the largest float, which leaves room for rounding.
+    """
+    scale = max(n_tokens, group_size * math.sqrt(group_size - 1), beta)
+    return _EXP_MAX - math.log(8.0 * scale)
+
+
+def check_log_ratios(rollout: Rollout, group_size: int, beta: float) -> None:
+    """``ValueError`` naming the first token whose log-ratio passes
+    ``log_ratio_bound``, past which the objective of its group could overflow."""
+    new = rollout.token_logprobs_new.logprobs
+    bound = log_ratio_bound(group_size, len(new), beta)
+    for t, x in enumerate(map(operator.sub, new, rollout.token_logprobs_old.logprobs)):
+        if x > bound:
+            raise ValueError(f"logprobs_new - logprobs_old is {x:.6g} at token {t}, "
+                             f"above {bound:.6g}, past which the group's objective can overflow")
+    for t, d in enumerate(map(operator.sub, rollout.token_logprobs_ref.logprobs, new)
+                          if beta > 0 else ()):
+        if abs(d) > bound:
+            raise ValueError(f"logprobs_ref - logprobs_new is {d:.6g} at token {t}, "
+                             f"beyond +-{bound:.6g}, past which the group's objective can overflow")
+
+
 def clipped_objective(
     group: RolloutGroup,
     advantages: AdvantageSet,
@@ -204,10 +238,10 @@ class ToyRollout:
     """A rollout whose new-policy logprobs come from explicit logits, so the
     objective is differentiable with respect to them."""
 
-    logits: np.ndarray  # (T, V) float64
-    token_ids: np.ndarray  # (T,) ints in [0, V)
-    old_logprobs: np.ndarray  # (T,)
-    ref_logprobs: np.ndarray | None = None
+    logits: list[list[float]]  # T rows of V logits
+    token_ids: list[int]  # T ids in [0, V)
+    old_logprobs: list[float]  # T
+    ref_logprobs: list[float] | None = None
 
 
 @dataclass
@@ -217,13 +251,12 @@ class ToyGroupInstance:
     eps_std: float = EPS_STD_DEFAULT
 
 
-def _logprobs_from_logits(logits: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, read at ``token_ids`` (one id per row)."""
-    import numpy as np
-
-    top = logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(logits - top).sum(axis=-1)) + top[..., 0]
-    return np.take_along_axis(logits, token_ids[..., None], axis=-1)[..., 0] - logz
+def _log_softmax(logits: Sequence[float]) -> list[float]:
+    """log(softmax(logits)), shifted by the largest logit so no exp overflows."""
+    top = max(logits)
+    shifted = [x - top for x in logits]
+    logz = math.log(sum(math.exp(x) for x in shifted))
+    return [x - logz for x in shifted]
 
 
 def random_toy_instance(
@@ -235,20 +268,21 @@ def random_toy_instance(
 ) -> ToyGroupInstance:
     """A random small instance; old/ref policies are noisy copies of the new
     logits so importance ratios straddle the clip boundaries."""
-    import numpy as np
+    rng = Random(seed)
 
-    rng = np.random.default_rng(seed)
+    def noisy_logprobs(logits: list[list[float]], ids: list[int]) -> list[float]:
+        return [_log_softmax([x + rng.gauss(0.0, 0.3) for x in row])[i]
+                for row, i in zip(logits, ids)]
+
     rollouts = []
     for _ in range(group_size):
-        n_tokens = int(rng.integers(1, max_tokens + 1))
-        logits = rng.normal(0.0, 1.0, size=(n_tokens, vocab))
-        ids = rng.integers(0, vocab, size=n_tokens)
-        old = _logprobs_from_logits(logits + rng.normal(0.0, 0.3, logits.shape), ids)
-        ref = None
-        if with_ref:
-            ref = _logprobs_from_logits(logits + rng.normal(0.0, 0.3, logits.shape), ids)
+        n_tokens = rng.randint(1, max_tokens)
+        logits = [[rng.gauss(0.0, 1.0) for _ in range(vocab)] for _ in range(n_tokens)]
+        ids = [rng.randrange(vocab) for _ in range(n_tokens)]
+        old = noisy_logprobs(logits, ids)
+        ref = noisy_logprobs(logits, ids) if with_ref else None
         rollouts.append(ToyRollout(logits, ids, old, ref))
-    rewards = [float(r) for r in rng.normal(0.0, 1.0, size=group_size)]
+    rewards = [rng.gauss(0.0, 1.0) for _ in range(group_size)]
     return ToyGroupInstance(rollouts, rewards)
 
 
@@ -272,26 +306,24 @@ def objective_gradient_check(
 
     Rollout j's logits enter only rollout j's term of the group mean, so each
     difference re-scores that one term, a bumped token sequence at a time:
-    token t's logprob under each of the 2V copies of row t bumped by +-h on
-    one logit. Token positions whose log-ratio lies within 10*h of a clip
-    kink are excluded: the objective is not differentiable there. The
-    relative error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
+    token t's logprob under row t with one logit bumped by +-h. Token
+    positions whose log-ratio lies within 10*h of a clip kink are excluded:
+    the objective is not differentiable there. The relative error is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     """
-    import numpy as np
-
     check_coefficients(epsilon, beta)
     if beta > 0 and any(r.ref_logprobs is None for r in instance.rollouts):
         raise MissingRefLogprobs("beta > 0 requires ref logprobs on every rollout")
     advantages = group_advantages(instance.rewards, instance.eps_std).per_rollout
     group_size = len(instance.rollouts)
+    kinks = [math.log(1.0 + epsilon)] + ([math.log(1.0 - epsilon)] if epsilon < 1.0 else [])
 
     checked = 0
     skipped = 0
     max_rel = 0.0
     for rollout, advantage in zip(instance.rollouts, advantages):
-        n_tokens, vocab = rollout.logits.shape
-        old = rollout.old_logprobs.tolist()
-        ref = rollout.ref_logprobs.tolist() if beta > 0 else None
+        old = rollout.old_logprobs
+        ref = rollout.ref_logprobs if beta > 0 else None
 
         def term(new: list[float]) -> tuple[float, list[float]]:
             """This rollout's share of the group objective and its gradient."""
@@ -303,36 +335,27 @@ def objective_gradient_check(
                 [(s - beta * k) / group_size for s, k in zip(surrogate_grad, kl_grad)],
             )
 
-        new = _logprobs_from_logits(rollout.logits, rollout.token_ids)
-        new_list = new.tolist()
-        _, coeff = term(new_list)
-        probs = np.exp(rollout.logits - rollout.logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        # d new[t] / d logits[t, v] = [v == token t] - probs[t, v]
-        analytic = np.asarray(coeff)[:, None] * (np.eye(vocab)[rollout.token_ids] - probs)
-
-        log_ratio = new - rollout.old_logprobs
-        near_kink = np.abs(log_ratio - np.log(1.0 + epsilon)) < 10.0 * h
-        if epsilon < 1.0:
-            near_kink |= np.abs(log_ratio - np.log(1.0 - epsilon)) < 10.0 * h
-
-        bump = np.stack([h * np.eye(vocab), -h * np.eye(vocab)])  # (2, V, V)
-        for t in range(n_tokens):
-            if near_kink[t]:
-                skipped += vocab
+        log_probs = [_log_softmax(row) for row in rollout.logits]
+        new = [lp[i] for lp, i in zip(log_probs, rollout.token_ids)]
+        _, coeff = term(new)
+        for t, (row, token) in enumerate(zip(rollout.logits, rollout.token_ids)):
+            log_ratio = new[t] - old[t]
+            if any(abs(log_ratio - kink) < 10.0 * h for kink in kinks):
+                skipped += len(row)
                 continue
-            before, after = new_list[:t], new_list[t + 1:]
-            bumped = _logprobs_from_logits(
-                rollout.logits[t] + bump, np.full((2, vocab), rollout.token_ids[t])
-            )
-            up, down = (
-                np.array([term([*before, lp, *after])[0] for lp in row]) for row in bumped.tolist()
-            )
-            numeric = (up - down) / (2.0 * h)
-            abs_err = np.abs(analytic[t] - numeric)
-            rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic[t]), np.abs(numeric)), 1e-4)
-            max_rel = max(max_rel, float(rel_err.max()))
-            checked += vocab
+            before, after = new[:t], new[t + 1:]
+            for v in range(len(row)):
+                # d new[t] / d logits[t, v] = [v == token t] - softmax(row t)[v]
+                analytic = coeff[t] * ((1.0 if v == token else 0.0) - math.exp(log_probs[t][v]))
+                up, down = (
+                    term([*before, _log_softmax([*row[:v], row[v] + step, *row[v + 1:]])[token],
+                          *after])[0]
+                    for step in (h, -h)
+                )
+                numeric = (up - down) / (2.0 * h)
+                rel_err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
+                max_rel = max(max_rel, rel_err)
+            checked += len(row)
     return GradientCheckReport(
         checked_positions=checked,
         skipped_near_kink=skipped,

@@ -103,8 +103,9 @@ def read_meta(path: str) -> dict | None:
     return None
 
 
-# json.dumps(row, sort_keys=True) builds an encoder per call; this one is shared
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# json.dumps(row, sort_keys=True) builds an encoder per call; this one is shared.
+# NaN and the infinities are not JSON (RFC 8259), so encoding one raises ValueError.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def encode_row(row: dict) -> str:

@@ -975,6 +975,48 @@ class TestReward:
         assert sim_log == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("first_tokens, message", [
+        ({"logprobs_new": 0.0, "logprobs_old": -800.0},
+         "logprobs_new - logprobs_old is 800 at token 0, above 702.693"),
+        ({"logprobs_ref": 0.0, "logprobs_new": -800.0, "logprobs_old": -800.0},
+         "logprobs_ref - logprobs_new is 800 at token 0, beyond +-702.693"),
+        ({"logprobs_ref": -800.0, "logprobs_new": 0.0, "logprobs_old": 0.0},
+         "logprobs_ref - logprobs_new is -800 at token 0, beyond +-702.693"),
+    ])
+    def test_rollout_whose_objective_would_overflow_is_usage_error_before_any_sim(
+        self, tmp_path, first_tokens, message
+    ):
+        """The first rl-groups-tiny group with every rollout's first token
+        set as ``first_tokens`` says: a log-ratio of 800 was not sampled from
+        the old policy, and ``reward`` wrote "surrogate": -Infinity for the
+        first case, which is not JSON. It stops with one error line, nothing
+        written, and no sim: a sim would touch ``marker`` in its compile step."""
+        from cruxkit.harness import ToolchainConfig
+
+        row = json.loads((RL_GROUPS_TINY / "groups.jsonl").read_text().splitlines()[0])
+        for rollout in row["rollouts"]:
+            for key, logprob in first_tokens.items():
+                rollout[key]["logprobs"][0] = logprob
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text(json.dumps(row) + "\n")
+        marker = tmp_path / "compiled"
+        echo = ToolchainConfig.echo()
+        touch = shlex.join(["sh", "-c", f'touch {shlex.quote(str(marker))}; exec "$@"', "sh"])
+        toolchain = tmp_path / "toolchain.json"
+        toolchain.write_text(json.dumps({"compile_cmd": f"{touch} {echo.compile_cmd}",
+                                         "run_cmd": echo.run_cmd}))
+        out = tmp_path / "rewards.jsonl"
+        result = run_cli("--config", RL_GROUPS_TINY / "config.json", "reward",
+                         "--groups", groups, "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+                         "--testbenches", RL_GROUPS_TINY / "testbenches",
+                         "--toolchain", toolchain,
+                         "--provider", RL_GROUPS_TINY / "provider.json", "--output", out)
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: groups row 1 rollout 0: {message}, "
+               f"past which the group's objective can overflow\n")
+        assert not out.exists()
+        assert not marker.exists()
+
     def _reward_group(self, tmp_path, toolchain, codes, name):
         """Scores one mux2to1 group of ``codes``; returns the rewards file."""
         ln_half = math.log(0.5)
@@ -1779,7 +1821,9 @@ def numpy_loaded_after(tmp_path, commands):
 
 
 class TestNumpyImportBoundary:
-    def test_commands_without_grpo_math_never_load_numpy(self, tmp_path, echo_toolchain_file):
+    def test_no_command_loads_numpy(self, tmp_path, echo_toolchain_file):
+        """numpy is a test-only reference: no command, not even grpo-check
+        with its toy policy, loads it."""
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         categorized = tmp_path / "categorized.jsonl"
         loaded = numpy_loaded_after(tmp_path, [
@@ -1793,38 +1837,25 @@ class TestNumpyImportBoundary:
              "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
              "--output-dir", tmp_path / "eval"],
             ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
+            ["reward", "--groups", RL_GROUPS_TINY / "groups.jsonl",
+             "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+             "--testbenches", RL_GROUPS_TINY / "testbenches",
+             "--toolchain", echo_toolchain_file,
+             "--provider", RL_GROUPS_TINY / "provider.json",
+             "--output", tmp_path / "rewards.jsonl"],
+            ["grpo-check", "--instances", 1],
         ])
         assert loaded == {
             step: False for step in ["import cruxkit.cli", "load_config", "categorize",
-                                     "derive-crux", "build-dataset", "evaluate", "report"]
+                                     "derive-crux", "build-dataset", "evaluate", "report",
+                                     "reward", "grpo-check"]
         }
         _, records = read_jsonl(tmp_path / "records.jsonl")
         assert len(records) == 5
         assert (tmp_path / "eval" / "summary.txt").exists()
         assert (tmp_path / "report" / "evaluation.txt").exists()
-
-    def test_reward_never_loads_numpy(self, tmp_path, echo_toolchain_file):
-        """reward's advantages and objective are plain Python: one rl-groups
-        batch leaves numpy unloaded, and grpo-check, after it, loads it."""
-        steps = modules_after(
-            tmp_path, json.loads((RL_GROUPS_TINY / "config.json").read_text()), [
-                ["reward", "--groups", RL_GROUPS_TINY / "groups.jsonl",
-                 "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
-                 "--testbenches", RL_GROUPS_TINY / "testbenches",
-                 "--toolchain", echo_toolchain_file,
-                 "--provider", RL_GROUPS_TINY / "provider.json",
-                 "--output", tmp_path / "rewards.jsonl"],
-                ["grpo-check", "--instances", 1],
-            ])
-        assert {step: "numpy" in modules for step, modules in steps.items()} == {
-            "import cruxkit.cli": False, "load_config": False, "reward": False, "grpo-check": True}
-        assert "cruxkit.rewards" in steps["reward"]
         _, rows = read_jsonl(tmp_path / "rewards.jsonl")
         assert len(rows) == 2
-
-    def test_grpo_check_loads_numpy(self, tmp_path):
-        loaded = numpy_loaded_after(tmp_path, [["grpo-check", "--instances", 1]])
-        assert loaded == {"import cruxkit.cli": False, "load_config": False, "grpo-check": True}
 
 
 class TestLayerImportBoundary:

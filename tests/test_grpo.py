@@ -151,6 +151,35 @@ class TestClippedObjective:
         low = clipped_objective(group_of(rollout), AdvantageSet((-1.0,), False), 0.2)
         assert (low["surrogate"], low["clip_fraction"]) == (-math.inf, 0.0)
 
+    @pytest.mark.parametrize("group_size, n_tokens, beta", [
+        (2, 1, 0.0), (2, 3, 0.04), (8, 1000, 0.04), (64, 2, 0.04), (3, 5, 1e300),
+    ])
+    def test_objective_at_the_log_ratio_bound_is_finite(self, group_size, n_tokens, beta):
+        """Every new - old log-ratio at ``log_ratio_bound``, ref - new at
+        either end of it, and the most negative advantage a group can hold,
+        -sqrt(G - 1): the check passes and every value of the row is finite.
+        Just past the bound, the check rejects the rollout."""
+        bound = grpo.log_ratio_bound(group_size, n_tokens, beta)
+
+        def rollout(new, old, ref):
+            tokens = tuple(range(n_tokens))
+            return Rollout("c", "v", *(TokenLogProbSeq(tokens, (lp,) * n_tokens)
+                                       for lp in (new, old, ref)))
+
+        rollouts = [rollout(-bound, -2.0 * bound, 0.0)] + [
+            rollout(-bound, -2.0 * bound, -2.0 * bound)] * (group_size - 1)
+        for r in rollouts:
+            grpo.check_log_ratios(r, group_size, beta)
+        low = math.sqrt(group_size - 1)
+        advantages = AdvantageSet((-low,) + (1.0 / low,) * (group_size - 1), False)
+        out = clipped_objective(RolloutGroup("t", tuple(rollouts)), advantages, 0.2, beta)
+        assert all(math.isfinite(value) for value in out.values()), out
+        past = bound + 1e-6
+        # ref - new is checked only under beta > 0; a beta of 1 leaves the bound as it is
+        for new, old, ref in ((0.0, -past, 0.0), (-past, -past, 0.0), (0.0, 0.0, -past)):
+            with pytest.raises(ValueError, match="can overflow"):
+                grpo.check_log_ratios(rollout(new, old, ref), group_size, beta or 1.0)
+
     def test_rollout_mean_across_group(self):
         r1 = one_token_rollout(0.0)
         r2 = one_token_rollout(0.0)
@@ -233,9 +262,9 @@ class TestGradientCheck:
         assert len(inst.rollouts) == 3
         assert len(inst.rewards) == 3
         for r in inst.rollouts:
-            assert r.logits.shape[1] == 7
-            assert 1 <= r.logits.shape[0] <= 5
-            assert r.old_logprobs.shape == (r.logits.shape[0],)
+            assert 1 <= len(r.logits) <= 5
+            assert all(len(row) == 7 for row in r.logits)
+            assert len(r.token_ids) == len(r.old_logprobs) == len(r.logits)
 
     def test_deterministic(self):
         a = random_toy_instance(42)
@@ -244,6 +273,15 @@ class TestGradientCheck:
             np.array_equal(x.logits, y.logits)
             for x, y in zip(a.rollouts, b.rollouts)
         )
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=16))
+    def test_log_softmax_matches_numpy(self, logits):
+        """The toy policy's log-softmax is numpy's max-shifted one to 1e-12."""
+        x = np.array(logits)
+        top = x.max()
+        expected = x - (np.log(np.exp(x - top).sum()) + top)
+        assert np.allclose(grpo._log_softmax(logits), expected, rtol=0.0, atol=1e-12)
 
     def test_passes_without_kl(self):
         report = objective_gradient_check(random_toy_instance(0))

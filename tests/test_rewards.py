@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cruxkit import jsonl
 from cruxkit.cruxdoc import CruxDoc, render_crux
+from cruxkit.grpo import Rollout, check_log_ratios
 from cruxkit.harness import SimOutcome
 from cruxkit.interface import parse_module_header
 from cruxkit.rewards import (
@@ -268,3 +270,37 @@ class TestScoreGroup:
         assert out["rewards"][0]["crux_r"] == 0.0
         assert out["rewards"][0]["diagnostics"] == ["scoring failed: boom"]
         assert all(r["diagnostics"] == [] for r in out["rewards"][1:])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), group_size=st.integers(min_value=2, max_value=6),
+           n_tokens=st.integers(min_value=1, max_value=4),
+           beta=st.sampled_from([0.0, 0.04, 1e300]))
+    def test_row_is_strict_json_unless_the_row_check_rejects_it(
+        self, data, group_size, n_tokens, beta
+    ):
+        """Any finite logprobs <= 0: the log-ratio check ``reward`` makes
+        before its sims rejects the group, or ``score_group``'s row holds no
+        NaN or infinity, so the strict encoder writes it."""
+        logprobs = st.lists(st.one_of(
+            st.floats(min_value=-720.0, max_value=0.0),
+            st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+        ), min_size=n_tokens, max_size=n_tokens)
+        tokens = tuple(range(n_tokens))
+        rollouts = [
+            Rollout("## Module Interface\n", "",
+                    *(TokenLogProbSeq(tokens, tuple(data.draw(logprobs))) for _ in range(3)))
+            for _ in range(group_size)
+        ]
+        try:
+            for rollout in rollouts:
+                check_log_ratios(rollout, group_size, beta)
+        except ValueError:
+            return
+        row = score_group(
+            "t", 0, rollouts, data.draw(st.lists(OUTCOMES, min_size=group_size,
+                                                 max_size=group_size)),
+            data.draw(st.lists(SCORES, min_size=group_size, max_size=group_size)),
+            GROUPS[0][1], WeightSchedule(**CONFIG["schedule"]),
+            epsilon=data.draw(st.sampled_from([0.2, 0.9, 5.0])), beta=beta, eps_std=1e-8,
+        )
+        jsonl.encode_row(row)

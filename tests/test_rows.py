@@ -445,8 +445,16 @@ JSON = st.recursive(
 
 @given(st.dictionaries(st.text(), JSON, max_size=6))
 def test_encode_row_is_json_dumps_with_sorted_keys(row):
-    """The shared encoder writes what ``json.dumps(row, sort_keys=True)`` would."""
-    assert jsonl.encode_row(row) == json.dumps(row, sort_keys=True)
+    """The shared encoder writes what ``json.dumps(row, sort_keys=True,
+    allow_nan=False)`` would, and rejects NaN and the infinities, which are
+    not JSON, as it does."""
+    try:
+        expected = json.dumps(row, sort_keys=True, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonl.encode_row(row)
+    else:
+        assert jsonl.encode_row(row) == expected
 
 
 def test_config_kinds_match_their_classes_and_defaults():
