@@ -185,11 +185,11 @@ def check_log_ratios(rollout: Rollout, group_size: int, beta: float) -> None:
         if x > bound:
             raise ValueError(f"logprobs_new - logprobs_old is {x:.6g} at token {t}, "
                              f"above {bound:.6g}, past which the group's objective can overflow")
-    for t, d in enumerate(map(operator.sub, rollout.token_logprobs_ref.logprobs, new)
-                          if beta > 0 else ()):
-        if abs(d) > bound:
-            raise ValueError(f"logprobs_ref - logprobs_new is {d:.6g} at token {t}, "
-                             f"beyond +-{bound:.6g}, past which the group's objective can overflow")
+    if beta > 0:
+        for t, d in enumerate(map(operator.sub, rollout.token_logprobs_ref.logprobs, new)):
+            if abs(d) > bound:
+                raise ValueError(f"logprobs_ref - logprobs_new is {d:.6g} at token {t}, beyond "
+                                 f"+-{bound:.6g}, past which the group's objective can overflow")
 
 
 def clipped_objective(
@@ -252,10 +252,11 @@ class ToyGroupInstance:
 
 
 def _log_softmax(logits: Sequence[float]) -> list[float]:
-    """log(softmax(logits)), shifted by the largest logit so no exp overflows."""
+    """log(softmax(logits)), shifted by the largest logit so no exp overflows.
+    ``math.fsum`` rounds the same on every Python, which ``sum`` does not."""
     top = max(logits)
     shifted = [x - top for x in logits]
-    logz = math.log(sum(math.exp(x) for x in shifted))
+    logz = math.log(math.fsum(map(math.exp, shifted)))
     return [x - logz for x in shifted]
 
 
