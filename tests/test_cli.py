@@ -988,9 +988,9 @@ class TestReward:
     ):
         """The first rl-groups-tiny group with every rollout's first token
         set as ``first_tokens`` says: a log-ratio of 800 was not sampled from
-        the old policy, and ``reward`` wrote "surrogate": -Infinity for the
-        first case, which is not JSON. It stops with one error line, nothing
-        written, and no sim: a sim would touch ``marker`` in its compile step."""
+        the old policy, and the first case's surrogate would be -Infinity,
+        which is not JSON. It stops with one error line, nothing written,
+        and no sim: a sim would touch ``marker`` in its compile step."""
         from cruxkit.harness import ToolchainConfig
 
         row = json.loads((RL_GROUPS_TINY / "groups.jsonl").read_text().splitlines()[0])
