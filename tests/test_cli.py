@@ -1821,9 +1821,7 @@ def numpy_loaded_after(tmp_path, commands):
 
 
 class TestNumpyImportBoundary:
-    def test_no_command_loads_numpy(self, tmp_path, echo_toolchain_file):
-        """numpy is a test-only reference: no command, not even grpo-check
-        with its toy policy, loads it."""
+    def test_commands_without_grpo_math_never_load_numpy(self, tmp_path, echo_toolchain_file):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
         categorized = tmp_path / "categorized.jsonl"
         loaded = numpy_loaded_after(tmp_path, [
@@ -1837,23 +1835,34 @@ class TestNumpyImportBoundary:
              "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
              "--output-dir", tmp_path / "eval"],
             ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
-            ["reward", "--groups", RL_GROUPS_TINY / "groups.jsonl",
-             "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
-             "--testbenches", RL_GROUPS_TINY / "testbenches",
-             "--toolchain", echo_toolchain_file,
-             "--provider", RL_GROUPS_TINY / "provider.json",
-             "--output", tmp_path / "rewards.jsonl"],
-            ["grpo-check", "--instances", 1],
         ])
         assert loaded == {
             step: False for step in ["import cruxkit.cli", "load_config", "categorize",
-                                     "derive-crux", "build-dataset", "evaluate", "report",
-                                     "reward", "grpo-check"]
+                                     "derive-crux", "build-dataset", "evaluate", "report"]
         }
         _, records = read_jsonl(tmp_path / "records.jsonl")
         assert len(records) == 5
         assert (tmp_path / "eval" / "summary.txt").exists()
         assert (tmp_path / "report" / "evaluation.txt").exists()
+
+    def test_reward_never_loads_numpy(self, tmp_path, echo_toolchain_file):
+        """numpy is a test-only reference: reward's advantages and objective
+        and grpo-check's toy policy are plain Python, so one rl-groups batch
+        and a grpo-check run after it leave numpy unloaded."""
+        steps = modules_after(
+            tmp_path, json.loads((RL_GROUPS_TINY / "config.json").read_text()), [
+                ["reward", "--groups", RL_GROUPS_TINY / "groups.jsonl",
+                 "--tasks", RL_GROUPS_TINY / "tasks.jsonl",
+                 "--testbenches", RL_GROUPS_TINY / "testbenches",
+                 "--toolchain", echo_toolchain_file,
+                 "--provider", RL_GROUPS_TINY / "provider.json",
+                 "--output", tmp_path / "rewards.jsonl"],
+                ["grpo-check", "--instances", 1],
+            ])
+        assert {step: "numpy" in modules for step, modules in steps.items()} == {
+            "import cruxkit.cli": False, "load_config": False, "reward": False,
+            "grpo-check": False}
+        assert "cruxkit.rewards" in steps["reward"]
         _, rows = read_jsonl(tmp_path / "rewards.jsonl")
         assert len(rows) == 2
 
