@@ -48,12 +48,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__, jsonl
-from .grpo import (
-    check_coefficients,
-    check_log_ratios,
-    objective_gradient_check,
-    random_toy_instance,
-)
+from .grpo import check_log_ratios, objective_gradient_check, random_toy_instance
 from .jsonl import ConfigError
 
 if TYPE_CHECKING:
@@ -494,32 +489,24 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 @main.command("derive-crux")
 @click.option("--input", "input_path", required=True, type=str,
               help="Categorized pairs JSONL (from `categorize`).")
-@click.option("--emit", "emit_path", type=str, default=None,
-              help="Write prompt bundles here (offline mode).")
 @click.option("--live", is_flag=True, help="Call a provider and write transcripts.")
 @click.option("--provider", "provider_path", type=str, default=None)
 @click.option("--mock-provider", "mock_script", type=str, default=None)
-@click.option("--output", "output_path", type=str, default=None,
-              help="Transcripts JSONL (live mode).")
+@click.option("--output", "output_path", required=True, type=str,
+              help="Prompt bundles JSONL, or transcripts JSONL under --live.")
 @click.pass_context
-def derive_crux(ctx, input_path, emit_path, live, provider_path, mock_script, output_path):
+def derive_crux(ctx, input_path, live, provider_path, mock_script, output_path):
     """Emit CRUX-derivation prompt bundles, or run them against a provider."""
     from .corpus import Category, make_crux_derivation_prompt
 
     cfg = ctx.obj["config"]
 
-    written = output_path if live else emit_path
-    if written is not None:
-        _output(written)
+    _output(output_path)
     rows = _load(input_path, "categorized pair")
-    if not live and emit_path is None:
-        raise ConfigError("need --emit or --live")
-    if live and output_path is None:
-        raise ConfigError("--live needs --output for transcripts")
     bundles = [make_crux_derivation_prompt(_as_pair(row), Category(row["category"]))
                for row in rows if row["category"] != Category.EASY_QUESTION.value]
     if not live:
-        jsonl.write_rows(emit_path, bundles, meta=meta_for(cfg))
+        jsonl.write_rows(output_path, bundles, meta=meta_for(cfg))
         click.echo(f"emitted {len(bundles)} prompt bundles")
         return
     from .gateway import Gateway, GenRequest
@@ -653,11 +640,8 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 @click.option("--toolchain", "toolchain_path", type=str, default=None)
 @click.option("--output-dir", "output_dir", required=True, type=str)
 @click.option("-k", "k_values", type=click.IntRange(min=1), multiple=True)
-@click.option("--threshold", type=float, default=None)
-@click.option("--keep-artifacts", is_flag=True)
 @click.pass_context
-def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_dir,
-             k_values, threshold, keep_artifacts):
+def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_dir, k_values):
     """Simulate candidates against testbenches and report pass@k."""
     from .harness import aggregate_report, pass_at_k_table
 
@@ -665,10 +649,7 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
 
     outcomes_path, per_task_path, summary_path, csv_path = _outputs_in(
         output_dir, "outcomes.jsonl", "per_task.jsonl", "summary.txt", "summary.csv")
-    toolchain = _toolchain(toolchain_path)
-    if keep_artifacts:
-        toolchain = dataclasses.replace(toolchain, keep_artifacts=True)
-    sims = _Simulator(toolchain, tb_dir, cfg["timeout_ms"])
+    sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
     tasks = {row["id"]: row for row in _load(tasks_path, "task")}
     # per_task.jsonl is sorted by task id, and numbers, strings and null do not sort together
     kinds: dict[bool | None, object] = {}
@@ -679,7 +660,6 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         raise ConfigError(f"task ids {first!r} and {other!r} in {tasks_path} cannot be ordered")
     cand_rows = _rows("candidates", candidates_path, "candidates file")
     ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
-    thr = cfg["threshold"] if threshold is None else threshold
     _output_dir(output_dir)
     samples: dict[str, list[SimOutcome]] = {}
     outcome_rows = []
@@ -694,8 +674,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
             task_samples.extend(outcomes)
     if not samples:
         raise ConfigError(f"no rows in {candidates_path}")
-    rows, aggregate, warnings = aggregate_report(samples, thr, ks)
-    meta = meta_for(cfg, k_values=list(ks), threshold=thr)
+    rows, aggregate, warnings = aggregate_report(samples, cfg["threshold"], ks)
+    meta = meta_for(cfg, k_values=list(ks), threshold=cfg["threshold"])
     jsonl.write_rows(outcomes_path, outcome_rows, meta=meta)
     jsonl.write_rows(per_task_path, rows, meta=meta)
     summary = pass_at_k_table(rows, ks, aggregate=aggregate)
@@ -763,27 +743,18 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
 @main.command("grpo-check")
 @click.option("--instances", type=click.IntRange(min=1), default=200)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--group-size", type=click.IntRange(min=2), default=4)
-@click.option("--max-tokens", type=click.IntRange(min=1), default=8)
-@click.option("--vocab", type=click.IntRange(min=1), default=11)
 @click.pass_context
-def grpo_check(ctx, instances, epsilon, beta, group_size, max_tokens, vocab):
+def grpo_check(ctx, instances):
     """Finite-difference check of the objective gradient on toy policies."""
     cfg = ctx.obj["config"]
 
-    eps = cfg["grpo"]["epsilon"] if epsilon is None else epsilon
-    b = cfg["grpo"]["beta"] if beta is None else beta
-    check_coefficients(eps, b)
+    epsilon, beta = cfg["grpo"]["epsilon"], cfg["grpo"]["beta"]
     worst_rel = 0.0
     checked = skipped = 0
     failures = 0
     for i in range(instances):
-        instance = random_toy_instance(
-            cfg["seed"] + i, group_size, max_tokens, vocab, with_ref=b > 0
-        )
-        report = objective_gradient_check(instance, eps, b)
+        instance = random_toy_instance(cfg["seed"] + i, with_ref=beta > 0)
+        report = objective_gradient_check(instance, epsilon, beta)
         worst_rel = max(worst_rel, report.max_rel_error)
         checked += report.checked_positions
         skipped += report.skipped_near_kink

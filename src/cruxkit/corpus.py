@@ -242,7 +242,7 @@ Reference implementation:
 
 def make_crux_derivation_prompt(pair: RawPair, category: Category) -> dict:
     """The prompt bundle row that derives a CRUX document for a pair, as
-    ``derive-crux --emit`` writes it and ``--live`` runs it:
+    ``derive-crux`` writes it and ``derive-crux --live`` runs it:
     ``{"task_id", "prompts": [{"stage", "text"}, ...]}``.
 
     NormalData gets one ``extract`` prompt; SpecialNonText gets a

@@ -257,11 +257,7 @@ class HttpProvider:
         }
         if req.seed is not None:
             payload["seed"] = req.seed
-        data = self._post(payload)
-        choices = data.get("choices", [])
-        if len(choices) != req.n:
-            raise TruncatedResponse(f"asked for {req.n} completions, got {len(choices)}")
-        return [c.get("text", "") for c in choices]
+        return [c.get("text", "") for c in self._post(payload).get("choices", [])]
 
     def score(self, req: ScoreRequest) -> TokenLogProbSeq:
         payload = {

@@ -18,7 +18,7 @@ layer.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
@@ -148,8 +148,10 @@ def _is(name: str, *types: type, optional: bool = False) -> _Type:
 
 
 def _real(value) -> bool:
-    """Whether ``value`` is a number; a bool is not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a number a float holds finite: not a bool, NaN
+    (which ``json.loads`` reads), an infinity or an int past the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _number(name: str, test: Callable[[float], bool]) -> _Type:
@@ -177,7 +179,8 @@ def _fills_scoring_slots(template) -> bool:
 
 _SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
 _STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
-_NUMBER, _ANY = _is("number", int, float), _Type("any", lambda value: True)
+_NUMBER = _Type("number", lambda value: isinstance(value, bool) or _real(value))
+_ANY = _Type("any", lambda value: True)
 _PAYLOAD = _is("dict or null", dict, type(None), optional=True)
 _STRINGS = _Type("list of strings", lambda value: isinstance(value, (list, tuple))
                  and all(isinstance(item, str) for item in value), optional=True)
@@ -214,11 +217,14 @@ ROW_KINDS = {
 
 _TEXT, _SECTION = _is("str", str, optional=True), _is("dict", dict, optional=True)
 _UNIT = _number("number in [0, 1]", lambda value: 0 <= value <= 1)
-_WEIGHTS = _Type("list of four numbers", lambda value: isinstance(value, (list, tuple))
-                 and len(value) == 4 and all(map(_real, value)), True)
+# |w| <= 1e100 bounds a mixed reward by 4e100 and a group's sum of squared
+# deviations by 64 * G * 1e200, so the advantages of any group stay finite
+_WEIGHTS = _Type("list of four numbers in [-1e100, 1e100]",
+                 lambda value: isinstance(value, (list, tuple)) and len(value) == 4
+                 and all(_real(w) and abs(w) <= 1e100 for w in value), True)
 _COMMAND = _Type("str that references {out}",
                  lambda value: isinstance(value, str) and "{out}" in value, True)
-_LOGPROB = _number("finite number <= 0", lambda value: -math.inf < value <= 0)
+_LOGPROB = _number("finite number <= 0", lambda value: value <= 0)
 # Each kind of config object (a file, or a section or item of one), labelled
 # as its errors begin. Its keys are all optional, and it may hold no other.
 CONFIG_KINDS = {

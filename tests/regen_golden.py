@@ -220,7 +220,7 @@ def _derive_crux_emit(workdir: Path) -> tuple[list, Path]:
     categorized = _categorized_toy(workdir)
     outdir = workdir / "out"
     outdir.mkdir()
-    return ["derive-crux", "--input", categorized, "--emit", outdir / "bundles.jsonl"], outdir
+    return ["derive-crux", "--input", categorized, "--output", outdir / "bundles.jsonl"], outdir
 
 
 def _derive_crux_live(workdir: Path) -> tuple[list, Path]:
@@ -322,9 +322,11 @@ def _report_evaluate_dir(workdir: Path) -> tuple[list, Path]:
 
 
 def _grpo_check(workdir: Path) -> tuple[list, Path]:
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"grpo": {"beta": 0.04}}))
     outdir = workdir / "out"
     outdir.mkdir()
-    return ["--seed", 7, "grpo-check", "--instances", 20, "--beta", 0.04], outdir
+    return ["--config", config, "--seed", 7, "grpo-check", "--instances", 20], outdir
 
 
 CASES = {

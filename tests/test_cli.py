@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -35,6 +36,10 @@ EVERY_KEY_CONFIG = {
                  "switch_fraction": 0.5},
     "grpo": {"epsilon": 0.1, "beta": 0.04, "eps_std": 1e-6},
 }
+
+
+# the command group and each of its commands
+COMMANDS = (main, *main.commands.values())
 
 
 def run_cli(*args, **kwargs):
@@ -197,7 +202,7 @@ def categorized_toy(tmp_path):
 class TestDeriveCrux:
     def test_emit_bundles_for_non_easy(self, tmp_path, categorized_toy):
         out = tmp_path / "bundles.jsonl"
-        result = run_cli("derive-crux", "--input", categorized_toy, "--emit", out)
+        result = run_cli("derive-crux", "--input", categorized_toy, "--output", out)
         assert result.exit_code == 0, result.output
         _, rows = read_jsonl(out)
         # 2 Normal + 1 Special in the toy corpus
@@ -254,6 +259,7 @@ class TestDeriveCrux:
     def test_needs_a_mode(self, categorized_toy):
         result = run_cli("derive-crux", "--input", categorized_toy)
         assert result.exit_code == 2
+        assert "Missing option '--output'" in result.stderr
 
     def test_unreachable_provider_is_a_gateway_error(self, tmp_path, categorized_toy):
         provider = tmp_path / "provider.json"
@@ -267,7 +273,7 @@ class TestDeriveCrux:
 
     def test_uncategorized_input_is_usage_error(self, tmp_path):
         result = run_cli(
-            "derive-crux", "--input", TOY / "pairs.jsonl", "--emit", tmp_path / "bundles.jsonl"
+            "derive-crux", "--input", TOY / "pairs.jsonl", "--output", tmp_path / "bundles.jsonl"
         )
         assert result.exit_code == 2
         assert result.stderr == (
@@ -1268,7 +1274,7 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
         "categorize into a directory": (
             ["categorize", "--input", TOY / "pairs.jsonl", "--verdicts", TOY / "verdicts.jsonl",
              "--output", folder], f"output path is a directory: {folder}"),
-        "derive-crux": (["derive-crux", "--input", categorized, "--emit",
+        "derive-crux": (["derive-crux", "--input", categorized, "--output",
                          missing / "bundles.jsonl"], not_found),
         "build-dataset": ([*dataset, "--output", missing / "records.jsonl"], not_found),
         "build-dataset --reclassified": (
@@ -1620,8 +1626,8 @@ class TestReport:
         assert lines == ["task\tn\tc\tpass@1", "tâche\t1\t1\t1.0000"]
 
 
-# command lines that run cleanly under the default config; each case of
-# test_bad_settings_exit_2 adds the config file or option that stops one
+# command lines that run cleanly under the default config; most cases of
+# test_bad_settings_exit_2 add the config file or option that stops one
 CATEGORIZE = ["categorize", "--input", TOY / "pairs.jsonl", "--verdicts", TOY / "verdicts.jsonl",
               "--output", "{out}"]
 EVALUATE = ["evaluate", "--tasks", TOY / "pairs.jsonl", "--candidates", "{candidates}",
@@ -1639,21 +1645,24 @@ class TestGrpoCheckCommand:
         assert result.exit_code == 0, result.output
         assert "gradient check passed" in result.output
 
-    def test_with_kl(self):
-        result = run_cli("grpo-check", "--instances", 3, "--beta", 0.04)
+    def test_with_kl(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grpo": {"beta": 0.04}}))
+        result = run_cli("--config", config, "grpo-check", "--instances", 3)
         assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("config, args", [
-        (None, ["grpo-check", "--epsilon", 0]),
-        (None, ["grpo-check", "--epsilon", -0.5]),
-        (None, ["grpo-check", "--beta", -1]),
+        (None, ["--config", "{outdir}/cfg.json", "grpo-check"]),
+        (None, [*REWARD, "--provider", "{outdir}/provider.json"]),
+        (None, [*REWARD, "--mock-provider", "{outdir}/mock.json"]),
         ({"grpo": {"epsilon": 0}}, ["grpo-check"]),
         ({"grpo": {"beta": -1}}, ["grpo-check"]),
         ({"grpo": {"epsilon": 0}}, REWARD),
         (None, ["grpo-check", "--instances", 0]),
-        (None, ["grpo-check", "--group-size", 1]),
-        (None, ["grpo-check", "--max-tokens", 0]),
-        (None, ["grpo-check", "--vocab", 0]),
+        (None, ["categorize", "--live", "--input", TOY / "pairs.jsonl", "--testbenches",
+                TOY / "testbenches", "--toolchain", "{outdir}/toolchain.json", "--output", "{out}"]),
+        (None, ["categorize", "--input", TOY / "pairs.jsonl", "--output", "{out}"]),
+        (None, ["categorize", "--live", "--input", TOY / "pairs.jsonl", "--output", "{out}"]),
         (None, ["--seed", -1, "grpo-check"]),
         ({"seed": -1}, ["grpo-check"]),
         ({"keywords": "fsm"}, CATEGORIZE),
@@ -1689,6 +1698,16 @@ class TestGrpoCheckCommand:
         ({"schedule": {"steps_per_epoch": 2.5}}, REWARD),
         ({"degradation": {"p_full_retain": True}}, BUILD_DATASET),
         ({"augmentation": {"prefix_pool": "abc"}}, BUILD_DATASET),
+        # and each was taken, a number no float holds finite or a weight whose
+        # sums can overflow: a command ended with an internal error (exit 1)
+        # or, as grpo-check on NaN errors under an infinite beta, passed
+        ({"schedule": {"early": [1e308] * 4}}, REWARD),
+        ({"schedule": {"late": [1e308] * 4}}, REWARD),
+        ({"schedule": {"early": [1e308, 0, 0, 0]}}, REWARD),
+        ({"schedule": {"early": [math.nan, 1, 1, 1]}}, REWARD),
+        ({"grpo": {"beta": math.inf}}, ["grpo-check", "--instances", 3]),
+        ({"grpo": {"epsilon": 10 ** 400}}, ["grpo-check", "--instances", 3]),
+        ({"threshold": math.nan}, EVALUATE),
     ])
     def test_bad_settings_exit_2(self, tmp_path, echo_toolchain_file, config, args):
         _, pairs = read_jsonl(TOY / "pairs.jsonl")
@@ -1707,6 +1726,7 @@ class TestGrpoCheckCommand:
             prefix = ["--config", path]
         result = run_cli(*prefix, *args)
         assert result.exit_code == 2, result.output
+        assert "No such option" not in result.output
         assert "gradient check passed" not in result.output
         assert "internal error" not in result.output
         assert "error:" in result.output.lower()
@@ -1772,6 +1792,27 @@ class TestConfig:
         meta, _ = read_jsonl(out)
         assert meta["seed"] == 9
 
+    def test_no_option_repeats_a_config_key(self):
+        """A setting has one source, the config whose hash each output's meta
+        row records: no option is named for a key of a config kind but two."""
+        from cruxkit.jsonl import CONFIG_KINDS
+
+        keys = {key for _, _, kind_keys in CONFIG_KINDS.values() for key in kind_keys}
+        names = {p.name for command in COMMANDS for p in command.params}
+        # --seed: the benchmark's grpo-check runs (perfbench/worker.py) set it;
+        # -k: the acceptance suite's evaluate runs set it
+        assert names & keys == {"seed", "k_values"}
+
+
+def test_readme_names_every_option_and_no_other():
+    """README names each option of each command, and no long option that
+    is not one, but for pip's ``--no-build-isolation``."""
+    options = {opt for command in COMMANDS for p in command.params for opt in p.opts}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", readme))
+    assert options - named == set()
+    assert {flag for flag in named if flag.startswith("--")} - options == {"--no-build-isolation"}
+
 
 # Imports cruxkit.cli, loads argv[1] as the config, then runs each command of
 # argv[2] through cli.main; prints the cruxkit modules loaded after each step,
@@ -1827,7 +1868,7 @@ class TestNumpyImportBoundary:
         loaded = numpy_loaded_after(tmp_path, [
             ["categorize", "--input", TOY / "pairs.jsonl",
              "--verdicts", TOY / "verdicts.jsonl", "--output", categorized],
-            ["derive-crux", "--input", categorized, "--emit", tmp_path / "bundles.jsonl"],
+            ["derive-crux", "--input", categorized, "--output", tmp_path / "bundles.jsonl"],
             ["build-dataset", "--input", categorized,
              "--transcripts", TOY / "transcripts.jsonl", "--output", tmp_path / "records.jsonl"],
             ["evaluate", "--tasks", TOY / "pairs.jsonl",

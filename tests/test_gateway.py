@@ -313,6 +313,12 @@ class TestHttpTransport:
         assert headers["Content-Type"] == "application/json"
         assert (payload["model"], payload["prompt"], payload["n"], payload["seed"]) == ("m", "p", 2, 7)
 
+    def test_fewer_choices_than_asked_is_truncated(self, provider, loopback):
+        loopback.reply = (200, json.dumps({"choices": [{"text": "a"}]}))
+        gateway = Gateway(provider.config, backend=provider, sleep=lambda s: None)
+        with pytest.raises(TruncatedResponse, match="asked for 2 completions, got 1"):
+            gateway.generate(GenRequest("p", n=2))
+
     def test_no_key_no_authorization(self, provider, loopback, monkeypatch):
         monkeypatch.delenv("CRUXKIT_API_KEY", raising=False)
         provider._post({})

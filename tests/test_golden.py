@@ -61,7 +61,7 @@ ROW_IDS = {"categorized.jsonl": "id", "bundles.jsonl": "task_id", "records.jsonl
 
 
 def _no_sim_chain(pair_lines: tuple[str, ...]) -> dict:
-    """``categorize``, ``derive-crux --emit`` and ``build-dataset`` over these
+    """``categorize``, ``derive-crux`` (offline) and ``build-dataset`` over these
     pair rows: each command's exit code and stdout, and each file's lines."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -70,7 +70,7 @@ def _no_sim_chain(pair_lines: tuple[str, ...]) -> dict:
         steps = [
             ["categorize", "--input", out / "pairs.jsonl",
              "--verdicts", NO_SIM_TINY / "verdicts.jsonl", "--output", categorized],
-            ["derive-crux", "--input", categorized, "--emit", out / "bundles.jsonl"],
+            ["derive-crux", "--input", categorized, "--output", out / "bundles.jsonl"],
             ["build-dataset", "--input", categorized,
              "--transcripts", NO_SIM_TINY / "transcripts.jsonl",
              "--output", out / "records.jsonl", "--reclassified", out / "reclassified.jsonl"],

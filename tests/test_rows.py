@@ -79,7 +79,7 @@ CASES = {
         "categorize", "--input", TOY / "pairs.jsonl", "--verdicts", rows,
         "--output", work / "out.jsonl"]),
     "derive-crux --input": (CATEGORIZED, "id", lambda work, rows: [
-        "derive-crux", "--input", rows, "--emit", work / "bundles.jsonl"]),
+        "derive-crux", "--input", rows, "--output", work / "bundles.jsonl"]),
     **{f"build-dataset {flag}, {n} slices": (source, "id", _build(flag, n))
        for n in (1, 3)
        for flag, source in (("--input", CATEGORIZED), ("--transcripts", TOY / "transcripts.jsonl"))},
