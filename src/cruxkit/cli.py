@@ -214,9 +214,9 @@ class _Simulator:
     ``stream`` feeds ``(row, task_id, reference_code, codes)`` batches to
     ``spread.window`` with a bound of 2 x ``workers`` sims, and yields each
     batch's ``(row, outcomes)``, outcomes in candidate order, or its error
-    (a malformed row, a missing testbench, a failing reference) in its
-    turn. A batch's sims are its task's reference, once per command, then
-    its distinct designs. The pool is FIFO, so a candidate starts only once
+    (a malformed row, a missing or blank testbench, a failing reference)
+    in its turn. A batch's sims are its task's reference, once per command,
+    then its distinct designs. The pool is FIFO, so a candidate starts only once
     its reference runs; it is matched against the reference's transcript in
     its worker and comes back without its own. On exit, queued jobs are
     cancelled and running ones waited for, so no thread or child process
@@ -247,7 +247,10 @@ class _Simulator:
         if task_id not in self._references:
             if not reference_code.strip():
                 raise ConfigError(f"reference design for task {task_id!r} is blank")
-            tb = jsonl.read_text(_testbench_path(self.tb_dir, task_id), "testbench")
+            path = _testbench_path(self.tb_dir, task_id)
+            tb = jsonl.read_text(path, "testbench")
+            if not tb.strip():
+                raise ConfigError(f"testbench for task {task_id!r} is blank: {path}")
             job = SimJob(reference_code, tb, task_id, self.timeout_ms)
             self._references[task_id] = tb, self._pool.submit(run_sim, job, self.toolchain)
         tb, reference = self._references[task_id]
@@ -358,28 +361,6 @@ def step_means(rows: Iterable[dict]) -> list[tuple[int, float, int]]:
     for row in rows:
         by_step[row["step"]].extend(r["mixed"] for r in row["rewards"])
     return [(step, sum(v) / len(v), len(v)) for step, v in sorted(by_step.items())]
-
-
-def _k_values(path: str, first_row: dict) -> list[int]:
-    """The k values of an ``evaluate`` per-task report at ``path``. Rows are
-    written with sorted keys (pass@10 before pass@5), so its meta row keeps
-    the k order of evaluate's own tables; without one, the k of each
-    ``pass@k`` key of its first row, in order. A meta row that is not a
-    ``per-task meta`` or a ``pass@`` key without an integer k is a usage
-    error naming it."""
-    meta = jsonl.read_meta(path)
-    if meta is not None:
-        ks = jsonl.check("per-task meta", f"{path}: meta row", meta).get("k_values")
-        if ks:
-            return ks
-    ks = []
-    for key in first_row:
-        if key.startswith("pass@"):
-            try:
-                ks.append(int(key[len("pass@"):]))
-            except ValueError:
-                raise ConfigError(f"per-task row 1 has a bad key {key!r}") from None
-    return sorted(ks)
 
 
 def _write_table(path: str, table: str, echo: bool = False) -> None:
@@ -772,34 +753,20 @@ def grpo_check(ctx, instances):
 
 
 @main.command()
-@click.option("--reward", "reward_path", type=str, default=None,
+@click.option("--reward", "reward_path", required=True, type=str,
               help="Reward output JSONL to summarize per step.")
-@click.option("--evaluate-dir", "evaluate_dir", type=str, default=None,
-              help="Evaluation output directory to re-render.")
 @click.option("--output-dir", "output_dir", required=True, type=str)
-@click.pass_context
-def report(ctx, reward_path, evaluate_dir, output_dir):
-    """Render summary tables (text + CSV) from pipeline outputs."""
-    from .harness import pass_at_k_table, render_table
+def report(reward_path, output_dir):
+    """Render the mean mixed reward by step (text + CSV) from reward's output."""
+    from .harness import render_table
 
-    if reward_path is None and evaluate_dir is None:
-        raise ConfigError("need --reward or --evaluate-dir")
     # each table path is checked before any input is read
-    if reward_path is not None:
-        csv_path, txt_path = _outputs_in(output_dir, "reward_by_step.csv", "reward_by_step.txt")
-    if evaluate_dir is not None:
-        (evaluation_path,) = _outputs_in(output_dir, "evaluation.txt")
+    csv_path, txt_path = _outputs_in(output_dir, "reward_by_step.csv", "reward_by_step.txt")
     _output_dir(output_dir)
-    if reward_path is not None:
-        means = step_means(_rows("reward", reward_path, "reward output"))
-        header = ["step", "mean_mixed_reward", "rollouts"]
-        _write_table(csv_path, render_table(header, means, True))
-        _write_table(txt_path, render_table(header, means, False), echo=True)
-    if evaluate_dir is not None:
-        per_task = os.path.join(evaluate_dir, "per_task.jsonl")
-        rows = _load(per_task, "per-task", "per-task report")
-        _write_table(evaluation_path, pass_at_k_table(rows, _k_values(per_task, rows[0])),
-                     echo=True)
+    means = step_means(_rows("reward", reward_path, "reward output"))
+    header = ["step", "mean_mixed_reward", "rollouts"]
+    _write_table(csv_path, render_table(header, means, True))
+    _write_table(txt_path, render_table(header, means, False), echo=True)
 
 
 if __name__ == "__main__":

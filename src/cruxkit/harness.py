@@ -379,7 +379,7 @@ def pass_at_k_table(
 ) -> str:
     """The pass@k table of ``aggregate_report``'s per-task rows, a missing
     estimate shown as skipped, with an ``aggregate`` row last when one is
-    given. ``evaluate``'s summaries and ``report``'s table are rendered here."""
+    given. ``evaluate``'s ``summary.txt`` and ``summary.csv`` are rendered here."""
     header = ["task_id" if csv else "task", "n", "c", *(f"pass@{k}" for k in k_values)]
     cells = [[row["task_id"], row["n"], row["c"], *(row.get(f"pass@{k}") for k in k_values)]
              for row in rows]

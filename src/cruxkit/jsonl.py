@@ -90,19 +90,6 @@ def read_rows(path: str, f) -> Iterator[dict]:
             raise _not_utf8(path, exc) from exc
 
 
-def read_meta(path: str) -> dict | None:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if isinstance(row, dict) and len(row) == 1 and "meta" in row:
-                return row["meta"]
-            return None
-    return None
-
-
 # json.dumps(row, sort_keys=True) builds an encoder per call; this one is shared.
 # NaN and the infinities are not JSON (RFC 8259), so encoding one raises ValueError.
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
@@ -179,11 +166,12 @@ def _fills_scoring_slots(template) -> bool:
 
 _SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
 _STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
-_NUMBER = _Type("number", lambda value: isinstance(value, bool) or _real(value))
 _ANY = _Type("any", lambda value: True)
 _PAYLOAD = _is("dict or null", dict, type(None), optional=True)
 _STRINGS = _Type("list of strings", lambda value: isinstance(value, (list, tuple))
                  and all(isinstance(item, str) for item in value), optional=True)
+_STEP = _Type("int >= 0", lambda value: type(value) is int and value >= 0,
+              bad="{what} has a bad {key!r}: {value!r}")
 _CATEGORIES = ("EasyQuestion", "NormalData", "SpecialNonText")  # corpus.Category's values
 _NO_CATEGORY = "{what} has no known category ({value!r}); run categorize first"
 _PAIR = {"id": _SCALAR, "description": _STR, "reference_code": _STR}
@@ -199,20 +187,15 @@ ROW_KINDS = {
     "transcript": ("transcript row", "id", {"id": _SCALAR, "stage": _SCALAR, "text": _STR}),
     "task": ("task row", "id", {"id": _SCALAR, "reference_code": _STR}),
     "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _STRINGS}),
-    "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST, "step": _Type(
-        "int >= 0", lambda value: type(value) is int and value >= 0, optional=True,
-        bad="{what} has a bad {key!r}: {value!r}")}),
+    "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST,
+                                   "step": _STEP._replace(optional=True)}),
     "rollout": ("groups row", None, {"code_text": _STR, "crux_text": _STR, "logprobs_new": _DICT,
                                   "logprobs_old": _DICT, "logprobs_ref": _PAYLOAD,
                                   "crux_score": _PAYLOAD}),
-    "reward": ("reward row", None, {"step": _NUMBER, "rewards": _Type(
+    "reward": ("reward row", None, {"step": _STEP, "rewards": _Type(
         "non-empty list of objects with a number 'mixed'",
         lambda value: isinstance(value, list) and value != []
-        and all(isinstance(r, dict) and _NUMBER.test(r.get("mixed")) for r in value))}),
-    "per-task": ("per-task row", None, {"task_id": _ANY, "n": _ANY, "c": _ANY}),
-    "per-task meta": ("per-task report", None, {"k_values": _Type(
-        "list of ints", lambda value: isinstance(value, list)
-        and all(type(k) is int for k in value), True, bad="{what} has a bad {key!r}: {value!r}")}),
+        and all(isinstance(r, dict) and _real(r.get("mixed")) for r in value))}),
 }
 
 _TEXT, _SECTION = _is("str", str, optional=True), _is("dict", dict, optional=True)

@@ -10,7 +10,6 @@ code (fraction of testbench output lines matching the reference run).
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -21,8 +20,6 @@ from .grpo import Rollout, RolloutGroup, clipped_objective, group_advantages
 from .harness import SimOutcome
 from .interface import ModuleInterface
 from .jsonl import check
-
-logger = logging.getLogger(__name__)
 
 
 class EmptySequence(ValueError):
@@ -60,11 +57,11 @@ def crux_reward(seq: TokenLogProbSeq | None) -> float:
     """Geometric mean of the reference code's token probabilities under the
     policy conditioned on (task, produced CRUX): exp(mean of logprobs).
 
-    ``None`` means the gateway could not score; that scores 0 with a logged
-    diagnostic rather than raising, so batch scoring never aborts.
+    ``None`` means the gateway could not score; that scores 0 rather than
+    raising, so batch scoring never aborts, and the rollout's row carries
+    the ``scoring failed:`` diagnostic.
     """
     if seq is None:
-        logger.warning("crux_reward: no logprobs available; scoring 0")
         return 0.0
     if len(seq) == 0:
         raise EmptySequence("cannot score an empty token sequence")

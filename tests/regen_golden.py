@@ -3,8 +3,8 @@
 Each case runs one command over the toy corpus (the simulating ones on the
 echo toolchain) or over a committed benchmark batch under ``fixtures/``, and
 captures every output file, its stdout, its stderr and its exit code. The
-``report`` cases first run the ``reward`` or ``evaluate`` case's command and
-render what it wrote.
+``report`` case first runs the ``reward`` case's command and renders what it
+wrote.
 ``tests/test_golden.py`` reruns the cases and compares byte for byte against
 ``tests/golden/<case>/``. After an intended output change, regenerate with
 
@@ -16,7 +16,6 @@ and record the change and its reason in CHANGES.md.
 from __future__ import annotations
 
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -315,12 +314,6 @@ def _report_reward(workdir: Path) -> tuple[list, Path]:
     return ["report", "--reward", rewards, "--output-dir", outdir], outdir
 
 
-def _report_evaluate_dir(workdir: Path) -> tuple[list, Path]:
-    evaluated = _setup(_evaluate, workdir)
-    outdir = workdir / "out"
-    return ["report", "--evaluate-dir", evaluated, "--output-dir", outdir], outdir
-
-
 def _grpo_check(workdir: Path) -> tuple[list, Path]:
     config = workdir / "config.json"
     config.write_text(json.dumps({"grpo": {"beta": 0.04}}))
@@ -345,7 +338,6 @@ CASES = {
     "evaluate-sweep-tiny": _evaluate_sweep_tiny,
     "reward-rl-tiny": _reward_rl_tiny,
     "report-reward": _report_reward,
-    "report-evaluate-dir": _report_evaluate_dir,
 }
 
 
@@ -357,15 +349,7 @@ def run_case(name: str, workdir: Path, workers: int | None = None) -> dict[str, 
     if workers is not None:
         toolchain = workdir / "toolchain.json"
         toolchain.write_text(json.dumps({**json.loads(toolchain.read_text()), "workers": workers}))
-    # a cruxkit process starts with no logging handlers, so a warning reaches
-    # stderr through logging's last-resort handler; a test runner's root
-    # handlers would take it instead
-    handlers = logging.root.handlers[:]
-    logging.root.handlers.clear()
-    try:
-        result = run_cli(*args)
-    finally:
-        logging.root.handlers[:] = handlers
+    result = run_cli(*args)
     files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
     files["stdout.txt"] = result.stdout_bytes
     files["stderr.txt"] = result.stderr_bytes

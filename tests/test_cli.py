@@ -1188,14 +1188,39 @@ def test_line_that_is_not_json_is_usage_error(tmp_path, echo_toolchain_file, com
     assert result.stderr.startswith(f"error: {rows}:2: bad JSON: ")
 
 
-@pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
-def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchain_file, command):
+@pytest.mark.parametrize("case", ["evaluate", "reward", "categorize --live",
+                                  "evaluate, blank testbench", "reward, blank testbench",
+                                  "categorize --live, blank testbench"])
+def test_reference_failing_its_testbench_is_config_error(tmp_path, case):
+    """A reference that fails its testbench, or a testbench that holds only
+    whitespace, which no reference can pass, stops the command with one
+    error line. A blank testbench runs no sim, which would touch ``marker``
+    in its compile step: it ended with ``internal error: EmptyInput``
+    (exit 1)."""
+    from cruxkit.harness import ToolchainConfig
+
+    command, _, problem = case.partition(", ")
     _, pairs = read_jsonl(TOY / "pairs.jsonl")
     dff8p = next(p for p in pairs if p["id"] == "dff8p")
     tasks = tmp_path / "tasks.jsonl"
-    broken = dff8p["reference_code"].replace("endmodule", "SYNTAX_ERROR\nendmodule")
-    tasks.write_text(json.dumps({**dff8p, "reference_code": broken}) + "\n")
-    common = ["--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file]
+    tb_dir = TOY / "testbenches"
+    if not problem:
+        broken = dff8p["reference_code"].replace("endmodule", "SYNTAX_ERROR\nendmodule")
+        tasks.write_text(json.dumps({**dff8p, "reference_code": broken}) + "\n")
+        message = "failed its own testbench"
+    else:
+        tasks.write_text(json.dumps(dff8p) + "\n")
+        tb_dir = tmp_path / "tb"
+        tb_dir.mkdir()
+        (tb_dir / "dff8p_tb.v").write_text(" \n\t\n")
+        message = f"error: testbench for task 'dff8p' is blank: {tb_dir / 'dff8p_tb.v'}\n"
+    marker = tmp_path / "compiled"
+    echo = ToolchainConfig.echo()
+    touch = shlex.join(["sh", "-c", f'touch {shlex.quote(str(marker))}; exec "$@"', "sh"])
+    toolchain = tmp_path / "toolchain.json"
+    toolchain.write_text(json.dumps({"compile_cmd": f"{touch} {echo.compile_cmd}",
+                                     "run_cmd": echo.run_cmd}))
+    common = ["--testbenches", tb_dir, "--toolchain", toolchain]
     if command == "evaluate":
         args = ["evaluate", "--tasks", tasks, "--candidates", write_candidates(tmp_path, [dff8p]),
                 "--output-dir", tmp_path / "eval"]
@@ -1206,7 +1231,10 @@ def test_reference_failing_its_testbench_is_config_error(tmp_path, echo_toolchai
         args = ["categorize", "--live", "--input", tasks, "--output", tmp_path / "cat.jsonl"]
     result = run_cli(*args, *common)
     assert result.exit_code == 2
-    assert "failed its own testbench" in result.stderr
+    if problem:
+        assert (result.stderr, marker.exists()) == (message, False)
+    else:
+        assert message in result.stderr
 
 
 @pytest.mark.parametrize("flag", ["--config", "categorize --input", "report --reward",
@@ -1239,7 +1267,7 @@ def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file,
 @pytest.mark.parametrize("command", ["categorize", "categorize into a directory", "derive-crux",
                                      "build-dataset", "build-dataset --reclassified", "reward",
                                      "evaluate", "report", "evaluate table",
-                                     "report --reward table", "report --evaluate-dir table"])
+                                     "report --reward table"])
 def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, command):
     """An output path in a missing directory, an output path that is a
     directory, or an ``--output-dir`` that is a file stops the command with
@@ -1253,7 +1281,7 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
     folder.mkdir()
     a_file.write_text("")
     tables = tmp_path / "tables"
-    for name in ("summary.txt", "reward_by_step.csv", "evaluation.txt"):
+    for name in ("summary.txt", "reward_by_step.csv"):
         (tables / name).mkdir(parents=True)
     marker = tmp_path / "compiled"
     echo = ToolchainConfig.echo()
@@ -1292,9 +1320,6 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
                            f"output path is a directory: {tables / 'summary.txt'}"),
         "report --reward table": (["report", "--reward", GOLDEN_REWARDS, "--output-dir", tables],
                                   f"output path is a directory: {tables / 'reward_by_step.csv'}"),
-        "report --evaluate-dir table": (
-            ["report", "--evaluate-dir", GOLDEN / "evaluate", "--output-dir", tables],
-            f"output path is a directory: {tables / 'evaluation.txt'}"),
     }[command]
     before = sorted(tmp_path.rglob("*"))
     result = run_cli(*args)
@@ -1583,47 +1608,10 @@ class TestReport:
         assert int(count) == 4
         assert 0.0 <= float(mean) <= 14.0
 
-    def test_evaluate_dir_matches_summary_table(self, tmp_path, echo_toolchain_file):
-        _, pairs = read_jsonl(TOY / "pairs.jsonl")
-        evaldir = tmp_path / "eval"
-        result = run_cli(
-            "evaluate",
-            "--tasks", TOY / "pairs.jsonl",
-            "--candidates", write_candidates(tmp_path, pairs),
-            "--testbenches", TOY / "testbenches",
-            "--toolchain", echo_toolchain_file,
-            "--output-dir", evaldir,
-        )
-        assert result.exit_code == 0, result.output
-        outdir = tmp_path / "rep"
-        result = run_cli("report", "--evaluate-dir", evaldir, "--output-dir", outdir)
-        assert result.exit_code == 0, result.output
-        # header plus one line per task; the aggregate and warning lines follow
-        summary = (evaldir / "summary.txt").read_bytes().split(b"\n")
-        expected = b"\n".join(summary[: 1 + len(pairs)]) + b"\n"
-        assert (outdir / "evaluation.txt").read_bytes() == expected
-
     def test_needs_an_input(self, tmp_path):
         result = run_cli("report", "--output-dir", tmp_path / "rep")
         assert result.exit_code == 2
-
-    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
-        evaldir = tmp_path / "eval"
-        evaldir.mkdir()
-        row = {"c": 1, "n": 1, "pass@1": 1.0, "task_id": "tâche"}
-        (evaldir / "per_task.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
-        outdir = tmp_path / "rep"
-        src = Path(__file__).resolve().parents[1] / "src"
-        ascii_env = {"PYTHONPATH": str(src), "LC_ALL": "C",
-                     "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-        result = subprocess.run(
-            [sys.executable, "-m", "cruxkit.cli",
-             "report", "--evaluate-dir", str(evaldir), "--output-dir", str(outdir)],
-            capture_output=True, timeout=120, env={**os.environ, **ascii_env},
-        )
-        assert result.returncode == 0, result.stderr
-        lines = (outdir / "evaluation.txt").read_text(encoding="utf-8").splitlines()
-        assert lines == ["task\tn\tc\tpass@1", "tâche\t1\t1\t1.0000"]
+        assert "Missing option '--reward'" in result.stderr
 
 
 # command lines that run cleanly under the default config; most cases of
@@ -1875,7 +1863,7 @@ class TestNumpyImportBoundary:
              "--candidates", write_candidates(tmp_path, pairs),
              "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
              "--output-dir", tmp_path / "eval"],
-            ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
+            ["report", "--reward", GOLDEN_REWARDS, "--output-dir", tmp_path / "report"],
         ])
         assert loaded == {
             step: False for step in ["import cruxkit.cli", "load_config", "categorize",
@@ -1884,7 +1872,7 @@ class TestNumpyImportBoundary:
         _, records = read_jsonl(tmp_path / "records.jsonl")
         assert len(records) == 5
         assert (tmp_path / "eval" / "summary.txt").exists()
-        assert (tmp_path / "report" / "evaluation.txt").exists()
+        assert (tmp_path / "report" / "reward_by_step.txt").exists()
 
     def test_reward_never_loads_numpy(self, tmp_path, echo_toolchain_file):
         """numpy is a test-only reference: reward's advantages and objective
@@ -1922,8 +1910,6 @@ class TestLayerImportBoundary:
              "--candidates", write_candidates(tmp_path, pairs),
              "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
              "--output-dir", tmp_path / "eval"],
-            ["report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "report"],
-            # loaded modules only accumulate, so the one "report" step covers both
             ["report", "--reward", GOLDEN_REWARDS, "--output-dir", tmp_path / "report"],
         ])
         light = ["cruxkit", "cruxkit.cli", "cruxkit.grpo", "cruxkit.jsonl"]
@@ -1931,7 +1917,6 @@ class TestLayerImportBoundary:
                              "subprocess"])
         assert steps == {"import cruxkit.cli": light, "load_config": light,
                          "evaluate": simulating, "report": simulating}
-        assert (tmp_path / "report" / "evaluation.txt").exists()
         assert (tmp_path / "report" / "reward_by_step.txt").exists()
 
     def test_no_sim_commands_never_load_the_simulation_layer(self, tmp_path, categorized_toy):

@@ -23,6 +23,11 @@ def test_matches_golden(name, tmp_path):
         assert got[file_name] == blob, f"{name}/{file_name} differs from its golden copy"
 
 
+def test_every_golden_directory_has_a_case():
+    """A case's directory is deleted with its case, so none is left unchecked."""
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
 @pytest.mark.parametrize("name", ["evaluate-sweep-tiny", "reward-rl-tiny", "categorize-live"])
 def test_workers_do_not_change_output(name, tmp_path):
     """1 and 4 workers give byte-identical files, stdout, stderr and exit

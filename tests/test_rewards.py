@@ -91,10 +91,8 @@ class TestCruxReward:
         seq = TokenLogProbSeq((7,), (math.log(0.25),))
         assert crux_reward(seq) == pytest.approx(0.25, abs=1e-15)
 
-    def test_none_scores_zero_with_warning(self, caplog):
-        with caplog.at_level("WARNING"):
-            assert crux_reward(None) == 0.0
-        assert any("logprob" in r.message.lower() for r in caplog.records)
+    def test_none_scores_zero(self):
+        assert crux_reward(None) == 0.0
 
     def test_empty_sequence_raises(self):
         with pytest.raises(EmptySequence):

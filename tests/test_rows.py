@@ -62,12 +62,6 @@ def _build(flag, slice_count):
     return make
 
 
-def _evaluate_dir(work, rows):
-    (work / "eval").mkdir()
-    (work / "eval" / "per_task.jsonl").write_bytes(rows.read_bytes())
-    return ["report", "--evaluate-dir", work / "eval", "--output-dir", work / "report"]
-
-
 # each command and input file: its committed rows (or rows made from the toy
 # corpus), the key that names a row, and the command's args given the
 # mutated file; a build-dataset case also gives its slice count
@@ -90,7 +84,6 @@ CASES = {
     "reward --groups rollout": (GROUPS, None, _simulating("reward", "--groups")),
     "report --reward": (GOLDEN / "reward" / "rewards.jsonl", None, lambda work, rows: [
         "report", "--reward", rows, "--output-dir", work / "report"]),
-    "report --evaluate-dir": (GOLDEN / "evaluate" / "per_task.jsonl", None, _evaluate_dir),
 }
 
 # one value of each JSON type
@@ -153,8 +146,6 @@ def _mutated(row: dict, mutation: tuple):
 @example(case="reward --groups", index=0, mutation=("retype", "task_id", {"a": 1}))
 @example(case="report --reward", index=0, mutation=("drop", "step"))
 @example(case="report --reward", index=0, mutation=("replace", 3))
-@example(case="report --evaluate-dir", index=0, mutation=("replace", 3))
-@example(case="report --evaluate-dir", index=0, mutation=("drop", "n"))
 @example(case="report --reward", index=0, mutation=("empty", "rewards"))
 @example(case="evaluate --tasks", index=3, mutation=("empty", "reference_code"))
 def test_malformed_row_exits_2_naming_it(case, index, mutation, slices):
@@ -418,22 +409,19 @@ def test_mock_provider_with_bad_values_is_usage_error(tmp_path, flag, mock, mess
     assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
 
 
-@pytest.mark.parametrize("lines, message", [
-    (['{"meta": {"k_values": 5}}'], "{path}: meta row has a bad 'k_values': 5"),
-    (['{"meta": {"k_values": [1, "5"]}}'], "{path}: meta row has a bad 'k_values': [1, '5']"),
-    (['{"meta": 3}'], "{path}: meta row is not an object"),
-    ([], "per-task row 1 has a bad key 'pass@x'"),
+@pytest.mark.parametrize("row, message", [
+    ({"step": True, "rewards": [{"mixed": 1.0}]}, "reward row 1 has a bad 'step': True"),
+    ({"step": 2.5, "rewards": [{"mixed": 1.0}]}, "reward row 1 has a bad 'step': 2.5"),
+    ({"step": 2, "rewards": [{"mixed": False}]},
+     "reward row 1: 'rewards' must be a non-empty list of objects with a number 'mixed'"),
 ])
-def test_bad_per_task_meta_row_or_key_is_usage_error(tmp_path, lines, message):
-    """``report --evaluate-dir`` reads its k values from the meta row of
-    ``per_task.jsonl``, else from its first row's ``pass@k`` keys."""
-    (tmp_path / "eval").mkdir()
-    per_task = tmp_path / "eval" / "per_task.jsonl"
-    row = {"task_id": "a", "n": 2, "c": 1, "pass@1": 0.5, "pass@x": 1.0}
-    per_task.write_text("\n".join([*lines, json.dumps(row)]) + "\n")
-    result = run_cli("report", "--evaluate-dir", tmp_path / "eval", "--output-dir", tmp_path / "r")
-    path = f"per-task report {per_task}"
-    assert (result.exit_code, result.stderr) == (2, f"error: {message.format(path=path)}\n")
+def test_reward_row_takes_what_reward_writes(tmp_path, row, message):
+    """A ``step`` that is a bool or not an int, and a ``mixed`` that is a
+    bool, are usage errors: ``report`` took each, merging a step ``true``
+    with step 1 and printing a step ``2.5000``."""
+    rows = _write(tmp_path / "rewards.jsonl", [row, {"step": 1, "rewards": [{"mixed": 3.0}]}])
+    result = run_cli("report", "--reward", rows, "--output-dir", tmp_path / "report")
+    assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
 
 
 JSON = st.recursive(
