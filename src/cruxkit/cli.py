@@ -18,11 +18,11 @@ simulation layer, nor its ``subprocess`` and thread pool. A harness name is
 imported where it is used, not kept in this module's globals, so a patch of
 ``harness`` reaches every later call.
 
-Every input row is checked once, as it is read, against its kind in
-``jsonl.KINDS`` (build-dataset checks each pair row as it builds it, so a bad
-row is still reported in row order): a row that is not an object, lacks a
-key or holds a value of another type is a usage error naming the row. So is
-each config file, as it is read; reading the run config loads no layer.
+This module opens no file: ``jsonl`` checks each output path before any
+work, makes ``--output-dir`` at its first write, and reads every input file,
+checking each config file and each row against its kind in ``jsonl.KINDS``
+as it is read (build-dataset's pair rows as they are built, so a bad row is
+still reported in row order); reading the run config loads no layer.
 
 A command that succeeds exits 0. Every failure ends in ``_Commands.invoke``,
 the one place that turns it into a stderr line and an exit code: ``error:
@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import json
 import os
 import sys
 from collections import defaultdict
@@ -87,8 +86,7 @@ def load_config(path: str | None, seed: int | None) -> dict:
     merged key by key) and ``seed`` laid over it."""
     cfg = default_config()
     if path is not None:
-        loaded = jsonl.check("config", path, jsonl.read_json(path, "config file", "config file"))
-        for key, value in loaded.items():
+        for key, value in jsonl.read_json(path, "config file", "config", path).items():
             if isinstance(cfg[key], dict):
                 cfg[key].update(jsonl.check(key, None, value))
             else:
@@ -98,15 +96,9 @@ def load_config(path: str | None, seed: int | None) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def meta_for(cfg: dict, **extra) -> dict:
     return {
-        "config_sha256": config_hash(cfg),
+        "config_sha256": hashlib.sha256(jsonl.encode_row(cfg).encode("utf-8")).hexdigest()[:16],
         "seed": cfg["seed"],
         "tool": f"cruxkit {__version__}",
         **extra,
@@ -118,32 +110,9 @@ def derive_seed(master_seed: int, task_id: str, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _output(path: str) -> str:
-    """``path``, if its directory exists and it is not a directory itself."""
-    directory = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(directory):
-        raise ConfigError(f"output directory not found: {directory}")
-    if os.path.isdir(path):
-        raise ConfigError(f"output path is a directory: {path}")
-    return path
-
-
 def _outputs_in(directory: str, *names: str) -> list[str]:
-    """The paths of ``names`` in output directory ``directory``, each checked
-    by ``_output`` if the directory exists (``_output_dir`` makes it later)."""
-    paths = [os.path.join(directory, name) for name in names]
-    if os.path.isdir(directory):
-        for path in paths:
-            _output(path)
-    return paths
-
-
-def _output_dir(path: str) -> None:
-    """Makes the directory ``path`` if missing; one that cannot be made is a usage error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    """The paths of ``names`` in ``directory``, which the first write makes."""
+    return [jsonl.output(os.path.join(directory, name), True) for name in names]
 
 
 @functools.cache
@@ -155,17 +124,9 @@ def _corpus():
     return corpus
 
 
-def _rows(kind: str | None, path: str, what: str) -> Iterator:
-    """The ``what`` file's rows, each checked as ``kind`` (unless None) as read."""
-    rows = jsonl.open_rows(path, what)
-    if kind is None:
-        return rows
-    return (jsonl.check(kind, place, row) for place, row in enumerate(rows, 1))
-
-
 def _load(path: str, kind: str | None, what: str = "input file") -> list:
-    """Every row of ``_rows``; none is a usage error."""
-    rows = list(_rows(kind, path, what))
+    """Every row of ``jsonl.open_rows``; none is a usage error."""
+    rows = list(jsonl.open_rows(path, what, kind))
     if not rows:
         raise ConfigError(f"no rows in {path}")
     return rows
@@ -184,20 +145,18 @@ def _toolchain(path: str | None) -> ToolchainConfig:
 
     if path is None:
         return ToolchainConfig()
-    config = jsonl.read_json(path, "toolchain config", "bad toolchain config")
-    return ToolchainConfig(**jsonl.check("toolchain", None, config))
+    return ToolchainConfig(**jsonl.read_json(path, "toolchain config", "toolchain"))
 
 
 def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
     from .gateway import ProviderConfig
 
     if mock_script is not None:
-        script = jsonl.read_json(mock_script, "mock provider script", "bad provider config")
-        return ProviderConfig(kind="mock", mock=script)
+        return ProviderConfig(kind="mock", **jsonl.read_json(
+            mock_script, "mock provider script", "provider", key="mock"))
     if path is None:
         return ProviderConfig(kind="mock")
-    config = jsonl.read_json(path, "provider config", "bad provider config")
-    return ProviderConfig(**jsonl.check("provider", None, config))
+    return ProviderConfig(**jsonl.read_json(path, "provider config", "provider"))
 
 
 def _testbench_path(directory: str, task_id: str) -> str:
@@ -363,14 +322,6 @@ def step_means(rows: Iterable[dict]) -> list[tuple[int, float, int]]:
     return [(step, sum(v) / len(v), len(v)) for step, v in sorted(by_step.items())]
 
 
-def _write_table(path: str, table: str, echo: bool = False) -> None:
-    """Writes a rendered table to ``path`` and, if ``echo``, to stdout."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(table)
-    if echo:
-        click.echo(table, nl=False)
-
-
 class _Commands(click.Group):
     """The command group. Its ``invoke``, which runs the config load and
     the command, is the one place a failure becomes a stderr line and an
@@ -422,7 +373,7 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
 
     cfg = ctx.obj["config"]
 
-    _output(output_path)
+    jsonl.output(output_path)
     rows = _load(input_path, "pair")
     pairs = [_as_pair(r) for r in rows]
     if live:
@@ -452,7 +403,7 @@ def categorize(ctx, input_path, verdicts_path, live, provider_path, mock_script,
         if verdicts_path is None:
             raise ConfigError("need --verdicts or --live")
         verdicts = {r["id"]: bool(r["passed"])
-                    for r in _rows("verdict", verdicts_path, "verdicts file")}
+                    for r in jsonl.open_rows(verdicts_path, "verdicts file", "verdict")}
     keywords = frozenset(cfg["keywords"]) if cfg.get("keywords") else None
     counts: dict[str, int] = defaultdict(int)
     out_rows = []
@@ -482,7 +433,7 @@ def derive_crux(ctx, input_path, live, provider_path, mock_script, output_path):
 
     cfg = ctx.obj["config"]
 
-    _output(output_path)
+    jsonl.output(output_path)
     rows = _load(input_path, "categorized pair")
     bundles = [make_crux_derivation_prompt(_as_pair(row), Category(row["category"]))
                for row in rows if row["category"] != Category.EASY_QUESTION.value]
@@ -536,12 +487,14 @@ def build_dataset(ctx, input_path, transcripts_path, output_path, reclassified_p
 
     cfg = ctx.obj["config"]
 
-    _output(output_path)
-    recl_path = _output(reclassified_path or output_path + ".reclassified.jsonl")
+    jsonl.output(output_path)
+    recl_path = jsonl.output(reclassified_path or output_path + ".reclassified.jsonl")
+    if os.path.realpath(recl_path) == os.path.realpath(output_path):
+        raise ConfigError(f"--reclassified names the --output file: {recl_path}")
     rows = _load(input_path, None)
     transcripts: dict[tuple[str, str], str] = {} if transcripts_path is None else {
         (t["id"], t["stage"]): t["text"]
-        for t in _rows("transcript", transcripts_path, "transcripts file")
+        for t in jsonl.open_rows(transcripts_path, "transcripts file", "transcript")
     }
     degradation = DegradationPolicy(**cfg["degradation"])
     augmentation = AugmentationPolicy(**cfg["augmentation"])
@@ -632,16 +585,8 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
         output_dir, "outcomes.jsonl", "per_task.jsonl", "summary.txt", "summary.csv")
     sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
     tasks = {row["id"]: row for row in _load(tasks_path, "task")}
-    # per_task.jsonl is sorted by task id, and numbers, strings and null do not sort together
-    kinds: dict[bool | None, object] = {}
-    for task_id in tasks:
-        kinds.setdefault(None if task_id is None else isinstance(task_id, str), task_id)
-    if len(kinds) > 1:
-        first, other = list(kinds.values())[:2]
-        raise ConfigError(f"task ids {first!r} and {other!r} in {tasks_path} cannot be ordered")
-    cand_rows = _rows("candidates", candidates_path, "candidates file")
+    cand_rows = jsonl.open_rows(candidates_path, "candidates file", "candidates")
     ks = tuple(k_values) if k_values else tuple(cfg["k_values"])
-    _output_dir(output_dir)
     samples: dict[str, list[SimOutcome]] = {}
     outcome_rows = []
     with sims:
@@ -660,9 +605,10 @@ def evaluate(ctx, tasks_path, candidates_path, tb_dir, toolchain_path, output_di
     jsonl.write_rows(outcomes_path, outcome_rows, meta=meta)
     jsonl.write_rows(per_task_path, rows, meta=meta)
     summary = pass_at_k_table(rows, ks, aggregate=aggregate)
-    _write_table(summary_path, summary + "".join(f"# warning: {w}\n" for w in warnings),
-                 echo=True)
-    _write_table(csv_path, pass_at_k_table(rows, ks, csv=True))
+    summary += "".join(f"# warning: {w}\n" for w in warnings)
+    jsonl.write_text(summary_path, summary)
+    click.echo(summary, nl=False)
+    jsonl.write_text(csv_path, pass_at_k_table(rows, ks, csv=True))
 
 
 @main.command()
@@ -684,14 +630,14 @@ def reward(ctx, groups_path, tasks_path, tb_dir, toolchain_path, provider_path,
 
     cfg = ctx.obj["config"]
 
-    _output(output_path)
+    jsonl.output(output_path)
     sims = _Simulator(_toolchain(toolchain_path), tb_dir, cfg["timeout_ms"])
     tasks = {row["id"]: row for row in _load(tasks_path, "task")}
     schedule = WeightSchedule(**cfg["schedule"])
     gateway = Gateway(_provider(provider_path, mock_script))
     grpo = cfg["grpo"]
     out_rows = []
-    group_rows = _rows("group", groups_path, "groups file")
+    group_rows = jsonl.open_rows(groups_path, "groups file", "group")
 
     def crux_score(task: dict, crux_text: str) -> TokenLogProbSeq | str:
         realspec = task.get("realspec") or task.get("description") or ""
@@ -762,11 +708,12 @@ def report(reward_path, output_dir):
 
     # each table path is checked before any input is read
     csv_path, txt_path = _outputs_in(output_dir, "reward_by_step.csv", "reward_by_step.txt")
-    _output_dir(output_dir)
-    means = step_means(_rows("reward", reward_path, "reward output"))
+    means = step_means(jsonl.open_rows(reward_path, "reward output", "reward"))
     header = ["step", "mean_mixed_reward", "rollouts"]
-    _write_table(csv_path, render_table(header, means, True))
-    _write_table(txt_path, render_table(header, means, False), echo=True)
+    jsonl.write_text(csv_path, render_table(header, means, True))
+    table = render_table(header, means, False)
+    jsonl.write_text(txt_path, table)
+    click.echo(table, nl=False)
 
 
 if __name__ == "__main__":

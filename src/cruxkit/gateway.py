@@ -23,7 +23,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass, field
 
-from .jsonl import ConfigError, check
+from .jsonl import ConfigError, append_row, check, encode_row, output
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,7 @@ class ProviderConfig:
             raise ConfigError("bad provider config: http provider requires base_url")
         # the audit log is opened at each call: a path it cannot take fails here, before any call
         if self.audit_path:
-            if os.path.isdir(self.audit_path):
-                raise ConfigError(f"bad provider config: audit_path is a directory: "
-                                  f"{self.audit_path}")
-            if not os.path.isdir(os.path.dirname(self.audit_path) or os.curdir):
-                raise ConfigError("bad provider config: audit_path is in a directory that "
-                                  f"does not exist: {self.audit_path}")
+            output(self.audit_path)
         if self.kind == "mock":
             MockProvider(self.mock)  # a bad mock value fails here, as the config is read
 
@@ -319,7 +314,7 @@ class Gateway:
                extra: dict) -> None:
         if not self.config.audit_path:
             return
-        digest = hashlib.sha256(json.dumps(asdict(req), sort_keys=True).encode()).hexdigest()
+        digest = hashlib.sha256(encode_row(asdict(req)).encode()).hexdigest()
         entry = {
             "kind": kind,
             "request_sha256": digest,
@@ -328,8 +323,7 @@ class Gateway:
             **extra,
         }
         with self._audit_lock:
-            with open(self.config.audit_path, "a", encoding="utf-8") as f:
-                f.write(json.dumps(entry, sort_keys=True) + "\n")
+            append_row(self.config.audit_path, entry)
 
     def _with_retries(self, fn):
         last: Exception | None = None

@@ -243,7 +243,8 @@ def run_sim(
         design_path = os.path.join(scratch, "design.v")
         tb_path = os.path.join(scratch, "tb.v")
         out_path = os.path.join(scratch, "sim.image")
-        with open(design_path, "w", encoding="utf-8") as f:
+        # a lone surrogate (from a JSON escape) is written as is: a compile failure, not a crash
+        with open(design_path, "w", encoding="utf-8", errors="surrogatepass") as f:
             f.write(job.design_source)
         with open(tb_path, "w", encoding="utf-8") as f:
             f.write(job.testbench_source)

@@ -1,23 +1,28 @@
-"""JSONL reading/writing with a leading provenance row, the one reader of
-cruxkit's input files, and the one checker of its rows and config files.
+"""The one file layer: every file a command reads or writes is checked,
+made, opened, decoded and JSON-encoded here, and every input row and config
+object is checked against its kind in ``KINDS``.
 
 Output files start with one ``{"meta": {...}}`` row carrying the config hash
-and seeds; readers skip it. Writers sort keys so reruns with identical
-inputs produce byte-identical files.
+and seeds; readers skip it. ``encode_row`` is the one encoder that sorts
+keys, so reruns with identical inputs produce byte-identical files.
 
-``open_rows``, ``read_json`` (a config file) and ``read_text`` (a testbench)
-open and decode every input file: a file that is missing, a directory or
-unreadable, a file that is not UTF-8, or a line or config that is not JSON,
-is a ``ConfigError``, as is an output file ``write_lines`` cannot create.
-``check`` holds an input row or a config object against its kind in
-``KINDS``. This module imports no other cruxkit module, so each layer's
-config class checks its fields here, and reading a config file loads no
-layer.
+``output`` checks an output path before any work, and every writer opens
+its file through ``_create``, which makes the file's directory. ``open_rows``,
+``read_json`` (a config file) and ``read_text`` (a testbench) open and decode
+every input file, and check each row or config as it is read. A file that is
+missing, a directory or unreadable, one that is not UTF-8, a line or config
+that is not JSON or that ``check`` rejects, and an output that cannot be
+written are each a ``ConfigError``. This module imports no other cruxkit
+module, so each layer's config class checks its fields here, and reading a
+config file loads no layer.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
@@ -54,19 +59,26 @@ def read_text(path: str, what: str, label: str = "") -> str:
             raise ConfigError(label + str(_not_utf8(path, exc))) from exc
 
 
-def read_json(path: str, what: str, label: str):
-    """The JSON value of the ``what`` config file at ``path``; text that is
-    not UTF-8 or not JSON is a usage error that begins with ``label``."""
+def read_json(path: str, what: str, kind: str, place: str | None = None, key: str = ""):
+    """The JSON value of the ``what`` config file at ``path``, checked as ``kind``
+    at ``place`` (with ``key``, as that key's value in a ``kind``); text that is
+    not UTF-8 or not JSON is a usage error that begins with the kind's label."""
+    label = KINDS[kind][0]
     try:
-        return json.loads(read_text(path, what, f"{label}: "))
+        value = json.loads(read_text(path, what, f"{label}: "))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+    return check(kind, place, {key: value} if key else value)
 
 
-def open_rows(path: str, what: str) -> Iterator[dict]:
-    """``read_rows`` of the ``what`` JSONL file at ``path``, opened by this
-    call, so one that cannot be is reported before any row is asked for."""
-    return read_rows(path, _open(path, what))
+def open_rows(path: str, what: str, kind: str | None = None) -> Iterator[dict]:
+    """``read_rows`` of the ``what`` JSONL file at ``path``, each row checked
+    as ``kind`` (unless None) as it is read; the file is opened by this call,
+    so one that cannot be is reported before any row is asked for."""
+    rows = read_rows(path, _open(path, what))
+    if kind is None:
+        return rows
+    return (check(kind, place, row) for place, row in enumerate(rows, 1))
 
 
 def read_rows(path: str, f) -> Iterator[dict]:
@@ -90,32 +102,65 @@ def read_rows(path: str, f) -> Iterator[dict]:
             raise _not_utf8(path, exc) from exc
 
 
+def output(path: str, make_directory: bool = False) -> str:
+    """``path``, if it is not a directory and its directory exists or, with
+    ``make_directory``, is missing (``_create`` makes it) but is not a file."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise ConfigError(f"output path is a directory: {path}")
+    if not make_directory and not os.path.isdir(directory):
+        raise ConfigError(f"output directory not found: {directory}")
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise ConfigError(f"cannot make output directory {directory}: {os.strerror(errno.EEXIST)}")
+    return path
+
+
+def _create(path: str, mode: str = "w"):
+    """``path`` opened to write (mode ``"a"``: to append) UTF-8 text, its
+    directory made if missing; either failing is a usage error."""
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory or os.curdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {directory}: {exc.strerror}") from exc
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 # json.dumps(row, sort_keys=True) builds an encoder per call; this one is shared.
 # NaN and the infinities are not JSON (RFC 8259), so encoding one raises ValueError.
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def encode_row(row: dict) -> str:
-    """One output line without its newline; keys sorted for byte-identical reruns."""
+    """One JSON line without its newline; keys sorted for byte-identical reruns."""
     return _ENCODER.encode(row)
 
 
-def write_lines(path: str, lines: Iterable[str], meta: dict | None = None) -> None:
-    """Writes the meta row, then rows already encoded by ``encode_row``; a
-    file that cannot be created is a usage error."""
-    try:
-        f = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-    with f:
-        if meta is not None:
-            f.write(encode_row({"meta": meta}) + "\n")
+def write_lines(path: str, lines: Iterable[str], meta: dict) -> None:
+    """Writes the meta row, then rows already encoded by ``encode_row``."""
+    with _create(path) as f:
+        f.write(encode_row({"meta": meta}) + "\n")
         for line in lines:
             f.write(line + "\n")
 
 
-def write_rows(path: str, rows: Iterable[dict], meta: dict | None = None) -> None:
+def write_rows(path: str, rows: Iterable[dict], meta: dict) -> None:
     write_lines(path, map(encode_row, rows), meta)
+
+
+def write_text(path: str, text: str) -> None:
+    """Writes ``text``, a rendered table, to ``path``."""
+    with _create(path) as f:
+        f.write(text)
+
+
+def append_row(path: str, row: dict) -> None:
+    """Appends ``row`` as one line to the JSONL file at ``path``."""
+    with _create(path, "a") as f:
+        f.write(encode_row(row) + "\n")
 
 
 class _Type(NamedTuple):
@@ -165,6 +210,10 @@ def _fills_scoring_slots(template) -> bool:
 
 
 _SCALAR = _is("scalar", str, int, float, bool, type(None))  # a JSON value that hashes
+# an id is a str UTF-8 can encode: no lone surrogate, which json.loads reads from "\udcc3"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_ID = _Type("str", lambda text: isinstance(text, str) and not _SURROGATE.search(text),
+            bad="{what}: {key!r} must be a str that UTF-8 can encode")
 _STR, _LIST, _DICT = _is("str", str), _is("list", list), _is("dict", dict)
 _ANY = _Type("any", lambda value: True)
 _PAYLOAD = _is("dict or null", dict, type(None), optional=True)
@@ -174,20 +223,20 @@ _STEP = _Type("int >= 0", lambda value: type(value) is int and value >= 0,
               bad="{what} has a bad {key!r}: {value!r}")
 _CATEGORIES = ("EasyQuestion", "NormalData", "SpecialNonText")  # corpus.Category's values
 _NO_CATEGORY = "{what} has no known category ({value!r}); run categorize first"
-_PAIR = {"id": _SCALAR, "description": _STR, "reference_code": _STR}
+_PAIR = {"id": _ID, "description": _STR, "reference_code": _STR}
 # Each kind of input row: the label and the key that name a row in errors
-# ("<label> <its id>", or "<label> <its place>" when it has no id that is a
-# scalar other than null), and the keys it holds. A row may hold other keys.
+# ("<label> <its id>", or "<label> <its place>" when it has no id that is an
+# ``_ID``), and the keys it holds. A row may hold other keys.
 ROW_KINDS = {
     "pair": ("corpus row", "id", _PAIR),
     "categorized pair": ("corpus row", "id", {**_PAIR, "category": _Type(
         "EasyQuestion, NormalData or SpecialNonText", lambda value: value in _CATEGORIES,
         bad=_NO_CATEGORY, absent=_NO_CATEGORY)}),
-    "verdict": ("verdict row", "id", {"id": _SCALAR, "passed": _ANY}),
-    "transcript": ("transcript row", "id", {"id": _SCALAR, "stage": _SCALAR, "text": _STR}),
-    "task": ("task row", "id", {"id": _SCALAR, "reference_code": _STR}),
-    "candidates": ("candidates row", None, {"task_id": _SCALAR, "candidates": _STRINGS}),
-    "group": ("groups row", None, {"task_id": _SCALAR, "rollouts": _LIST,
+    "verdict": ("verdict row", "id", {"id": _ID, "passed": _ANY}),
+    "transcript": ("transcript row", "id", {"id": _ID, "stage": _SCALAR, "text": _STR}),
+    "task": ("task row", "id", {"id": _ID, "reference_code": _STR}),
+    "candidates": ("candidates row", None, {"task_id": _ID, "candidates": _STRINGS}),
+    "group": ("groups row", None, {"task_id": _ID, "rollouts": _LIST,
                                    "step": _STEP._replace(optional=True)}),
     "rollout": ("groups row", None, {"code_text": _STR, "crux_text": _STR, "logprobs_new": _DICT,
                                   "logprobs_old": _DICT, "logprobs_ref": _PAYLOAD,
@@ -284,7 +333,7 @@ def check(kind: str, place: int | str | None, row):
             return row
     # the row's name is only worked out for its error
     name = row.get(named_by) if named_by else None
-    if name is not None and _SCALAR.test(name):
+    if _ID.test(name):
         place = repr(name)
     what = label if place is None else f"{label} {place}"
     raise ConfigError(message.format(what=what, key=key, value=value, name=rule.name))

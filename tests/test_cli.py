@@ -185,6 +185,28 @@ class TestCategorizeLive:
         assert candidates == ["clkgenerator", "clkgenerator", "mux2to1", "mux2to1"]
         assert sum(is_ref for _, is_ref in sim_log) == 10
 
+    def test_completion_holding_a_lone_surrogate_fails_its_probe(
+        self, tmp_path, echo_toolchain_file, sim_log
+    ):
+        """A completion with a lone surrogate (which ``json.loads`` reads from
+        a ``\\udcc3`` escape) is simulated and fails to compile: it ended the
+        command with ``internal error: UnicodeEncodeError`` as its sim wrote it."""
+        script = tmp_path / "mock.json"
+        script.write_text(json.dumps({"default_completions": ["module m; \udcc3 endmodule"]}))
+        _, pairs = read_jsonl(TOY / "pairs.jsonl")
+        failing = tmp_path / "verdicts.jsonl"
+        failing.write_text("".join(json.dumps({"id": p["id"], "passed": False}) + "\n"
+                                   for p in pairs))
+        offline, live = tmp_path / "offline.jsonl", tmp_path / "live.jsonl"
+        run_cli("categorize", "--input", TOY / "pairs.jsonl", "--verdicts", failing,
+                "--output", offline)
+        result = run_cli("categorize", "--input", TOY / "pairs.jsonl", "--live",
+                         "--mock-provider", script, "--toolchain", echo_toolchain_file,
+                         "--testbenches", TOY / "testbenches", "--output", live)
+        assert result.exit_code == 0, result.output
+        assert live.read_bytes() == offline.read_bytes()
+        assert sum(not is_ref for _, is_ref in sim_log) == len(pairs)
+
 
 @pytest.fixture()
 def categorized_toy(tmp_path):
@@ -305,6 +327,22 @@ class TestBuildDataset:
             assert "Module name:" in row["realspec"]
             assert row["crux"].startswith("## Module Interface")
             assert row["provenance"]["master_seed"] == 0
+
+    def test_reclassified_naming_the_output_is_usage_error(self, tmp_path):
+        """``--reclassified`` that names the ``--output`` file, however
+        spelled, stops the command before any row is built: on no-sim-tiny
+        it exited 0 and printed ``records: 47  reclassified: 13``, but the
+        file held only the meta row and the 13 reclassifications."""
+        (tmp_path / "sub").mkdir()
+        records = tmp_path / "records.jsonl"
+        same = tmp_path / "sub" / ".." / "records.jsonl"
+        result = run_cli("build-dataset", "--input", GOLDEN / "no-sim-tiny" / "categorized.jsonl",
+                         "--transcripts", NO_SIM_TINY / "transcripts.jsonl",
+                         "--output", records, "--reclassified", same)
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: --reclassified names the --output file: {same}\n")
+        assert result.stdout == ""
+        assert not records.exists()
 
     def test_missing_transcript_reclassifies(self, tmp_path, categorized_toy):
         records = tmp_path / "records.jsonl"
@@ -555,6 +593,18 @@ class TestEvaluate:
             )
         assert sim_log == [("mux2to1", True), ("mux2to1", False)]
 
+    def test_candidate_holding_a_lone_surrogate_is_a_compile_failure(
+        self, tmp_path, echo_toolchain_file, sim_log
+    ):
+        """A design with a lone surrogate (which ``json.loads`` reads from a
+        ``\\udcc3`` escape) ended the command with ``internal error:
+        UnicodeEncodeError`` as its sim wrote it."""
+        per_task, outcomes = self._evaluate_row(
+            tmp_path, echo_toolchain_file, "mux2to1", ["module m; \udcc3 endmodule"])
+        assert [(r["n"], r["c"]) for r in per_task] == [(1, 0)]
+        assert [(o["compile_ok"], o["ran_ok"]) for o in outcomes] == [(False, False)]
+        assert sim_log == [("mux2to1", True), ("mux2to1", False)]
+
     @pytest.mark.parametrize("ids", [(1, "b"), (None, 2), ("a", None), (2.5, "a")])
     def test_task_ids_that_cannot_be_sorted_stop_it_before_any_sim(
         self, tmp_path, echo_toolchain_file, sim_log, ids
@@ -567,9 +617,9 @@ class TestEvaluate:
         result = run_cli("evaluate", "--tasks", tasks, "--candidates", candidates,
                          "--testbenches", TOY / "testbenches", "--toolchain", echo_toolchain_file,
                          "--output-dir", tmp_path / "eval")
-        first, other = ids
+        place = next(i for i, task_id in enumerate(ids, 1) if not isinstance(task_id, str))
         assert (result.exit_code, result.stderr) == (
-            2, f"error: task ids {first!r} and {other!r} in {tasks} cannot be ordered\n")
+            2, f"error: task row {place}: 'id' must be a str that UTF-8 can encode\n")
         assert sim_log == []
         assert not (tmp_path / "eval").exists()
 
@@ -1326,6 +1376,35 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
     assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
     assert sorted(tmp_path.rglob("*")) == before
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("command", ["report --reward, a bool step", "evaluate, blank testbench",
+                                     "evaluate, empty candidates file"])
+def test_usage_error_leaves_no_output_dir(tmp_path, echo_toolchain_file, command):
+    """A command stopped by a usage error in an input row or a testbench
+    leaves no ``--output-dir`` behind: the first write makes it. Each case
+    left an empty directory."""
+    outdir = tmp_path / "out"
+    rows = tmp_path / "rows.jsonl"
+    tb_dir = tmp_path / "tb"
+    tb_dir.mkdir()
+    (tb_dir / "mux2to1_tb.v").write_text(" \n")
+    evaluate = ["evaluate", "--tasks", TOY / "pairs.jsonl", "--candidates", rows,
+                "--toolchain", echo_toolchain_file]
+    args, row, message = {
+        "report --reward, a bool step": (
+            ["report", "--reward", rows], {"step": True, "rewards": [{"mixed": 1.0}]},
+            "reward row 1 has a bad 'step': True"),
+        "evaluate, blank testbench": (
+            [*evaluate, "--testbenches", tb_dir], {"task_id": "mux2to1", "candidates": ["x"]},
+            f"testbench for task 'mux2to1' is blank: {tb_dir / 'mux2to1_tb.v'}"),
+        "evaluate, empty candidates file": (
+            [*evaluate, "--testbenches", TOY / "testbenches"], {"meta": {}}, f"no rows in {rows}"),
+    }[command]
+    rows.write_text(json.dumps(row) + "\n")
+    result = run_cli(*args, "--output-dir", outdir)
+    assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+    assert not outdir.exists()
 
 
 class FakeSims:

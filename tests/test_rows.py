@@ -294,27 +294,28 @@ def test_bad_provider_value_is_usage_error(tmp_path, values):
     assert result.stderr.startswith(f"error: bad provider config: {key!r} must be "), result.stderr
 
 
-@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("problem", ["output directory not found", "output path is a directory"],
+                         ids=["in a missing directory", "a directory"])
 def test_audit_path_that_cannot_be_written_is_usage_error_before_any_call(
-    tmp_path, monkeypatch, where
+    tmp_path, monkeypatch, problem
 ):
     """The audit log is opened at each provider call: an ``audit_path`` in a
     missing directory ended ``derive-crux --live`` at its first call with
-    ``internal error: FileNotFoundError`` (exit 1)."""
+    ``internal error: FileNotFoundError`` (exit 1). It is checked as every
+    output path is, with the same errors."""
     from cruxkit import gateway
 
     calls = []
     monkeypatch.setattr(gateway.Gateway, "_with_retries", lambda self, fn: calls.append(fn))
-    missing = where == "in a missing directory"
+    missing = problem == "output directory not found"
     audit = tmp_path / "missing" / "audit.jsonl" if missing else tmp_path
     provider = json.loads((NO_SIM_TINY / "provider.json").read_text())
     config = tmp_path / "provider.json"
     config.write_text(json.dumps({**provider, "audit_path": str(audit)}))
     result = run_cli("derive-crux", "--input", GOLDEN / "no-sim-tiny" / "categorized.jsonl",
                      "--live", "--provider", config, "--output", tmp_path / "t.jsonl")
-    problem = "is in a directory that does not exist" if missing else "is a directory"
     assert (result.exit_code, result.stderr) == (
-        2, f"error: bad provider config: audit_path {problem}: {audit}\n")
+        2, f"error: {problem}: {audit.parent if missing else audit}\n")
     assert calls == []
     assert not (tmp_path / "t.jsonl").exists()
 
@@ -422,6 +423,30 @@ def test_reward_row_takes_what_reward_writes(tmp_path, row, message):
     rows = _write(tmp_path / "rewards.jsonl", [row, {"step": 1, "rewards": [{"mixed": 3.0}]}])
     result = run_cli("report", "--reward", rows, "--output-dir", tmp_path / "report")
     assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bad_id", [3, True, None, "t\udcc3che"],
+                         ids=["number", "bool", "null", "lone surrogate"])
+@pytest.mark.parametrize("case", [case for case, (_, named_by, _) in CASES.items() if named_by])
+def test_id_that_is_not_a_str_utf8_can_encode_is_usage_error(tmp_path, case, bad_id, slices):
+    """A first row whose ``id`` or ``task_id`` is not a str, or is a str
+    holding a lone surrogate (which ``json.loads`` reads from a ``\\udcc3``
+    escape), exits 2 naming the row by its place. Such an id names a
+    testbench, seeds and a table row: a surrogate ended ``evaluate`` with
+    ``internal error: UnicodeEncodeError`` after every sim."""
+    source, named_by, make_args = CASES[case]
+    if isinstance(source, Path):
+        source = [row for row in map(json.loads, source.read_text().splitlines())
+                  if set(row) != {"meta"}]
+    rows = [{**source[0], named_by: bad_id}, *source[1:]]
+    args = make_args(tmp_path, _write(tmp_path / "rows.jsonl", rows))
+    if isinstance(args, tuple):
+        args, slice_count = args
+        slices(slice_count)
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert re.fullmatch(rf"error: [a-z ]+ row 1: '{named_by}' must be a str that UTF-8 can "
+                        r"encode\n", result.stderr), result.stderr
 
 
 JSON = st.recursive(
