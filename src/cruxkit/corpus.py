@@ -304,11 +304,7 @@ def assemble_record(
     elif category is Category.SPECIAL_NON_TEXT and (validation_verdict or "").strip().lower() != "valid":
         return Reclassification(pair.id, f"validation verdict: {validation_verdict!r}")
     elif crux.doc is None:
-        first_error = next(
-            (d.message for d in crux.diagnostics if d.severity == "error"),
-            "unparsable CRUX text",
-        )
-        return Reclassification(pair.id, first_error)
+        return Reclassification(pair.id, crux.errors[0] if crux.errors else "unparsable CRUX text")
     elif not crux.doc.key_considerations:
         return Reclassification(pair.id, "Key Considerations empty for non-easy task")
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .interface import (
     HeaderError,
@@ -124,13 +125,6 @@ def render_crux(doc: CruxDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning" | "info"
-    message: str
-    line: int  # 1-based line of the finding, 0 when not tied to a line
-
-
 @dataclass
 class CruxParseReport:
     """Outcome of parsing candidate text as a CRUX document.
@@ -138,16 +132,18 @@ class CruxParseReport:
     ``doc`` is present only when all three sections were found, the interface
     parsed, and Core Functions is nonempty. ``interface`` is the parsed
     header whenever one could be extracted, even if ``doc`` is absent.
+    ``errors`` says why ``doc`` is absent: missing sections, the interface's
+    header error, an empty Core Functions, an invalid document, in that order.
     """
 
     doc: CruxDoc | None
     sections_found: frozenset[str]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)
     interface: ModuleInterface | None = None
     core_functions_nonempty: bool = False
 
 
-def _blocks_from_body(lines: list[tuple[int, str]]) -> list[str]:
+def _blocks_from_body(lines: list[str]) -> list[str]:
     """Split section body lines into blocks on blank lines.
 
     A chunk whose every line starts with "- " is a bullet list: one block per
@@ -165,7 +161,7 @@ def _blocks_from_body(lines: list[tuple[int, str]]) -> list[str]:
             blocks.append("\n".join(chunk))
         chunk.clear()
 
-    for _, raw in lines:
+    for raw in lines:
         line = raw.strip()
         if not line:
             flush()
@@ -175,95 +171,63 @@ def _blocks_from_body(lines: list[tuple[int, str]]) -> list[str]:
     return [b for b in blocks if b]
 
 
-def _extract_interface_text(lines: list[tuple[int, str]]) -> tuple[str, int, bool]:
-    """Return (text to parse, line number, fenced?) for the interface section."""
-    fence_start = None
-    for idx, (no, raw) in enumerate(lines):
+def _extract_interface_text(lines: list[str]) -> str:
+    """The interface section's text to parse: its first fenced block, or the
+    whole section when it has no fence."""
+    for idx, raw in enumerate(lines):
         if _FENCE_RE.match(raw):
-            fence_start = idx
-            break
-    if fence_start is not None:
-        body = []
-        for no, raw in lines[fence_start + 1 :]:
-            if _FENCE_RE.match(raw):
-                break
-            body.append(raw)
-        return "\n".join(body), lines[fence_start][0], True
-    text = "\n".join(raw for _, raw in lines)
-    first_line = lines[0][0] if lines else 0
-    return text, first_line, False
+            return "\n".join(takewhile(lambda line: not _FENCE_RE.match(line), lines[idx + 1 :]))
+    return "\n".join(lines)
 
 
 def parse_crux(text: str) -> CruxParseReport:
-    """Parse ``text`` as a CRUX document. Total: never raises."""
-    diagnostics: list[Diagnostic] = []
-    sections: dict[str, list[tuple[int, str]]] = {}
+    """Parse ``text`` as a CRUX document. Total: never raises.
+
+    Content before the first heading and under an unknown heading is ignored;
+    a repeated section heading reads on into the same section."""
+    sections: dict[str, list[str]] = {}
     # the lines of the section being read; None before the first heading,
     # and under an unknown heading
-    body: list[tuple[int, str]] | None = None
-    preamble = True  # no heading or content seen yet
+    body: list[str] | None = None
     in_fence = False
-    for no, raw in enumerate(text.split("\n"), start=1):
+    for raw in text.split("\n"):
         # only a line starting with '#' or '`' after its indent can be either
         if raw.lstrip(" ")[:1] in ("#", "`"):
             if _FENCE_RE.match(raw):
                 in_fence = not in_fence
             heading = None if in_fence else _HEADING_RE.match(raw)
             if heading is not None:
-                preamble = False
                 section = _SECTION_NAMES.get(heading.group(2).strip().lower())
-                if section is None:
-                    # unknown heading: ignore its content rather than polluting
-                    # the section we were in
-                    diagnostics.append(
-                        Diagnostic("warning", f"unrecognized heading: {raw.strip()}", no)
-                    )
-                    body = None
-                    continue
-                if section in sections:
-                    diagnostics.append(
-                        Diagnostic("warning", f"duplicate section heading: {raw.strip()}", no)
-                    )
-                body = sections.setdefault(section, [])
+                body = None if section is None else sections.setdefault(section, [])
                 continue
         if body is not None:
-            body.append((no, raw))
-        elif preamble and raw.strip():
-            diagnostics.append(Diagnostic("info", "content before first recognized section", no))
-            preamble = False
+            body.append(raw)
 
-    found = frozenset(sections) & ALL_SECTIONS
-    for missing in sorted(ALL_SECTIONS - found):
-        diagnostics.append(Diagnostic("error", f"missing section: {missing}", 0))
+    found = frozenset(sections)
+    errors = [f"missing section: {missing}" for missing in sorted(ALL_SECTIONS - found)]
 
     interface: ModuleInterface | None = None
     if SECTION_INTERFACE in sections:
-        body = sections[SECTION_INTERFACE]
-        iface_text, line_no, fenced = _extract_interface_text(body)
-        if not fenced:
-            diagnostics.append(
-                Diagnostic("info", "interface section has no code fence", line_no)
-            )
         try:
-            interface = parse_module_header(iface_text)
+            interface = parse_module_header(_extract_interface_text(sections[SECTION_INTERFACE]))
         except HeaderError as exc:
-            diagnostics.append(Diagnostic("error", f"interface: {exc}", line_no))
+            errors.append(f"interface: {exc}")
 
     core = _blocks_from_body(sections.get(SECTION_CORE, []))
     key = _blocks_from_body(sections.get(SECTION_KEY, []))
     if SECTION_CORE in sections and not core:
-        diagnostics.append(Diagnostic("error", "Core Functions section is empty", 0))
+        errors.append("Core Functions section is empty")
 
     doc: CruxDoc | None = None
     if found == ALL_SECTIONS and interface is not None and core:
         try:
             doc = CruxDoc(interface, tuple(core), tuple(key))
         except ValueError as exc:
-            diagnostics.append(Diagnostic("error", f"invalid document: {exc}", 0))
+            errors.append(f"invalid document: {exc}")
     return CruxParseReport(
         doc=doc,
         sections_found=found,
-        diagnostics=diagnostics,
+        errors=errors,
         interface=interface,
         core_functions_nonempty=bool(core),
     )

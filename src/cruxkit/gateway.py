@@ -189,7 +189,7 @@ class MockProvider:
                 texts.append(canned[idx % len(canned)])
             else:
                 digest = hashlib.sha256(
-                    f"{self.seed}:{req.seed}:{idx}:{req.prompt}".encode()
+                    f"{self.seed}:{req.seed}:{idx}:{req.prompt}".encode("utf-8", "surrogatepass")
                 ).hexdigest()[:12]
                 texts.append(f"// mock completion {idx} {digest}")
         return texts

@@ -16,6 +16,7 @@ longer than that fails as ``truncated``.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import select
@@ -358,18 +359,24 @@ def aggregate_report(
 def render_table(header: list[str], rows: Iterable[Sequence], csv: bool = False) -> str:
     """Header and one line per row, each ending in a newline: tab-separated,
     with floats to 4 decimals and ``-`` for a missing value, or CSV, with
-    exact (``repr``) floats and an empty cell. Every report table is
-    rendered here."""
+    exact (``repr``) floats, an empty cell, and a cell holding a comma, a
+    quote or a line break quoted. Every report table is rendered here."""
+    if csv:
+        import csv as _csv  # only a report writes CSV; the module stays out of every set-up
+
+        out = io.StringIO()
+        # the writer renders None as an empty cell and a float by its repr
+        _csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        return out.getvalue()
 
     def cell(value) -> str:
         if value is None:
-            return "" if csv else "-"
+            return "-"
         if isinstance(value, float):
-            return repr(value) if csv else f"{value:.4f}"
+            return f"{value:.4f}"
         return str(value)
 
-    sep = "," if csv else "\t"
-    return "".join(sep.join(line) + "\n" for line in [header, *(map(cell, row) for row in rows)])
+    return "".join("\t".join(line) + "\n" for line in [header, *(map(cell, row) for row in rows)])
 
 
 def pass_at_k_table(

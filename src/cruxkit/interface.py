@@ -38,7 +38,7 @@ class HeaderError(ValueError):
 
 
 class NoModuleFound(HeaderError):
-    """No module declaration (or no module with the requested name)."""
+    """No module declaration."""
 
 
 class MalformedHeader(HeaderError):
@@ -156,7 +156,9 @@ def _blank(m: re.Match[str]) -> str:
 def strip_comments_and_attributes(text: str) -> str:
     """Blank out //, /* */ comments and (* ... *) attributes.
 
-    Replacement preserves newlines so later diagnostics could map offsets.
+    Each becomes whitespace, never nothing, so the tokens either side stay
+    apart; its newlines are kept, so the port entries that error texts quote
+    keep the line breaks they were written with.
     """
     return _ATTRIBUTE_RE.sub(_blank, _COMMENT_RE.sub(_blank, text))
 
@@ -317,49 +319,43 @@ _MODULE_RE = re.compile(r"\bmodule\b")
 _NAME_AT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_$]*)")
 
 
-def parse_module_header(source_text: str, module_name: str | None = None) -> ModuleInterface:
+def parse_module_header(source_text: str) -> ModuleInterface:
     """Parse the first ANSI module header in ``source_text``.
 
-    With ``module_name`` given, parse that module instead of the first one.
     Raises NoModuleFound / MalformedHeader / UnsupportedSyntax.
     """
     text = strip_comments_and_attributes(source_text)
-    found_any = False
-    for m in _MODULE_RE.finditer(text):
-        name_m = _NAME_AT_RE.match(text, m.end())
-        if not name_m:
-            raise MalformedHeader("module keyword without a name")
-        name = name_m.group(1)
-        found_any = True
-        if module_name is not None and name != module_name:
-            continue
-        cursor = _skip_ws(text, name_m.end())
-        params: tuple[tuple[str, str], ...] = ()
-        if text.startswith("#", cursor):
-            cursor = _skip_ws(text, cursor + 1)
-            if not text.startswith("(", cursor):
-                raise MalformedHeader("expected '(' after '#'")
-            param_text, cursor = _balanced_parens(text, cursor)
-            params = _parse_parameters(param_text)
-            cursor = _skip_ws(text, cursor)
-        if text.startswith(";", cursor):
-            raise UnsupportedSyntax(
-                f"module {name!r} has no header port list (non-ANSI style not supported)"
-            )
+    m = _MODULE_RE.search(text)
+    if not m:
+        raise NoModuleFound("no module declaration found")
+    name_m = _NAME_AT_RE.match(text, m.end())
+    if not name_m:
+        raise MalformedHeader("module keyword without a name")
+    name = name_m.group(1)
+    cursor = _skip_ws(text, name_m.end())
+    params: tuple[tuple[str, str], ...] = ()
+    if text.startswith("#", cursor):
+        cursor = _skip_ws(text, cursor + 1)
         if not text.startswith("(", cursor):
-            raise MalformedHeader(f"expected port list after module {name!r}")
-        port_text, cursor = _balanced_parens(text, cursor)
+            raise MalformedHeader("expected '(' after '#'")
+        param_text, cursor = _balanced_parens(text, cursor)
+        params = _parse_parameters(param_text)
         cursor = _skip_ws(text, cursor)
-        if not text.startswith(";", cursor):
-            raise MalformedHeader(f"missing ';' after module {name!r} header")
-        ports = _parse_ports(port_text) if port_text.strip() else ()
-        try:
-            return ModuleInterface(name, params, ports)
-        except ValueError as exc:
-            raise MalformedHeader(str(exc)) from exc
-    if module_name is not None and found_any:
-        raise NoModuleFound(f"no module named {module_name!r}")
-    raise NoModuleFound("no module declaration found")
+    if text.startswith(";", cursor):
+        raise UnsupportedSyntax(
+            f"module {name!r} has no header port list (non-ANSI style not supported)"
+        )
+    if not text.startswith("(", cursor):
+        raise MalformedHeader(f"expected port list after module {name!r}")
+    port_text, cursor = _balanced_parens(text, cursor)
+    cursor = _skip_ws(text, cursor)
+    if not text.startswith(";", cursor):
+        raise MalformedHeader(f"missing ';' after module {name!r} header")
+    ports = _parse_ports(port_text) if port_text.strip() else ()
+    try:
+        return ModuleInterface(name, params, ports)
+    except ValueError as exc:
+        raise MalformedHeader(str(exc)) from exc
 
 
 def _port_decl(port: PortSpec) -> str:

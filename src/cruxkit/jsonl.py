@@ -104,14 +104,20 @@ def read_rows(path: str, f) -> Iterator[dict]:
 
 def output(path: str, make_directory: bool = False) -> str:
     """``path``, if it is not a directory and its directory exists or, with
-    ``make_directory``, is missing (``_create`` makes it) but is not a file."""
+    ``make_directory``, can be made (``_create`` makes it): the directory's
+    nearest existing ancestor, or the directory itself, is a directory."""
     directory = os.path.dirname(path) or os.curdir
     if os.path.isdir(path):
         raise ConfigError(f"output path is a directory: {path}")
     if not make_directory and not os.path.isdir(directory):
         raise ConfigError(f"output directory not found: {directory}")
-    if os.path.exists(directory) and not os.path.isdir(directory):
-        raise ConfigError(f"cannot make output directory {directory}: {os.strerror(errno.EEXIST)}")
+    ancestor = directory
+    while not os.path.exists(ancestor) and os.path.dirname(ancestor) not in ("", ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if os.path.exists(ancestor) and not os.path.isdir(ancestor):
+        # the messages os.makedirs would fail with
+        code = errno.EEXIST if ancestor == directory else errno.ENOTDIR
+        raise ConfigError(f"cannot make output directory {directory}: {os.strerror(code)}")
     return path
 
 

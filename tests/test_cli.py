@@ -278,6 +278,22 @@ class TestDeriveCrux:
         assert validate.count("DERIVED NOTE") == 1
         assert "// note {derived}" in validate
 
+    def test_description_holding_a_lone_surrogate_is_answered_by_the_mock(self, tmp_path):
+        """A description with a lone surrogate (which ``json.loads`` reads from
+        a ``\\udcc3`` escape) reaches the default mock in its prompt: hashing
+        that prompt ended the command with ``internal error: UnicodeEncodeError``."""
+        _, rows = read_jsonl(GOLDEN / "no-sim-tiny" / "categorized.jsonl")
+        row = next(r for r in rows if r["category"] != "EasyQuestion")
+        row["description"] = "Build \udcc3 this. " + row["description"]
+        pairs = tmp_path / "categorized.jsonl"
+        pairs.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "transcripts.jsonl"
+        result = run_cli("derive-crux", "--input", pairs, "--live", "--output", out)
+        assert result.exit_code == 0, result.output
+        _, transcripts = read_jsonl(out)
+        assert transcripts and all(t["text"].startswith("// mock completion 0 ")
+                                   for t in transcripts)
+
     def test_needs_a_mode(self, categorized_toy):
         result = run_cli("derive-crux", "--input", categorized_toy)
         assert result.exit_code == 2
@@ -1316,15 +1332,16 @@ def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file,
 
 @pytest.mark.parametrize("command", ["categorize", "categorize into a directory", "derive-crux",
                                      "build-dataset", "build-dataset --reclassified", "reward",
-                                     "evaluate", "report", "evaluate table",
-                                     "report --reward table"])
+                                     "evaluate", "evaluate under a file", "report",
+                                     "evaluate table", "report --reward table"])
 def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, command):
     """An output path in a missing directory, an output path that is a
-    directory, or an ``--output-dir`` that is a file stops the command with
-    nothing written; sims would touch ``marker`` in their compile step. A
-    table path that is a directory in ``--output-dir`` is found as soon: it
-    ended ``evaluate`` with ``internal error: IsADirectoryError`` after
-    every sim."""
+    directory, or an ``--output-dir`` that is a file or lies under one stops
+    the command with nothing written; sims would touch ``marker`` in their
+    compile step. An ``--output-dir`` under a file was found only after every
+    sim. A table path that is a directory in ``--output-dir`` is found as
+    soon: it ended ``evaluate`` with ``internal error: IsADirectoryError``
+    after every sim."""
     from cruxkit.harness import ToolchainConfig
 
     missing, folder, a_file = tmp_path / "missing", tmp_path / "folder", tmp_path / "a_file"
@@ -1363,6 +1380,10 @@ def test_output_that_cannot_be_written_is_usage_error_before_any_sim(tmp_path, c
         "evaluate": (["evaluate", *sims, "--candidates", write_candidates(tmp_path, pairs),
                       "--output-dir", a_file],
                      f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
+        "evaluate under a file": (
+            ["evaluate", *sims, "--candidates", write_candidates(tmp_path, pairs),
+             "--output-dir", a_file / "sub"],
+            f"cannot make output directory {a_file / 'sub'}: {os.strerror(errno.ENOTDIR)}"),
         "report": (["report", "--reward", GOLDEN_REWARDS, "--output-dir", a_file],
                    f"cannot make output directory {a_file}: {os.strerror(errno.EEXIST)}"),
         "evaluate table": (["evaluate", *sims, "--candidates", write_candidates(tmp_path, pairs),

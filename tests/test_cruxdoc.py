@@ -106,13 +106,17 @@ class TestParse:
         assert report.sections_found == ALL_SECTIONS
         assert report.interface is not None
         assert report.core_functions_nonempty
-        assert not any(d.severity == "error" for d in report.diagnostics)
+        assert report.errors == []
 
     def test_total_on_empty_input(self):
         report = parse_crux("")
         assert report.doc is None
         assert report.sections_found == frozenset()
-        assert sum(d.severity == "error" for d in report.diagnostics) == 3
+        assert report.errors == [
+            "missing section: core_functions",
+            "missing section: key_considerations",
+            "missing section: module_interface",
+        ]
 
     def test_missing_core_section(self):
         text = f"## Module Interface\n\n```verilog\n{HEADER}\n```\n"
@@ -140,7 +144,7 @@ class TestParse:
         assert report.doc is not None
         # the stray section's content must not leak into key considerations
         assert "extra" not in report.doc.key_considerations
-        assert any("unrecognized heading" in d.message for d in report.diagnostics)
+        assert report.errors == []
 
     def test_heading_inside_fence_is_content(self):
         fenced = "## Module Interface\n\n```verilog\n" + HEADER + "\n# 10 delay note\n```\n"
@@ -159,18 +163,18 @@ class TestParse:
             report = parse_crux(text.replace("## Key", indent + "## Key"))
             assert SECTION_KEY not in report.sections_found
 
-    def test_duplicate_section_merges_with_warning(self):
+    def test_duplicate_section_merges(self):
         text = render_crux(DOC) + f"\n## Core Functions\n\n- Another fact\n"
         report = parse_crux(text)
         assert report.doc is not None
         assert "Another fact" in report.doc.core_functions
-        assert any(d.severity == "warning" for d in report.diagnostics)
+        assert report.errors == []
 
-    def test_preamble_noted(self):
+    def test_preamble_ignored(self):
         text = "Sure, here is the summary you asked for.\n\n" + render_crux(DOC)
         report = parse_crux(text)
         assert report.doc == DOC
-        assert any(d.severity == "info" for d in report.diagnostics)
+        assert report.errors == []
 
     def test_interface_without_fence_still_captured(self):
         text = render_crux(DOC).replace("```verilog\n", "").replace("```\n", "")
@@ -178,7 +182,7 @@ class TestParse:
         assert report.doc is not None
         assert report.interface is not None
         assert report.interface.module_name == "TopModule"
-        assert any("fence" in d.message for d in report.diagnostics)
+        assert report.errors == []
 
     def test_unparsable_interface_means_no_doc(self):
         text = render_crux(DOC).replace("module TopModule (", "module (")
@@ -186,7 +190,7 @@ class TestParse:
         assert report.doc is None
         assert report.interface is None
         assert report.core_functions_nonempty
-        assert any(d.severity == "error" for d in report.diagnostics)
+        assert report.errors == ["interface: module keyword without a name"]
 
     def test_bullet_markers_split_into_blocks(self):
         text = textwrap.dedent(

@@ -1,6 +1,8 @@
 """Simulation orchestration, output matching, and pass@k estimation."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -501,6 +503,19 @@ class TestAggregate:
         # csv floats are repr()s so they parse back exactly
         value = csv_text.splitlines()[1].split(",")[3]
         assert float(value) == rows[0]["pass@1"]
+
+    def test_csv_reads_back_ids_that_need_quoting(self):
+        """An id holding a comma, a quote or a line break is one quoted cell:
+        joined unquoted, ``a,b`` made a 5-field row under the 4-field header."""
+        ids = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        samples = {task_id: [fake_outcome(1.0), fake_outcome(None)] for task_id in ids}
+        rows, aggregate, _ = aggregate_report(samples, k_values=(1,))
+        text = pass_at_k_table(rows, (1,), csv=True, aggregate=aggregate)
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert read[0] == ["task_id", "n", "c", "pass@1"]
+        assert [line[0] for line in read[1:]] == [*sorted(ids), "aggregate"]
+        assert {len(line) for line in read} == {4}
+        assert [float(line[3]) for line in read[1:-1]] == [row["pass@1"] for row in rows]
 
     @given(
         st.dictionaries(

@@ -120,12 +120,9 @@ class TestParse:
         iface = parse_module_header("module m (/* x // y */ input a, input b);\nendmodule")
         assert [p.name for p in iface.ports] == ["a", "b"]
 
-    def test_first_module_wins_unless_named(self):
+    def test_first_module_wins(self):
         src = "module a(input x);\nendmodule\nmodule b(output y);\nendmodule"
         assert parse_module_header(src).module_name == "a"
-        assert parse_module_header(src, module_name="b").module_name == "b"
-        with pytest.raises(NoModuleFound, match=exactly("no module named 'c'")):
-            parse_module_header(src, module_name="c")
 
     def test_no_module_at_all(self):
         with pytest.raises(NoModuleFound, match=exactly("no module declaration found")):
@@ -196,7 +193,7 @@ class TestParseErrors:
 
 
 # Every other header error, with its whole message: these messages become
-# build-dataset reclassification reasons and CRUX diagnostics. The
+# build-dataset reclassification reasons and CRUX parse errors. The
 # MalformedHeader that _parse_ports makes of a PortSpec ValueError is not
 # here: the port checks before it leave PortSpec nothing to reject.
 HEADER_ERRORS = [
