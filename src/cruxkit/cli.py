@@ -39,6 +39,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import re
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
@@ -159,7 +160,14 @@ def _provider(path: str | None, mock_script: str | None) -> ProviderConfig:
     return ProviderConfig(**jsonl.read_json(path, "provider config", "provider"))
 
 
+# a task id names its testbench, so it is a file-name stem: not "." or "..",
+# and no path separator or control character (C0, DEL or C1)
+_NOT_A_STEM = re.compile(rf"\A\.\.?\Z|[/\x00-\x1f\x7f-\x9f{re.escape(os.sep + (os.altsep or ''))}]")
+
+
 def _testbench_path(directory: str, task_id: str) -> str:
+    if _NOT_A_STEM.search(task_id):
+        raise ConfigError(f"task id {task_id!r} is not a file-name stem, so it names no testbench")
     path = os.path.join(directory, f"{task_id}_tb.v")
     if not os.path.exists(path):
         raise ConfigError(f"testbench not found for task {task_id!r}: {path}")
@@ -173,13 +181,13 @@ class _Simulator:
     ``stream`` feeds ``(row, task_id, reference_code, codes)`` batches to
     ``spread.window`` with a bound of 2 x ``workers`` sims, and yields each
     batch's ``(row, outcomes)``, outcomes in candidate order, or its error
-    (a malformed row, a missing or blank testbench, a failing reference)
-    in its turn. A batch's sims are its task's reference, once per command,
-    then its distinct designs. The pool is FIFO, so a candidate starts only once
-    its reference runs; it is matched against the reference's transcript in
-    its worker and comes back without its own. On exit, queued jobs are
-    cancelled and running ones waited for, so no thread or child process
-    outlives the command.
+    (a malformed row, a bad task id, a missing or blank testbench, a reference
+    that fails or prints nothing) in its turn. A batch's sims are its task's
+    reference, once per command, then its distinct designs. The pool is
+    FIFO, so a candidate starts only once its reference runs; it is matched
+    against the reference's transcript in its worker and comes back without
+    its own. On exit, queued jobs are cancelled and running ones waited for,
+    so no thread or child process outlives the command.
     """
 
     def __init__(self, toolchain: ToolchainConfig, tb_dir: str, timeout_ms: int):
@@ -238,6 +246,9 @@ class _Simulator:
                     f"(compile_ok={reference.compile_ok}, timed_out={reference.timed_out}): "
                     f"{reference.log.strip()[:300]}"
                 )
+            if not reference.stdout_lines:  # it would match every candidate that runs
+                raise ConfigError(f"reference design for task {task_id!r} printed no "
+                                  f"transcript line under its testbench")
             known = {code: f.result() for code, f in sims.items()}
             yield row, [known.get(code, empty_design) for code in codes]
 

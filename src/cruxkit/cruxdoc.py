@@ -120,8 +120,6 @@ def render_crux(doc: CruxDoc) -> str:
     if body:
         lines.append("")
         lines.extend(body)
-    while lines and lines[-1] == "":
-        lines.pop()
     return "\n".join(lines) + "\n"
 
 

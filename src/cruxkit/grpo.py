@@ -195,7 +195,7 @@ def check_log_ratios(rollout: Rollout, group_size: int, beta: float) -> None:
 def clipped_objective(
     group: RolloutGroup,
     advantages: AdvantageSet,
-    epsilon: float = 0.2,
+    epsilon: float,
     beta: float = 0.0,
 ) -> dict:
     """The ``objective`` row ``score_group`` writes for a group: the mean over
@@ -225,7 +225,7 @@ def clipped_objective(
         clipped_tokens += active.count(True)
         total_tokens += len(new)
     surrogate = _mean(surrogates)
-    kl_term = _mean(kl_terms) if beta > 0 else 0.0
+    kl_term = _mean(kl_terms)
     return {"surrogate": surrogate, "kl_term": kl_term, "total": surrogate - beta * kl_term,
             "clip_fraction": clipped_tokens / total_tokens}
 

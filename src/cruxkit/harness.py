@@ -48,7 +48,7 @@ class DomainError(ValueError):
 
 
 class EmptyInput(ValueError):
-    """An aggregate was requested over no samples."""
+    """A sim job's design or testbench source is empty."""
 
 
 @dataclass(frozen=True)
@@ -300,15 +300,14 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     """Unbiased probability that at least one of k samples drawn without
     replacement from n (of which c are correct) is correct.
 
-    Computed in product form: 1 - prod_{i=n-c+1..n} (1 - k/i). Exactly 0.0
-    when c == 0 and exactly 1.0 when n - c < k.
+    Computed in product form: 1 - prod_{i=n-c+1..n} (1 - k/i), exactly 0.0
+    when c == 0. Exactly 1.0 when n - c < k, returned before the product,
+    which can overflow there: its factors below -1 precede its zero (i == k).
     """
     if not isinstance(n, int) or not isinstance(c, int) or not isinstance(k, int):
         raise DomainError("n, c, k must be integers")
-    if n < 1 or not 0 <= c <= n or not 1 <= k <= n:
+    if not 0 <= c <= n or not 1 <= k <= n:
         raise DomainError(f"need 0 <= c <= n and 1 <= k <= n, got n={n} c={c} k={k}")
-    if c == 0:
-        return 0.0
     if n - c < k:
         return 1.0
     prod = 1.0
@@ -319,8 +318,8 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 
 def aggregate_report(
     samples: dict[str, list[SimOutcome]],
-    threshold: float = 1.0,
-    k_values: tuple[int, ...] = (1, 5, 10),
+    threshold: float,
+    k_values: tuple[int, ...],
 ) -> tuple[list[dict], dict[int, float], list[str]]:
     """Tally outcomes per task and estimate pass@k: the per-task rows as
     ``per_task.jsonl`` holds them (``task_id``, ``n``, ``c`` and each
@@ -330,12 +329,9 @@ def aggregate_report(
     A sample is correct when it ran and its match_fraction meets the
     threshold. Tasks with no samples score 0 with a warning; a k larger than
     a task's sample count cannot be estimated (None) and is left out of that
-    k's aggregate, which is 0.0 when no task has an estimate.
+    k's aggregate, which is 0.0 when no task has an estimate. Each k is
+    positive, as the CLI and the config check.
     """
-    if not samples:
-        raise EmptyInput("no tasks to aggregate")
-    if not k_values or any(k < 1 for k in k_values):
-        raise DomainError("k_values must be positive")
     rows: list[dict] = []
     warnings: list[str] = []
     for task_id, outcomes in samples.items():

@@ -47,10 +47,8 @@ def compile_reward(outcome: SimOutcome) -> float:
 
 def code_reward(outcome: SimOutcome) -> float:
     """Functional score: the testbench match fraction, 0 when the run never
-    completed."""
-    if outcome.ran_ok and outcome.match_fraction is not None:
-        return outcome.match_fraction
-    return 0.0
+    completed (``SimOutcome`` has a match fraction iff it ran)."""
+    return 0.0 if outcome.match_fraction is None else outcome.match_fraction
 
 
 def crux_reward(seq: TokenLogProbSeq | None) -> float:
@@ -94,8 +92,6 @@ class WeightSchedule:
         return math.floor(self.switch_fraction * self.steps_per_epoch)
 
     def weights_at(self, global_step: int) -> tuple[float, float, float, float]:
-        if global_step < 0:
-            raise ValueError("global_step must be >= 0")
         return self.early if global_step < self.switch_step else self.late
 
     def phase_at(self, global_step: int) -> str:
@@ -120,8 +116,6 @@ class RewardVector:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
         if self.compile_r not in (0.0, 1.0):
             raise ValueError(f"compile_r is binary, got {self.compile_r}")
-        if self.weights_phase not in ("early", "late"):
-            raise ValueError(f"unknown weights_phase: {self.weights_phase!r}")
 
 
 def reward_vector(

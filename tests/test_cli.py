@@ -1303,6 +1303,84 @@ def test_reference_failing_its_testbench_is_config_error(tmp_path, case):
         assert message in result.stderr
 
 
+@pytest.mark.parametrize("command", ["evaluate", "reward"])
+def test_reference_with_an_empty_transcript_is_config_error(tmp_path, echo_toolchain_file,
+                                                            command):
+    """A reference that prints no transcript line would match every design
+    that runs: ``evaluate`` scored ``module wrong; endmodule`` a pass, and
+    ``reward`` gave it a code reward of 1, each exiting 0. It stops the
+    command with one error line and nothing written."""
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    mux = next(p for p in pairs if p["id"] == "mux2to1")
+    tasks = tmp_path / "tasks.jsonl"
+    silent = mux["reference_code"].replace("// EMIT:", "// said:")
+    tasks.write_text(json.dumps({**mux, "reference_code": silent}) + "\n")
+    wrong = {"id": "mux2to1", "reference_code": "module wrong; endmodule"}
+    common = ["--tasks", tasks, "--testbenches", TOY / "testbenches",
+              "--toolchain", echo_toolchain_file]
+    if command == "evaluate":
+        out = tmp_path / "eval"
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text(json.dumps({"task_id": "mux2to1",
+                                          "candidates": [wrong["reference_code"]]}) + "\n")
+        result = run_cli("evaluate", *common, "--candidates", candidates, "--output-dir", out)
+    else:
+        out = tmp_path / "rewarded.jsonl"
+        result = run_cli("reward", *common, "--groups", write_groups(tmp_path, [wrong], step=0),
+                         "--output", out)
+    assert (result.exit_code, result.stderr) == (
+        2, "error: reference design for task 'mux2to1' printed no transcript line "
+           "under its testbench\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reward", "categorize --live"])
+@pytest.mark.parametrize("where", ["absolute", "parent", "tab"])
+def test_task_id_that_is_not_a_file_name_stem_is_usage_error_before_any_sim(
+    tmp_path, command, where
+):
+    """A task id names its testbench, ``<id>_tb.v`` under ``--testbenches``,
+    so it must be a file-name stem. An absolute id or one holding ``../``
+    read its testbench from outside ``--testbenches``, and a tab id split
+    its row of ``summary.txt``; each ran its sims and exited 0. Now the
+    first row stops the command with one error line and no sim, which would
+    touch ``marker`` in its compile step."""
+    from cruxkit.harness import ToolchainConfig
+
+    tb_dir = tmp_path / "tb"
+    tb_dir.mkdir()
+    task_id = {"absolute": str(tmp_path / "outside"), "parent": "../outside",
+               "tab": "mux\t2to1"}[where]
+    mux_tb = (TOY / "testbenches" / "mux2to1_tb.v").read_text()
+    for path in (tmp_path / "outside_tb.v", tb_dir / "mux\t2to1_tb.v"):
+        path.write_text(mux_tb)
+    _, pairs = read_jsonl(TOY / "pairs.jsonl")
+    pair = {**next(p for p in pairs if p["id"] == "mux2to1"), "id": task_id}
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps(pair) + "\n")
+    marker = tmp_path / "compiled"
+    echo = ToolchainConfig.echo()
+    touch = shlex.join(["sh", "-c", f'touch {shlex.quote(str(marker))}; exec "$@"', "sh"])
+    toolchain = tmp_path / "toolchain.json"
+    toolchain.write_text(json.dumps({"compile_cmd": f"{touch} {echo.compile_cmd}",
+                                     "run_cmd": echo.run_cmd}))
+    common = ["--testbenches", tb_dir, "--toolchain", toolchain]
+    if command == "evaluate":
+        args = ["evaluate", "--tasks", tasks, "--candidates", write_candidates(tmp_path, [pair]),
+                "--output-dir", tmp_path / "eval"]
+    elif command == "reward":
+        args = ["reward", "--tasks", tasks, "--groups", write_groups(tmp_path, [pair], step=0),
+                "--output", tmp_path / "rewarded.jsonl"]
+    else:
+        args = ["categorize", "--live", "--input", tasks, "--output", tmp_path / "cat.jsonl"]
+    result = run_cli(*args, *common)
+    assert (result.exit_code, result.stderr) == (
+        2, f"error: task id {task_id!r} is not a file-name stem, so it names no testbench\n")
+    assert not marker.exists()
+    assert not any(path.exists() for path in (tmp_path / "eval", tmp_path / "rewarded.jsonl",
+                                              tmp_path / "cat.jsonl"))
+
+
 @pytest.mark.parametrize("flag", ["--config", "categorize --input", "report --reward",
                                   "evaluate --toolchain", "reward --provider"])
 def test_input_that_is_a_directory_is_usage_error(tmp_path, echo_toolchain_file, flag):

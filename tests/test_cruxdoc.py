@@ -147,11 +147,13 @@ class TestParse:
         assert report.errors == []
 
     def test_heading_inside_fence_is_content(self):
-        fenced = "## Module Interface\n\n```verilog\n" + HEADER + "\n# 10 delay note\n```\n"
-        text = fenced + "\n## Core Functions\n\n- Fact\n\n## Key Considerations\n"
-        report = parse_crux(text)
-        assert report.doc is not None
-        assert report.interface is not None
+        # a section heading in the fence would take the closing fence as a block
+        for note in ("# 10 delay note", "## Key Considerations"):
+            fenced = "## Module Interface\n\n```verilog\n" + HEADER + f"\n{note}\n```\n"
+            text = fenced + "\n## Core Functions\n\n- Fact\n\n## Key Considerations\n"
+            report = parse_crux(text)
+            assert report.doc is not None
+            assert report.interface is not None
 
     def test_indented_headings_and_fences(self):
         # up to three spaces of indent still open a heading or a fence; four
@@ -191,6 +193,14 @@ class TestParse:
         assert report.interface is None
         assert report.core_functions_nonempty
         assert report.errors == ["interface: module keyword without a name"]
+
+    def test_block_no_document_holds_means_no_doc(self):
+        # a bullet that reads as a heading parses, but no CruxDoc holds it
+        report = parse_crux(render_crux(DOC).replace("- q follows", "- # q follows"))
+        assert report.doc is None
+        assert (report.interface, report.core_functions_nonempty) == (IFACE, True)
+        assert report.errors == ["invalid document: core_functions block lines must not look "
+                                 "like headings: '# q follows d one cycle later'"]
 
     def test_bullet_markers_split_into_blocks(self):
         text = textwrap.dedent(

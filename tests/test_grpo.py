@@ -1,6 +1,7 @@
 """Group-standardized advantages, the clipped surrogate, and gradient checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,8 @@ class TestAdvantages:
     def test_near_degenerate_eps(self):
         adv = group_advantages([1.0, 1.0 + 1e-12])
         assert adv.degenerate
+        # a spread of exactly eps_std is not below it
+        assert group_advantages([0.0, 2.0], eps_std=1.0) == AdvantageSet((-1.0, 1.0), False)
 
     def test_group_too_small(self):
         with pytest.raises(GroupTooSmall):
@@ -116,10 +119,12 @@ class TestClippedObjective:
         assert out["clip_fraction"] == 1.0
 
     def test_zero_advantage_contributes_zero(self):
-        rollout = one_token_rollout(math.log(2.0))
-        out = clipped_objective(group_of(rollout), AdvantageSet((0.0,), True), 0.2)
-        assert out["surrogate"] == 0.0
-        assert out["clip_fraction"] == 0.0
+        # no clip binds on either side of the ratio
+        for ratio in (2.0, 0.5):
+            rollout = one_token_rollout(math.log(ratio))
+            out = clipped_objective(group_of(rollout), AdvantageSet((0.0,), True), 0.2)
+            assert out["surrogate"] == 0.0
+            assert out["clip_fraction"] == 0.0
 
     def test_identity_at_theta_old(self):
         # when new == old every ratio is exactly 1, the mean over tokens is
@@ -150,6 +155,19 @@ class TestClippedObjective:
         assert high["kl_term"] == math.inf
         low = clipped_objective(group_of(rollout), AdvantageSet((-1.0,), False), 0.2)
         assert (low["surrogate"], low["clip_fraction"]) == (-math.inf, 0.0)
+        # at the largest log-ratio whose exp is finite, the ratio is that float
+        edge = Rollout("c", "v", seq(0.0), seq(-grpo._EXP_MAX))
+        out = clipped_objective(group_of(edge), AdvantageSet((-1.0,), False), 0.2)
+        assert out["surrogate"] == -math.exp(grpo._EXP_MAX)
+
+    def test_clip_binds_only_past_its_bound(self):
+        # a ratio of exactly 1 + eps (A > 0) or 1 - eps (A < 0) is its own
+        # clipped value, and its gradient flows: no clip binds there
+        for new, old, advantage, epsilon, surrogate in ((0.0, -math.log(2.0), 1.0, 1.0, 2.0),
+                                                        (math.log(0.5), 0.0, -1.0, 0.5, -0.5)):
+            rollout = Rollout("c", "v", seq(new), seq(old))
+            out = clipped_objective(group_of(rollout), AdvantageSet((advantage,), False), epsilon)
+            assert (out["surrogate"], out["clip_fraction"]) == (surrogate, 0.0)
 
     @pytest.mark.parametrize("group_size, n_tokens, beta", [
         (2, 1, 0.0), (2, 3, 0.04), (8, 1000, 0.04), (64, 2, 0.04), (3, 5, 1e300),
@@ -180,6 +198,18 @@ class TestClippedObjective:
             with pytest.raises(ValueError, match="can overflow"):
                 grpo.check_log_ratios(rollout(new, old, ref), group_size, beta or 1.0)
 
+    @pytest.mark.parametrize("group_size, n_tokens, beta, scale", [
+        (2, 1000, 0.04, 1000), (64, 2, 0.04, 64 * math.sqrt(63)), (3, 5, 1e300, 1e300),
+    ])
+    def test_log_ratio_bound_leaves_a_quarter_of_the_float_range(
+        self, group_size, n_tokens, beta, scale
+    ):
+        """At the bound, 2 * scale * e**bound, the most a sum of the row can
+        reach, is a quarter of the largest float; ``scale`` is the largest of
+        the token count, G * sqrt(G - 1) and beta."""
+        bound = grpo.log_ratio_bound(group_size, n_tokens, beta)
+        assert 2 * scale * math.exp(bound) == pytest.approx(sys.float_info.max / 4, rel=1e-12)
+
     def test_rollout_mean_across_group(self):
         r1 = one_token_rollout(0.0)
         r2 = one_token_rollout(0.0)
@@ -206,6 +236,9 @@ class TestClippedObjective:
         want_kl = math.exp(d) - d - 1.0
         assert out["kl_term"] == pytest.approx(want_kl, abs=1e-12)
         assert out["total"] == pytest.approx(out["surrogate"] - 0.5 * want_kl, abs=1e-12)
+        # under beta 0 the row has no KL term, whatever the ref logprobs say
+        unweighted = clipped_objective(group_of(rollout), AdvantageSet((0.0,), True), 0.2)
+        assert unweighted["kl_term"] == 0.0
 
     def test_kl_nonnegative(self):
         for d in (-1.0, -0.25, 0.0, 0.25, 1.0):
@@ -219,6 +252,9 @@ class TestClippedObjective:
         rollout = one_token_rollout(0.1)
         with pytest.raises(MissingRefLogprobs):
             clipped_objective(group_of(rollout), AdvantageSet((1.0,), False), 0.2, beta=0.1)
+        # the gradient checker would check the objective without its KL term
+        with pytest.raises(MissingRefLogprobs):
+            objective_gradient_check(random_toy_instance(0), 0.2, beta=0.1)
 
     def test_advantage_count_checked(self):
         rollout = one_token_rollout(0.1)

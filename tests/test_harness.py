@@ -369,6 +369,7 @@ class TestMatching:
 
     def test_both_empty_is_full_match(self):
         assert match_outputs([], []) == 1.0
+        assert match_outputs(["a"], []) == 0.0
 
     def test_empty_candidate_vs_reference(self):
         assert match_outputs([], ["a"]) == 0.0
@@ -405,6 +406,9 @@ class TestPassAtK:
         assert pass_at_k(10, 0, 5) == 0.0
         assert pass_at_k(10, 10, 1) == 1.0
         assert pass_at_k(5, 3, 4) == 1.0  # n - c < k forces a passing pick
+        # and the product form would overflow to NaN there
+        assert pass_at_k(1100, 1100, 1100) == 1.0
+        assert pass_at_k(2000, 1990, 1500) == 1.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -465,7 +469,8 @@ class TestAggregate:
             "t2": [fake_outcome(1.0), fake_outcome(1.0), fake_outcome(1.0)],
             "t1": [fake_outcome(1.0), fake_outcome(0.5), fake_outcome(None, compiled=False)],
         }
-        rows, aggregate, _ = aggregate_report(samples, threshold=1.0, k_values=(1, 3))
+        rows, aggregate, warnings = aggregate_report(samples, threshold=1.0, k_values=(1, 3))
+        assert warnings == []  # n == max k estimates every k
         t1, t2 = rows
         assert (t1["task_id"], t1["n"], t1["c"]) == ("t1", 3, 1)
         assert t1["pass@1"] == pytest.approx(1 / 3)
@@ -480,12 +485,12 @@ class TestAggregate:
         assert lax[0]["c"] == 2
 
     def test_zero_samples_scores_zero_with_warning(self):
-        rows, _, warnings = aggregate_report({"t": []}, k_values=(1,))
+        rows, _, warnings = aggregate_report({"t": []}, threshold=1.0, k_values=(1,))
         assert rows[0]["pass@1"] == 0.0
         assert any("no samples" in w for w in warnings)
 
     def test_k_beyond_n_excluded(self):
-        rows, aggregate, warnings = aggregate_report({"t": [fake_outcome(1.0)]}, k_values=(1, 5))
+        rows, aggregate, warnings = aggregate_report({"t": [fake_outcome(1.0)]}, 1.0, (1, 5))
         assert rows[0]["pass@5"] is None
         # nothing contributes to the k=5 mean; the warning carries the story
         assert aggregate[5] == 0.0
@@ -493,7 +498,7 @@ class TestAggregate:
 
     def test_report_writers_agree(self):
         samples = {"t": [fake_outcome(1.0), fake_outcome(0.0)]}
-        rows, aggregate, _ = aggregate_report(samples, k_values=(1, 2))
+        rows, aggregate, _ = aggregate_report(samples, threshold=1.0, k_values=(1, 2))
         assert rows == [{"task_id": "t", "n": 2, "c": 1, "pass@1": 0.5, "pass@2": 1.0}]
         table = pass_at_k_table(rows, (1, 2), aggregate=aggregate)
         assert "pass@1" in table.splitlines()[0]
@@ -509,7 +514,7 @@ class TestAggregate:
         joined unquoted, ``a,b`` made a 5-field row under the 4-field header."""
         ids = ["a,b", 'say "hi"', "two\nlines", "plain"]
         samples = {task_id: [fake_outcome(1.0), fake_outcome(None)] for task_id in ids}
-        rows, aggregate, _ = aggregate_report(samples, k_values=(1,))
+        rows, aggregate, _ = aggregate_report(samples, threshold=1.0, k_values=(1,))
         text = pass_at_k_table(rows, (1,), csv=True, aggregate=aggregate)
         read = list(csv.reader(io.StringIO(text, newline="")))
         assert read[0] == ["task_id", "n", "c", "pass@1"]
@@ -532,8 +537,8 @@ class TestAggregate:
         samples = {t: [fake_outcome(m) for m in ms] for t, ms in matches.items()}
         order = list(samples)
         rng.shuffle(order)
-        rows, aggregate, _ = aggregate_report(samples, k_values=tuple(k_values))
-        permuted = aggregate_report({t: samples[t] for t in order}, k_values=tuple(k_values))
+        rows, aggregate, _ = aggregate_report(samples, 1.0, tuple(k_values))
+        permuted = aggregate_report({t: samples[t] for t in order}, 1.0, tuple(k_values))
         assert (rows, aggregate) == permuted[:2]
         assert [row["task_id"] for row in rows] == sorted(samples)
         for k in k_values:
